@@ -4,7 +4,8 @@ All CSV files use '.' as the decimal separator and 17 significant digits for
 reals, so 64-bit floats round-trip exactly; repeated runs with identical
 config and seed produce byte-identical files.
 
-Exit codes: 0 ok, 1 benchmark failure, 2 numerical failure, 3 degenerate input.
+Exit codes: 0 ok, 1 benchmark failure, 2 numerical failure, 3 degenerate input,
+4 invalid configuration or input; each ends in a one-line stderr message.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
     EmptyCurve,
+    IumpsError,
     NearDegenerate,
-    NonConvergence,
-    NotHermitian,
+    TooLarge,
+    Unsupported,
 )
 from .experiments import (
     analytic_family,
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_BENCHMARK = 1
 EXIT_NUMERICAL = 2
 EXIT_DEGENERATE = 3
+EXIT_INVALID = 4
 
 _CASES = {"1": CASE1, "2": CASE2, "3": CASE3, "a": "golden", "golden": "golden"}
 
@@ -91,7 +94,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if path is not None:
         base = json.loads(Path(path).read_text())
     base.update({k: v for k, v in overrides.items() if v is not None})
-    config = RunConfig(**base)
+    try:
+        config = RunConfig(**base)
+    except TypeError as exc:  # a config-file key that is not a RunConfig field
+        raise ValueError(f"config: {exc}") from exc
     config.validate()
     return config
 
@@ -116,7 +122,11 @@ _KRAUS_BUILDERS = {CASE1: build_case1, CASE2: build_case2, CASE3: build_case3}
 
 def _kraus(config: RunConfig, instance_id: int):
     if config.kraus_path is not None:
-        return KrausSet.from_json(Path(config.kraus_path).read_text())
+        text = Path(config.kraus_path).read_text()
+        try:
+            return KrausSet.from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"Kraus file {config.kraus_path}: {exc}") from exc
     if config.case_tag == "golden":
         return benchmark_kraus()
     stream = RandomStream(config.master_seed, instance_id)
@@ -303,8 +313,16 @@ def cmd_benchmark(config: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INVALID, not argparse's 2 (a numerical failure here)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iumps",
         description="Random infinite uniform MPS: spectra, entropies, and QCMI decay",
     )
@@ -336,6 +354,11 @@ _COMMANDS = {
 }
 
 
+def _fail(code: int, label: str, exc: Exception) -> int:
+    print(f"{label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
@@ -352,15 +375,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, overrides)
         return _COMMANDS[args.command](config)
-    except (NonConvergence, NotHermitian) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (DegenerateSpectrum, EmptyCurve) as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except BenchmarkFailed as exc:
-        print(f"benchmark failure: {exc}", file=sys.stderr)
-        return EXIT_BENCHMARK
+        return _fail(EXIT_BENCHMARK, "benchmark failure", exc)
+    except (DegenerateSpectrum, EmptyCurve, NearDegenerate) as exc:
+        return _fail(EXIT_DEGENERATE, "degenerate input", exc)
+    except (ValueError, OSError, TooLarge, Unsupported) as exc:
+        return _fail(EXIT_INVALID, "invalid input", exc)
+    except IumpsError as exc:  # NonConvergence, NotHermitian, NotPositive, NoFixedPoint
+        return _fail(EXIT_NUMERICAL, "numerical failure", exc)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iumps import benchmark_kraus
 from iumps.cli import main
 
 
@@ -179,9 +180,51 @@ def test_config_file_with_flag_override(tmp_path):
     assert summary["config"]["n_instances"] == 4
 
 
-def test_rejects_odd_b_max(tmp_path):
-    with pytest.raises(ValueError):
-        run(tmp_path, "scan", "--case", "1", "--b-max", "13")
+def test_rejects_odd_b_max(tmp_path, capsys):
+    assert run(tmp_path, "scan", "--case", "1", "--b-max", "13") == 4
+    err = capsys.readouterr().err
+    assert err == "invalid input: ValueError: b_max_limit must be even\n"
+
+
+def test_rejects_zero_instances(tmp_path, capsys):
+    assert run(tmp_path, "ensemble", "--n", "0") == 4
+    err = capsys.readouterr().err
+    assert err == "invalid input: ValueError: n_instances must be >= 1\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_rejects_non_canonical_kraus_file(tmp_path, capsys):
+    payload = json.loads(benchmark_kraus().to_json())
+    payload["matrices"][0][0] = [2.0, 0.0]
+    kraus_file = tmp_path / "bad.json"
+    kraus_file.write_text(json.dumps(payload))
+    assert run(tmp_path, "scan", "--kraus", str(kraus_file)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ValueError: Kraus file ")
+    assert "canonical-form deviation" in err and err.count("\n") == 1
+
+
+def test_bound_exit_code_on_near_degenerate_gap(tmp_path, monkeypatch, capsys):
+    import iumps.cli as cli_mod
+    from iumps import NearDegenerate
+
+    def near_degenerate(mps):
+        raise NearDegenerate("gap-shell eigenvalues too close to separate")
+
+    monkeypatch.setattr(cli_mod, "jordan_constants", near_degenerate)
+    assert run(tmp_path, "bound", "--case", "1", "--seed", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "degenerate input: NearDegenerate: gap-shell eigenvalues too close to separate\n"
+    )
+
+
+def test_usage_error_exit_code(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "scan", "--case", "9")
+    assert exc.value.code == 4
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_ensemble_exit_when_every_instance_fails(tmp_path):

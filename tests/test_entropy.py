@@ -3,6 +3,7 @@ import pytest
 
 from iumps import (
     I_TH,
+    EntropyProfile,
     KrausSet,
     NotHermitian,
     RandomStream,
@@ -20,6 +21,7 @@ from iumps import (
     qmi,
     region_entropy,
     rho_disjoint,
+    scan_instance,
     site_products,
     support_decomposition,
 )
@@ -264,3 +266,76 @@ def test_site_products_ordering(case1_instance):
     prods = site_products(case1_instance.kraus, 2)
     # composite index (s2, s1) with s2 slowest; entry is M^{s2} @ M^{s1}
     assert np.allclose(prods[1 * 3 + 2], m[1] @ m[2])
+
+
+@pytest.fixture(scope="module")
+def case_instances(case1_instance, case2_instance, case3_instance):
+    return (case1_instance, case2_instance, case3_instance)
+
+
+def test_profile_matches_region_entropy(case_instances):
+    for mps in case_instances:
+        profile = EntropyProfile(mps)
+        for n in range(1, 43):
+            assert abs(profile.entropy(n) - region_entropy(mps, n).entropy) <= 1e-13, n
+
+
+def test_profile_matches_brute_force(case_instances):
+    for mps in case_instances:
+        profile = EntropyProfile(mps)
+        for n in range(1, 6):
+            assert abs(profile.entropy(n) - brute_force_entropy(mps, n)) <= 1e-9, n
+
+
+def test_profile_power_and_qmi(case_instances):
+    """QMI and QCMI read through a profile against the binary-power path."""
+    ent = lambda r: entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(r), 0, None))
+    s = lambda mps, n: region_entropy(mps, n).entropy
+    for mps in case_instances:
+        profile = EntropyProfile(mps)
+        assert np.array_equal(profile.power(0), np.eye(16))
+        for b in (1, 2, 9, 26, 40):
+            region = RegionSpec(1, b, 1)
+            rho_ac = rho_disjoint(mps, region)  # E^b by mat_power
+            t = rho_ac.reshape(3, 3, 3, 3)
+            ref_qmi = ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(rho_ac)
+            assert abs(qmi(mps, region, profile=profile) - ref_qmi) <= 1e-13
+            ref_qcmi = s(mps, 1 + b) + s(mps, b + 1) - s(mps, b + 2) - s(mps, b)
+            assert abs(qcmi(mps, region, profile=profile) - ref_qcmi) <= 1e-13
+
+
+def test_profile_rejects_other_instance(case1_instance, case2_instance):
+    profile = EntropyProfile(case1_instance)
+    with pytest.raises(ValueError):
+        qcmi(case2_instance, RegionSpec(1, 2, 1), profile=profile)
+    with pytest.raises(ValueError):
+        qmi(case1_instance, RegionSpec(1, 2, 1), threshold=1e-10, profile=profile)
+
+
+@pytest.mark.parametrize("fixture", ["case1_instance", "golden_mps"])
+def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
+    """One support eigh per distinct region length, every QCMI via experiments.qcmi."""
+    import iumps.entropy as ent
+    import iumps.experiments as exp
+
+    mps = request.getfixturevalue(fixture)
+    eighs = []
+    evaluated = []
+    eig_hermitian, qcmi_binding = ent.eig_hermitian, exp.qcmi
+
+    def counting_eig(a):
+        eighs.append(1)
+        return eig_hermitian(a)
+
+    def recording_qcmi(mps, region, *args, **kwargs):
+        evaluated.append(region.len_b)
+        return qcmi_binding(mps, region, *args, **kwargs)
+
+    monkeypatch.setattr(ent, "eig_hermitian", counting_eig)
+    monkeypatch.setattr(exp, "qcmi", recording_qcmi)
+    curve = scan_instance(mps, RegionSpec(1, 2, 1))
+    b_stop = evaluated[-1]
+    assert evaluated == list(range(2, b_stop + 1, 2))
+    assert b_stop in (curve.b_max, curve.b_max + 2)
+    # |A| = |C| = 1 needs S(n) for n = 2 .. b_stop + 2
+    assert len(eighs) == b_stop + 1
