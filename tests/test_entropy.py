@@ -273,18 +273,13 @@ def case_instances(case1_instance, case2_instance, case3_instance):
     return (case1_instance, case2_instance, case3_instance)
 
 
-def test_profile_matches_region_entropy(case_instances):
+def test_profile_matches_region_entropy_and_brute_force(case_instances):
     for mps in case_instances:
         profile = EntropyProfile(mps)
         for n in range(1, 43):
             assert abs(profile.entropy(n) - region_entropy(mps, n).entropy) <= 1e-13, n
-
-
-def test_profile_matches_brute_force(case_instances):
-    for mps in case_instances:
-        profile = EntropyProfile(mps)
-        for n in range(1, 6):
-            assert abs(profile.entropy(n) - brute_force_entropy(mps, n)) <= 1e-9, n
+            if n <= 5:
+                assert abs(profile.entropy(n) - brute_force_entropy(mps, n)) <= 1e-9, n
 
 
 def test_profile_power_and_qmi(case_instances):
