@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,7 @@ from .mps import (
     CASE2,
     CASE3,
     KrausSet,
-    build_case1,
-    build_case2,
-    build_case3,
+    build_case,
     build_iumps,
     transfer_matrix,
 )
@@ -58,6 +56,17 @@ EXIT_DEGENERATE = 3
 EXIT_INVALID = 4
 
 _CASES = {"1": CASE1, "2": CASE2, "3": CASE3, "a": "golden", "golden": "golden"}
+
+
+# Value types each RunConfig annotation accepts: an int is a valid float, a
+# bool is valid only for a bool field, and None only for kraus_path.
+_ACCEPTED_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "str": str,
+    "bool": bool,
+    "str | None": (str, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -76,12 +85,15 @@ class RunConfig:
     threshold: float = 1e-12
     peripheral_tol: float = 1e-8
     burn_in: int = 3
-    jobs: int = 1
     output_dir: str = "."
     kraus_path: str | None = None  # reload an instance instead of sampling
     save_kraus: bool = False  # persist the constructed instance as JSON
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, accepted = getattr(self, f.name), _ACCEPTED_TYPES[f.type]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and accepted is not bool):
+                raise ValueError(f"config: {f.name} must be {f.type}, not {value!r}")
         if self.b_max_limit % 2 != 0:
             raise ValueError("b_max_limit must be even")
         if self.n_instances < 1:
@@ -93,6 +105,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     base: dict = {}
     if path is not None:
         base = json.loads(Path(path).read_text())
+        if not isinstance(base, dict):
+            raise ValueError(f"config: {path} must hold a JSON object")
     base.update({k: v for k, v in overrides.items() if v is not None})
     try:
         config = RunConfig(**base)
@@ -111,33 +125,31 @@ def _write(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _instance(config: RunConfig, instance_id: int):
-    kraus = _kraus(config, instance_id)
-    _persist_kraus(config, kraus, instance_id)
-    return build_iumps(kraus, config.peripheral_tol)
-
-
-_KRAUS_BUILDERS = {CASE1: build_case1, CASE2: build_case2, CASE3: build_case3}
-
-
-def _kraus(config: RunConfig, instance_id: int):
+def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
+    """The instance's Kraus set: a ``--kraus`` file, the golden instance, or a
+    sampled case; written to ``kraus_<id>.json`` under ``--save-kraus``."""
     if config.kraus_path is not None:
         text = Path(config.kraus_path).read_text()
         try:
-            return KrausSet.from_json(text)
+            kraus = KrausSet.from_json(text)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"Kraus file {config.kraus_path}: {exc}") from exc
-    if config.case_tag == "golden":
-        return benchmark_kraus()
-    stream = RandomStream(config.master_seed, instance_id)
-    return _KRAUS_BUILDERS[config.case_tag](config.d_s, config.d_M, stream)
-
-
-def _persist_kraus(config: RunConfig, kraus, instance_id: int) -> None:
+    elif config.case_tag == "golden":
+        kraus = benchmark_kraus()
+    else:
+        stream = RandomStream(config.master_seed, instance_id)
+        kraus = build_case(config.case_tag, config.d_s, config.d_M, stream)
     if config.save_kraus:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"kraus_{instance_id}.json").write_text(kraus.to_json() + "\n")
+    return kraus
+
+
+def _reject_fixed_instance(config: RunConfig, command: str) -> None:
+    """Sampling commands draw their own instances; a fixed one does not apply."""
+    if config.kraus_path is not None or config.save_kraus:
+        raise ValueError(f"{command} samples its instances; --kraus and --save-kraus do not apply")
 
 
 def cmd_spectrum(config: RunConfig) -> int:
@@ -145,9 +157,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     rows = ["instance_id,eig_index,re,im,abs,is_peripheral"]
     gap_payload: dict = {}
     for i in range(config.n_instances):
-        kraus = _kraus(config, i)
-        _persist_kraus(config, kraus, i)
-        transfer = transfer_matrix(kraus, config.peripheral_tol)
+        transfer = transfer_matrix(_kraus(config, i), config.peripheral_tol)
         peripheral = set(transfer.peripheral_indices.tolist())
         for idx, v in enumerate(transfer.spectrum.values):
             rows.append(
@@ -170,7 +180,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def cmd_scan(config: RunConfig) -> int:
     out = Path(config.output_dir)
-    mps = _instance(config, 0)
+    mps = build_iumps(_kraus(config, 0), config.peripheral_tol)
     curve = scan_instance(
         mps,
         RegionSpec(config.len_a, 2, config.len_c),
@@ -194,6 +204,7 @@ def cmd_scan(config: RunConfig) -> int:
 
 
 def cmd_ensemble(config: RunConfig) -> int:
+    _reject_fixed_instance(config, "ensemble")
     out = Path(config.output_dir)
     summary = run_ensemble(
         n=config.n_instances,
@@ -207,7 +218,6 @@ def cmd_ensemble(config: RunConfig) -> int:
         d_m=config.d_M,
         threshold=config.threshold,
         peripheral_tol=config.peripheral_tol,
-        jobs=config.jobs,
     )
     rows = ["instance_id,nu_gap,b_max,rate,n_points"]
     for r in summary.records:
@@ -240,7 +250,7 @@ def cmd_ensemble(config: RunConfig) -> int:
 
 
 def cmd_bound(config: RunConfig) -> int:
-    mps = _instance(config, 0)
+    mps = build_iumps(_kraus(config, 0), config.peripheral_tol)
     constants = jordan_constants(mps)
     payload = asdict(constants)
     b_suff = sufficient_b(constants, config.d_s)
@@ -251,6 +261,9 @@ def cmd_bound(config: RunConfig) -> int:
 
 
 def cmd_gapstats(config: RunConfig) -> int:
+    _reject_fixed_instance(config, "gapstats")
+    if config.case_tag != CASE1:
+        raise ValueError(f"gapstats samples {CASE1} only, not {config.case_tag}")
     out = Path(config.output_dir)
     stats = gap_statistics(config.n_instances, config.master_seed, config.d_s, config.d_M)
     rows = ["rank,one_minus_nu1,nu1_minus_nu2,nu2_minus_nu3"]
@@ -335,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="number of instances")
         p.add_argument("--b-max", type=int, default=None, help="largest even |B|")
         p.add_argument("--k", type=int, default=None, help="QCMI floor exponent")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--kraus", type=str, default=None,
                        help="load the instance from a KrausSet JSON file")
@@ -367,7 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         "n_instances": args.n,
         "b_max_limit": args.b_max,
         "k": args.k,
-        "jobs": args.jobs,
         "output_dir": args.out,
         "kraus_path": args.kraus,
         "save_kraus": args.save_kraus,

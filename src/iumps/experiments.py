@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -12,14 +11,11 @@ import numpy as np
 from .entropy import EntropyProfile, RegionSpec, qcmi, qmi, rho_disjoint
 from .exceptions import BenchmarkFailed, EmptyCurve, IumpsError, TooFewPoints
 from .mps import (
-    CASE1,
     CASE2,
-    CASE3,
     IuMps,
     KrausSet,
+    build_case,
     build_case1,
-    build_case2,
-    build_case3,
     build_iumps,
     spectral_gap,
     transfer_matrix,
@@ -176,9 +172,6 @@ def _assign_cases(n: int, case_mix: dict[str, float]) -> list[str]:
     return out
 
 
-_BUILDERS = {CASE1: build_case1, CASE2: build_case2, CASE3: build_case3}
-
-
 def build_instance(
     case_tag: str,
     d_s: int,
@@ -187,8 +180,7 @@ def build_instance(
     peripheral_tol: float = 1e-8,
 ) -> IuMps:
     """Sample one iuMPS of the given case from the given stream."""
-    kraus = _BUILDERS[case_tag](d_s, d_m, stream)
-    return build_iumps(kraus, peripheral_tol)
+    return build_iumps(build_case(case_tag, d_s, d_m, stream), peripheral_tol)
 
 
 def run_ensemble(
@@ -203,38 +195,17 @@ def run_ensemble(
     d_m: int = 4,
     threshold: float = 1e-12,
     peripheral_tol: float = 1e-8,
-    jobs: int = 1,
 ) -> EnsembleSummary:
     """Scan ``n`` independently seeded instances and aggregate the statistics.
 
-    Instance i always draws from stream index i of ``master_seed``, so the
-    summary is independent of scheduling.  Per-instance failures are recorded
-    and skipped, never aborting the ensemble.
+    Instance i always draws from stream index i of ``master_seed``.  The
+    instances run serially: each scan is a chain of 16x16 kernels that hold
+    the GIL, so a thread pool measured slower than this loop.  Per-instance
+    failures are recorded and skipped, never aborting the ensemble.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     cases = _assign_cases(n, case_mix)
-
-    def one(i: int):
-        mps = build_instance(cases[i], d_s, d_m, RandomStream(master_seed, i), peripheral_tol)
-        return scan_instance(mps, region, b_max_limit, k, threshold, instance_id=i)
-
-    results: dict[int, DecayCurve | Exception] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(one, i) for i in range(n)}
-            for i, fut in futures.items():
-                try:
-                    results[i] = fut.result()
-                except IumpsError as exc:
-                    results[i] = exc
-    else:
-        for i in range(n):
-            try:
-                results[i] = one(i)
-            except IumpsError as exc:
-                results[i] = exc
-
     records: list[InstanceRecord] = []
     rates: list[float] = []
     cdf_full: list[float] = []
@@ -243,9 +214,11 @@ def run_ensemble(
     out_of_range = 0
     total_shifted = 0
     for i in range(n):
-        res = results[i]
-        if isinstance(res, Exception):
-            skipped.append((i, f"{type(res).__name__}: {res}"))
+        try:
+            mps = build_instance(cases[i], d_s, d_m, RandomStream(master_seed, i), peripheral_tol)
+            res = scan_instance(mps, region, b_max_limit, k, threshold, instance_id=i)
+        except IumpsError as exc:
+            skipped.append((i, f"{type(exc).__name__}: {exc}"))
             continue
         shifted = shift_graph(res)
         total_shifted += len(shifted)

@@ -167,6 +167,16 @@ def build_case3(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     return ks
 
 
+BUILDERS = {CASE1: build_case1, CASE2: build_case2, CASE3: build_case3}
+
+
+def build_case(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
+    """Kraus set of a sampled case (``case1``, ``case2`` or ``case3``) drawn from ``stream``."""
+    if case_tag not in BUILDERS:
+        raise ValueError(f"unknown case {case_tag!r}; expected one of {sorted(BUILDERS)}")
+    return BUILDERS[case_tag](d_s, d_m, stream)
+
+
 def transfer_matrix(kraus: KrausSet, peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> TransferMatrix:
     """Assemble E, compute its full spectrum, and classify the peripheral set."""
     if not 0 < peripheral_tol < 0.1:

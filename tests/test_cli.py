@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iumps import benchmark_kraus
-from iumps.cli import main
+from iumps.cli import load_config, main
 
 
 def run(tmp_path, *args):
@@ -124,14 +124,6 @@ def test_ensemble_byte_identical_rerun(tmp_path):
     assert sa == sb
 
 
-def test_ensemble_jobs_flag_matches_serial(tmp_path):
-    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    run(a_dir, "ensemble", "--case", "3", "--n", "6", "--seed", "9", "--b-max", "12")
-    run(b_dir, "ensemble", "--case", "3", "--n", "6", "--seed", "9", "--b-max", "12",
-        "--jobs", "3")
-    assert read(a_dir / "rates.csv") == read(b_dir / "rates.csv")
-
-
 def test_bound_subcommand(tmp_path, capsys):
     assert run(tmp_path, "bound", "--case", "1", "--seed", "2") == 0
     payload = json.loads(capsys.readouterr().out)
@@ -221,10 +213,70 @@ def test_bound_exit_code_on_near_degenerate_gap(tmp_path, monkeypatch, capsys):
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(tmp_path, "scan", "--case", "9")
-    assert exc.value.code == 4
-    assert "invalid choice" in capsys.readouterr().err
+    for argv, message in (
+        (("scan", "--case", "9"), "invalid choice"),
+        (("ensemble", "--jobs", "3"), "unrecognized arguments: --jobs 3"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        assert exc.value.code == 4
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ensemble", "--case", "golden"),
+        ("ensemble", "--kraus", "KRAUS"),
+        ("ensemble", "--save-kraus"),
+        ("gapstats", "--case", "2"),
+        ("gapstats", "--case", "3"),
+        ("gapstats", "--case", "golden"),
+        ("gapstats", "--kraus", "KRAUS"),
+        ("gapstats", "--save-kraus"),
+    ],
+    ids=" ".join,
+)
+def test_sampling_commands_reject_fixed_instance(tmp_path, capsys, argv):
+    kraus_file = tmp_path / "kraus.json"
+    kraus_file.write_text(benchmark_kraus().to_json())
+    out_dir = tmp_path / "out"
+    argv = [str(kraus_file) if a == "KRAUS" else a for a in argv]
+    assert main([*argv, "--n", "2", "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ValueError: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "payload_message",
+    [
+        ({"d_s": "3"}, "d_s must be int, not '3'"),
+        ({"threshold": "x"}, "threshold must be float, not 'x'"),
+        ({"n_instances": True}, "n_instances must be int, not True"),
+        ({"k": 12.0}, "k must be int, not 12.0"),
+        ({"case_tag": None}, "case_tag must be str, not None"),
+        ({"save_kraus": 1}, "save_kraus must be bool, not 1"),
+        ({"no_such_key": 1}, "unexpected keyword argument 'no_such_key'"),
+        ([3], "must hold a JSON object"),
+    ],
+    ids=lambda case: json.dumps(case[0]),
+)
+def test_rejects_bad_config_file(tmp_path, capsys, payload_message):
+    payload, message = payload_message
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out_dir = tmp_path / "out"
+    assert main(["spectrum", "--config", str(config), "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ValueError: config: ") and err.count("\n") == 1
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_config_accepts_int_for_float_field():
+    config = load_config(None, {"threshold": 0, "kraus_path": "k.json"})
+    assert config.threshold == 0 and config.kraus_path == "k.json"
 
 
 def test_ensemble_exit_when_every_instance_fails(tmp_path):
