@@ -8,7 +8,6 @@ the conditional mutual information against its spectral bounding function.
 
 from .bounds import BoundConstants, jordan_constants, qcmi_error_estimate, sufficient_b, decay_bound
 from .entropy import (
-    EntropyProfile,
     EntropyReport,
     RegionSpec,
     SupportProjection,

@@ -147,9 +147,15 @@ def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
 
 
 def _reject_fixed_instance(config: RunConfig, command: str) -> None:
-    """Sampling commands draw their own instances; a fixed one does not apply."""
+    """Commands that choose their own instances take no fixed one."""
     if config.kraus_path is not None or config.save_kraus:
-        raise ValueError(f"{command} samples its instances; --kraus and --save-kraus do not apply")
+        raise ValueError(f"{command} chooses its instances; --kraus and --save-kraus do not apply")
+
+
+def _reject_instance_count(config: RunConfig, command: str) -> None:
+    """Single-instance commands take no instance count other than 1."""
+    if config.n_instances != 1:
+        raise ValueError(f"{command} runs one instance; --n {config.n_instances} does not apply")
 
 
 def cmd_spectrum(config: RunConfig) -> int:
@@ -179,6 +185,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_scan(config: RunConfig) -> int:
+    _reject_instance_count(config, "scan")
     out = Path(config.output_dir)
     mps = build_iumps(_kraus(config, 0), config.peripheral_tol)
     curve = scan_instance(
@@ -250,6 +257,7 @@ def cmd_ensemble(config: RunConfig) -> int:
 
 
 def cmd_bound(config: RunConfig) -> int:
+    _reject_instance_count(config, "bound")
     mps = build_iumps(_kraus(config, 0), config.peripheral_tol)
     constants = jordan_constants(mps)
     payload = asdict(constants)
@@ -278,6 +286,8 @@ def cmd_gapstats(config: RunConfig) -> int:
 
 
 def cmd_benchmark(config: RunConfig) -> int:
+    _reject_instance_count(config, "benchmark")
+    _reject_fixed_instance(config, "benchmark")
     try:
         report = golden_benchmark(k=config.k)
     except BenchmarkFailed as exc:

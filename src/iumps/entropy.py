@@ -20,11 +20,10 @@ equal to P† rho_n P for the isometry P = Phi conj(W) diag(w)^{-1/2}, where
 Phi stacks the row-major vectorized site products.
 
 A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C| and E^|B|
-for the QMI.  ``EntropyProfile`` holds them for one instance: it grows E^n by
-one d_M^2 x d_M^2 multiply per new region length and computes each S(n) once,
-with one support ``eigh`` per length, through the same ``region_entropy``
-pipeline as a standalone call.  ``qcmi`` and ``qmi`` read from a profile
-passed in, or from a fresh one.
+for the QMI.  Each instance keeps both: ``TransferMatrix.power`` grows E^n by
+one d_M^2 x d_M^2 multiply per new region length, and ``qcmi`` reads each S(n)
+from ``IuMps.entropies``, computing a missing one once, with one support
+``eigh``, through the same ``region_entropy`` pipeline as a standalone call.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotHermitian, TooLarge
+from .exceptions import TooLarge
 from .mps import IuMps, KrausSet, TransferMatrix, vec
 from .numerics import eig_hermitian, mat_power
 
@@ -100,14 +99,13 @@ def site_products(kraus: KrausSet, n: int) -> np.ndarray:
 
 
 def support_decomposition(
-    transfer: TransferMatrix,
-    n: int,
-    threshold: float = DEFAULT_THRESHOLD,
-    power: np.ndarray | None = None,
+    transfer: TransferMatrix, n: int, threshold: float = DEFAULT_THRESHOLD
 ) -> SupportProjection:
     """Spectral decomposition of the support Gram matrix of rho_n.
 
-    ``power`` is E^n when the caller already has it; otherwise it is computed.
+    The permuted E^n is Hermitian analytically; ``eig_hermitian`` raises
+    ``NotHermitian`` when it is not, which means the index convention was
+    broken upstream.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -115,15 +113,8 @@ def support_decomposition(
         raise ValueError("threshold must be positive")
     d2 = transfer.e.shape[0]
     d = int(round(np.sqrt(d2)))
-    g = mat_power(transfer.e, n) if power is None else power
-    h = g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
-    norm_h = float(np.linalg.norm(h))
-    asym = float(np.linalg.norm(h - h.conj().T))
-    if norm_h > 0 and asym > 1e-8 * norm_h:
-        # the permuted E^n is Hermitian analytically; a large asymmetry means
-        # the index convention was broken upstream
-        raise NotHermitian(f"support Gram asymmetry {asym / norm_h:.3e} exceeds 1e-8")
-    dec = eig_hermitian((h + h.conj().T) / 2)
+    h = transfer.power(n).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
+    dec = eig_hermitian(h)
     top = dec.values[0]
     support_dim = int(np.count_nonzero(dec.values > threshold * top)) if top > 0 else 0
     return SupportProjection(
@@ -141,14 +132,9 @@ def projected_density(sp: SupportProjection, sigma: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
-def region_entropy(
-    mps: IuMps, n: int, threshold: float = DEFAULT_THRESHOLD, power: np.ndarray | None = None
-) -> EntropyReport:
-    """Von Neumann entropy of n contiguous sites via support projection.
-
-    ``power`` is an optional precomputed E^n, as for ``support_decomposition``.
-    """
-    sp = support_decomposition(mps.transfer, n, threshold, power)
+def region_entropy(mps: IuMps, n: int, threshold: float = DEFAULT_THRESHOLD) -> EntropyReport:
+    """Von Neumann entropy of n contiguous sites via support projection."""
+    sp = support_decomposition(mps.transfer, n, threshold)
     rho = projected_density(sp, mps.sigma)
     lam = np.linalg.eigvalsh(rho)[::-1]
     clipped = float(-lam[lam < 0].sum())
@@ -161,73 +147,31 @@ def region_entropy(
     )
 
 
-class EntropyProfile:
-    """Region entropies S(n) of one iuMPS, each computed once.
-
-    E^n is grown from E^(n-1) by one multiply and kept, so a scan over |B|
-    reads every S(n) and E^|B| off one profile; it stores at most
-    max(n) + 1 matrices of size d_M^2 x d_M^2.
-    """
-
-    def __init__(self, mps: IuMps, threshold: float = DEFAULT_THRESHOLD) -> None:
-        self.mps = mps
-        self.threshold = threshold
-        self._powers = [np.eye(mps.transfer.e.shape[0], dtype=complex)]
-        self._entropies: dict[int, float] = {}
-
-    def power(self, n: int) -> np.ndarray:
-        """E^n; the identity for n = 0."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        e = self.mps.transfer.e
-        while len(self._powers) <= n:
-            self._powers.append(self._powers[-1] @ e)
-        return self._powers[n]
-
-    def entropy(self, n: int) -> float:
-        """S(n) through ``region_entropy``, computed on first request."""
-        if n not in self._entropies:
-            report = region_entropy(self.mps, n, self.threshold, self.power(n))
-            self._entropies[n] = report.entropy
-        return self._entropies[n]
+def _entropy(mps: IuMps, n: int, threshold: float) -> float:
+    """S(n) of ``mps``, computed through ``region_entropy`` on first request."""
+    key = (n, threshold)
+    if key not in mps.entropies:
+        mps.entropies[key] = region_entropy(mps, n, threshold).entropy
+    return mps.entropies[key]
 
 
-def _profile_for(
-    mps: IuMps, threshold: float, profile: EntropyProfile | None
-) -> EntropyProfile:
-    if profile is None:
-        return EntropyProfile(mps, threshold)
-    if profile.mps is not mps or profile.threshold != threshold:
-        raise ValueError("profile belongs to another instance or threshold")
-    return profile
-
-
-def qcmi(
-    mps: IuMps,
-    region: RegionSpec,
-    threshold: float = DEFAULT_THRESHOLD,
-    profile: EntropyProfile | None = None,
-) -> float:
+def qcmi(mps: IuMps, region: RegionSpec, threshold: float = DEFAULT_THRESHOLD) -> float:
     """I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B) for contiguous A,B,C.
 
-    Entropies are read from ``profile`` (built for ``mps`` and ``threshold``)
-    or from a fresh one.
+    Each S(n) is computed once per instance and threshold, then reused.
     """
     if region.len_b < 1 or region.len_a < 1 or region.len_c < 1:
         raise ValueError("qcmi requires len_a, len_b, len_c >= 1")
-    s = _profile_for(mps, threshold, profile).entropy
     la, lb, lc = region.len_a, region.len_b, region.len_c
+    s = lambda n: _entropy(mps, n, threshold)
     return s(la + lb) + s(lb + lc) - s(la + lb + lc) - s(lb)
 
 
-def rho_disjoint(
-    mps: IuMps, region: RegionSpec, power: np.ndarray | None = None
-) -> np.ndarray:
+def rho_disjoint(mps: IuMps, region: RegionSpec) -> np.ndarray:
     """Joint reduced state of A and C separated by |B| sites, E^{|B|} contracted.
 
     Basis ordering: A-site indices slow, C-site indices fast.  Exact at any
     separation; the physical dimension d_s^(|A|+|C|) must stay at oracle scale.
-    ``power`` is E^{|B|} when the caller already has it; otherwise it is computed.
     """
     la, lb, lc = region.len_a, region.len_b, region.len_c
     if la < 1 or lc < 1:
@@ -237,12 +181,11 @@ def rho_disjoint(
         raise TooLarge(f"d_s^(|A|+|C|) = {ds ** (la + lc)} exceeds {BRUTE_FORCE_CAP}")
     phi_a = site_products(mps.kraus, la)
     phi_c = site_products(mps.kraus, lc)
-    eb = mat_power(mps.transfer.e, lb) if power is None else power
     # right[s, s'] = E^{|B|} vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
     right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(
         len(phi_a), len(phi_a), d * d
     )
-    right = right @ eb.T
+    right = right @ mps.transfer.power(lb).T
     left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(
         len(phi_c), len(phi_c), d * d
     )
@@ -252,20 +195,11 @@ def rho_disjoint(
     return (rho + rho.conj().T) / 2
 
 
-def qmi(
-    mps: IuMps,
-    region: RegionSpec,
-    threshold: float = DEFAULT_THRESHOLD,
-    profile: EntropyProfile | None = None,
-) -> float:
-    """I(A:C) = S(A) + S(C) - S(AC) across the separating region B.
-
-    E^{|B|} is read from ``profile``, as in ``qcmi``.
-    """
+def qmi(mps: IuMps, region: RegionSpec) -> float:
+    """I(A:C) = S(A) + S(C) - S(AC) across the separating region B."""
     la, lc = region.len_a, region.len_c
     ds = mps.kraus.d_s
-    power = _profile_for(mps, threshold, profile).power(region.len_b)
-    rho_ac = rho_disjoint(mps, region, power)
+    rho_ac = rho_disjoint(mps, region)
     t = rho_ac.reshape(ds**la, ds**lc, ds**la, ds**lc)
     rho_a = np.einsum("acbc->ab", t)
     rho_c = np.einsum("acad->cd", t)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import EntropyProfile, RegionSpec, qcmi, qmi, rho_disjoint
+from .entropy import RegionSpec, qcmi, qmi, rho_disjoint
 from .exceptions import BenchmarkFailed, EmptyCurve, IumpsError, TooFewPoints
 from .mps import (
     CASE2,
@@ -82,8 +82,9 @@ def scan_instance(
     """QCMI/QMI over |B| = 2, 4, ..., stopping once QCMI falls to 10^-k.
 
     The last retained |B| (the curve's b_max) is the final even size at which
-    QCMI still exceeds the numerical floor, or b_max_limit.  One entropy
-    profile serves every |B|, so each S(n) and E^n is computed once per scan.
+    QCMI still exceeds the numerical floor, or b_max_limit.  The instance
+    keeps every E^n and S(n) it computes, so each is computed once, however
+    many scans and QMI/QCMI calls read it.
     """
     if region.len_a < 1 or region.len_c < 1:
         raise ValueError("scan requires len_a, len_c >= 1")
@@ -94,14 +95,13 @@ def scan_instance(
     nu_gap = spectral_gap(mps.transfer)
     q = 2.0 * math.log(1.0 / nu_gap)  # normalization of f: the bound decay rate
     floor = 10.0 ** (-k)
-    profile = EntropyProfile(mps, threshold)
     points: list[CurvePoint] = []
     for b in range(2, b_max_limit + 1, 2):
         reg = RegionSpec(region.len_a, b, region.len_c)
-        qc = qcmi(mps, reg, threshold, profile)
+        qc = qcmi(mps, reg, threshold)
         if qc <= floor:
             break
-        qm = qmi(mps, reg, threshold, profile)
+        qm = qmi(mps, reg)
         points.append(CurvePoint(b_len=b, qcmi=qc, qmi=qm, f=math.log(qc) / q))
     if not points:
         raise EmptyCurve(f"QCMI <= 1e-{k} already at |B| = 2")
@@ -330,10 +330,7 @@ def golden_benchmark(
     if sigma_dev > 1e-10:
         raise BenchmarkFailed(f"fixed point deviates from I/4 by {sigma_dev:.3e}")
 
-    profile = EntropyProfile(mps)
-    qmi_curve = []
-    for b in range(2, 27, 2):
-        qmi_curve.append((b, qmi(mps, RegionSpec(1, b, 1), profile=profile)))
+    qmi_curve = [(b, qmi(mps, RegionSpec(1, b, 1))) for b in range(2, 27, 2)]
     qmi_at_26 = qmi_curve[-1][1]
     qmi_dev = abs(qmi_at_26 - I_TH)
     if qmi_dev > qmi_tol:

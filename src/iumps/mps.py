@@ -9,7 +9,7 @@ transfer matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,15 +105,34 @@ class TransferMatrix:
     peripheral_indices: np.ndarray
     nu_gap: float | None
     peripheral_tol: float
+    _powers: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def power(self, n: int) -> np.ndarray:
+        """E^n, the identity for n = 0; E^n is grown from E^(n-1) by one
+        multiply and kept, so it is the same array whatever order n is asked in."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if not self._powers:
+            self._powers.append(np.eye(self.e.shape[0], dtype=complex))
+        while len(self._powers) <= n:
+            self._powers.append(self._powers[-1] @ self.e)
+        return self._powers[n]
 
 
 @dataclass(frozen=True)
 class IuMps:
-    """A Kraus set together with its fixed-point density operator."""
+    """A Kraus set together with its fixed-point density operator.
+
+    ``entropies`` holds each region entropy S(n) once computed, keyed by
+    ``(n, threshold)``; ``iumps.entropy`` fills it.
+    """
 
     kraus: KrausSet
     sigma: np.ndarray
     transfer: TransferMatrix
+    entropies: dict[tuple[int, float], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def _case1_matrices(d_s: int, d_m: int, stream: RandomStream) -> np.ndarray:
@@ -209,7 +228,8 @@ def fixed_point(transfer: TransferMatrix) -> np.ndarray:
 
     When the eigenvalue 1 is degenerate the individual numerical eigenvectors
     are an arbitrary basis of the fixed subspace, so summing them is not
-    well defined.  Instead the (oblique) spectral projector of the cluster is
+    well defined.  Instead the (oblique) spectral projector of the cluster,
+    V_c (V^{-1})_c with V the eigenvector matrix of ``transfer.spectrum``, is
     applied to the maximally mixed state, which lands on the uniform
     combination of the extremal fixed points regardless of the eigenbasis
     returned by the solver.  The result is then Hermitized, clipped to be
@@ -222,17 +242,13 @@ def fixed_point(transfer: TransferMatrix) -> np.ndarray:
     if cluster.size == 0:
         raise NoFixedPoint("no eigenvalue within 1e-8 of 1")
 
-    v_c = transfer.spectrum.vectors[:, cluster]
-    left = eig_general(transfer.e.conj().T)
-    left_cluster = np.flatnonzero(np.abs(left.values - 1.0) <= FIXED_POINT_TOL)
-    w_c = left.vectors[:, left_cluster]
-    if left_cluster.size != cluster.size:
-        raise NonConvergence("left/right fixed clusters have different sizes")
+    vectors = transfer.spectrum.vectors
     try:
-        coeff = np.linalg.solve(w_c.conj().T @ v_c, w_c.conj().T @ vec(np.eye(d) / d))
+        # rows of V^{-1} are the left eigenvectors dual to the columns of V
+        coeff = np.linalg.solve(vectors, vec(np.eye(d) / d))[cluster]
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence("fixed cluster is numerically defective") from exc
-    sigma = unvec(v_c @ coeff, d)
+        raise NonConvergence("eigenvector matrix is numerically singular") from exc
+    sigma = unvec(vectors[:, cluster] @ coeff, d)
 
     sigma = (sigma + sigma.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(sigma)

@@ -249,6 +249,32 @@ def test_sampling_commands_reject_fixed_instance(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--case", "1", "--n", "5"),
+        ("scan", "--case", "1", "--n", "5", "--save-kraus"),
+        ("bound", "--case", "2", "--n", "3"),
+        ("bound", "--case", "2", "--n", "3", "--save-kraus"),
+        ("benchmark", "--n", "2"),
+        ("benchmark", "--kraus", "KRAUS"),
+        ("benchmark", "--save-kraus"),
+    ],
+    ids=" ".join,
+)
+def test_single_instance_commands_reject_flags_that_do_not_apply(tmp_path, capsys, argv):
+    kraus_file = tmp_path / "kraus.json"
+    kraus_file.write_text(benchmark_kraus().to_json())
+    out_dir = tmp_path / "out"
+    argv = [str(kraus_file) if a == "KRAUS" else a for a in argv]
+    assert main([*argv, "--out", str(out_dir)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ValueError: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "payload_message",
     [
         ({"d_s": "3"}, "d_s must be int, not '3'"),

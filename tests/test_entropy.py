@@ -3,7 +3,6 @@ import pytest
 
 from iumps import (
     I_TH,
-    EntropyProfile,
     KrausSet,
     NotHermitian,
     RandomStream,
@@ -24,8 +23,11 @@ from iumps import (
     scan_instance,
     site_products,
     support_decomposition,
+    unvec,
+    vec,
 )
-from iumps.entropy import entropy_from_eigenvalues
+from iumps.entropy import DEFAULT_THRESHOLD, _entropy, entropy_from_eigenvalues
+from iumps.numerics import mat_power
 
 
 def product_state_mps(d_s=3):
@@ -273,47 +275,78 @@ def case_instances(case1_instance, case2_instance, case3_instance):
     return (case1_instance, case2_instance, case3_instance)
 
 
+def reference_rho_disjoint(mps, b):
+    """rho_AC for |A| = |C| = 1 entry by entry: Tr(M_t E^b(M_p sigma M_q†) M_t'†)
+    at row (p, t), column (q, t'), with E^b by binary exponentiation."""
+    m, d = mps.kraus.matrices, mps.kraus.d_M
+    eb = mat_power(mps.transfer.e, b)
+    ds = len(m)
+    rho = np.empty((ds, ds, ds, ds), dtype=complex)
+    for p in range(ds):
+        for q in range(ds):
+            y = unvec(eb @ vec(m[p] @ mps.sigma @ m[q].conj().T), d)
+            for t in range(ds):
+                for u in range(ds):
+                    rho[p, t, q, u] = np.trace(m[t] @ y @ m[u].conj().T)
+    return rho.reshape(ds * ds, ds * ds)
+
+
 def test_profile_matches_region_entropy_and_brute_force(case_instances):
+    """S(n) kept on an instance against a standalone region_entropy and brute force."""
     for mps in case_instances:
-        profile = EntropyProfile(mps)
+        kept = build_iumps(mps.kraus)
         for n in range(1, 43):
-            assert abs(profile.entropy(n) - region_entropy(mps, n).entropy) <= 1e-13, n
+            s = _entropy(kept, n, DEFAULT_THRESHOLD)
+            assert kept.entropies[n, DEFAULT_THRESHOLD] == s, n
+            assert abs(s - region_entropy(mps, n).entropy) <= 1e-13, n
             if n <= 5:
-                assert abs(profile.entropy(n) - brute_force_entropy(mps, n)) <= 1e-9, n
+                assert abs(s - brute_force_entropy(mps, n)) <= 1e-9, n
+        fresh = build_iumps(mps.kraus)
+        for (n, threshold), s in mps.entropies.items():
+            assert s == region_entropy(fresh, n, threshold).entropy, n
 
 
 def test_profile_power_and_qmi(case_instances):
-    """QMI and QCMI read through a profile against the binary-power path."""
+    """Kept E^n against binary powers; QMI and QCMI read through the kept
+    state against the definitions."""
     ent = lambda r: entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(r), 0, None))
-    s = lambda mps, n: region_entropy(mps, n).entropy
     for mps in case_instances:
-        profile = EntropyProfile(mps)
-        assert np.array_equal(profile.power(0), np.eye(16))
-        for b in (1, 2, 9, 26, 40):
+        assert np.array_equal(mps.transfer.power(0), np.eye(16))
+        for n in range(1, 43):
+            assert np.abs(mps.transfer.power(n) - mat_power(mps.transfer.e, n)).max() <= 1e-13, n
+        fresh = build_iumps(mps.kraus)
+        s = lambda n: region_entropy(fresh, n).entropy
+        for b in (1, 2, 3, 9, 26, 40):
             region = RegionSpec(1, b, 1)
-            rho_ac = rho_disjoint(mps, region)  # E^b by mat_power
+            rho_ac = reference_rho_disjoint(mps, b)
             t = rho_ac.reshape(3, 3, 3, 3)
             ref_qmi = ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(rho_ac)
-            assert abs(qmi(mps, region, profile=profile) - ref_qmi) <= 1e-13
-            ref_qcmi = s(mps, 1 + b) + s(mps, b + 1) - s(mps, b + 2) - s(mps, b)
-            assert abs(qcmi(mps, region, profile=profile) - ref_qcmi) <= 1e-13
+            assert abs(qmi(mps, region) - ref_qmi) <= 1e-13
+            ref_qcmi = s(1 + b) + s(b + 1) - s(b + 2) - s(b)
+            assert abs(qcmi(mps, region) - ref_qcmi) <= 1e-13
 
 
-def test_profile_rejects_other_instance(case1_instance, case2_instance):
-    profile = EntropyProfile(case1_instance)
-    with pytest.raises(ValueError):
-        qcmi(case2_instance, RegionSpec(1, 2, 1), profile=profile)
-    with pytest.raises(ValueError):
-        qmi(case1_instance, RegionSpec(1, 2, 1), threshold=1e-10, profile=profile)
+def test_scan_after_scrambled_queries_matches_fresh_scan(case1_instance):
+    """Kept E^n and S(n) do not depend on the order they were first asked for."""
+    queried = build_iumps(case1_instance.kraus)
+    for n in (17, 3, 40, 1, 29, 8):
+        region_entropy(queried, n)
+        rho_disjoint(queried, RegionSpec(1, n, 1))
+        qcmi(queried, RegionSpec(1, n, 1))
+    fresh = build_iumps(case1_instance.kraus)
+    region = RegionSpec(1, 2, 1)
+    assert scan_instance(queried, region).points == scan_instance(fresh, region).points
 
 
 @pytest.mark.parametrize("fixture", ["case1_instance", "golden_mps"])
 def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
-    """One support eigh per distinct region length, every QCMI via experiments.qcmi."""
+    """One support eigh per distinct region length, every QCMI via experiments.qcmi;
+    a second scan of the same instance recomputes nothing."""
     import iumps.entropy as ent
     import iumps.experiments as exp
 
-    mps = request.getfixturevalue(fixture)
+    # a fresh instance: the session fixtures keep the entropies earlier tests computed
+    mps = build_iumps(request.getfixturevalue(fixture).kraus)
     eighs = []
     evaluated = []
     eig_hermitian, qcmi_binding = ent.eig_hermitian, exp.qcmi
@@ -334,3 +367,6 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     assert b_stop in (curve.b_max, curve.b_max + 2)
     # |A| = |C| = 1 needs S(n) for n = 2 .. b_stop + 2
     assert len(eighs) == b_stop + 1
+    eighs.clear()
+    assert scan_instance(mps, RegionSpec(1, 2, 1)) == curve
+    assert eighs == []

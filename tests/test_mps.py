@@ -6,6 +6,7 @@ from iumps import (
     DegenerateSpectrum,
     KrausSet,
     NoFixedPoint,
+    NonConvergence,
     RandomStream,
     analytic_family,
     benchmark_kraus,
@@ -19,9 +20,11 @@ from iumps import (
     fixed_point,
     spectral_gap,
     transfer_matrix,
+    unvec,
     vec,
 )
-from iumps.mps import TransferMatrix
+from iumps.mps import TransferMatrix, build_case
+from iumps.numerics import EigenDecomposition
 
 
 def unitary_kraus(u):
@@ -148,6 +151,53 @@ def test_fixed_point_missing():
         peripheral_tol=1e-8,
     )
     with pytest.raises(NoFixedPoint):
+        fixed_point(transfer)
+
+
+def reference_fixed_point(transfer):
+    """Fixed point through the oblique projector V_c (W_c† V_c)^{-1} W_c†, with
+    the left eigenvectors W_c taken from a second, independent eig of E†."""
+    d = int(round(np.sqrt(transfer.e.shape[0])))
+    cluster = np.flatnonzero(np.abs(transfer.spectrum.values - 1.0) <= 1e-8)
+    v_c = transfer.spectrum.vectors[:, cluster]
+    left = eig_general(transfer.e.conj().T)
+    w_c = left.vectors[:, np.flatnonzero(np.abs(left.values - 1.0) <= 1e-8)]
+    assert w_c.shape == v_c.shape
+    coeff = np.linalg.solve(w_c.conj().T @ v_c, w_c.conj().T @ vec(np.eye(d) / d))
+    sigma = unvec(v_c @ coeff, d)
+    lam, u = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+    sigma = (u * np.clip(lam, 0.0, None)) @ u.conj().T
+    return sigma / np.trace(sigma).real
+
+
+def test_fixed_point_matches_two_eig_oracle():
+    kraus_sets = [
+        build_case(case, 3, 4, RandomStream(seed, i))
+        for case in ("case1", "case2", "case3")
+        for seed in (3, 20231)
+        for i in range(4)
+    ]
+    kraus_sets += [benchmark_kraus(), analytic_family("first", 0.1)]
+    for ks in kraus_sets:
+        transfer = transfer_matrix(ks)
+        dev = np.abs(fixed_point(transfer) - reference_fixed_point(transfer)).max()
+        assert dev <= 1e-13, (ks.case_tag, dev)
+
+
+def test_fixed_point_singular_eigenvectors():
+    # a defective fixed cluster leaves V singular; the projector is undefined
+    e = np.diag([1.0, 1.0, 0.5, 0.25]).astype(complex)
+    spectrum = EigenDecomposition(
+        values=np.diag(e).copy(), vectors=np.full((4, 4), 0.5, dtype=complex), residual=0.0
+    )
+    transfer = TransferMatrix(
+        e=e,
+        spectrum=spectrum,
+        peripheral_indices=np.array([0, 1]),
+        nu_gap=0.5,
+        peripheral_tol=1e-8,
+    )
+    with pytest.raises(NonConvergence):
         fixed_point(transfer)
 
 
