@@ -81,6 +81,7 @@ from .numerics import (
     RandomStream,
     eig_general,
     eig_hermitian,
+    eigvals_hermitian,
     haar_unitary,
     mat_power,
 )

@@ -159,6 +159,8 @@ def _reject_instance_count(config: RunConfig, command: str) -> None:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
+    if config.kraus_path is not None or config.case_tag == "golden":
+        _reject_instance_count(config, "spectrum of a fixed instance")
     out = Path(config.output_dir)
     rows = ["instance_id,eig_index,re,im,abs,is_peripheral"]
     gap_payload: dict = {}
@@ -288,6 +290,13 @@ def cmd_gapstats(config: RunConfig) -> int:
 def cmd_benchmark(config: RunConfig) -> int:
     _reject_instance_count(config, "benchmark")
     _reject_fixed_instance(config, "benchmark")
+    defaults = RunConfig()
+    for name in ("case_tag", "b_max_limit"):
+        if getattr(config, name) != getattr(defaults, name):
+            raise ValueError(
+                f"benchmark checks the golden instance; {name} {getattr(config, name)!r} "
+                "does not apply"
+            )
     try:
         report = golden_benchmark(k=config.k)
     except BenchmarkFailed as exc:

@@ -17,13 +17,21 @@ and with H = W diag(w) W† the projected density is
     rho_support = sqrt(w) W^T (I kron sigma) conj(W) sqrt(w),
 
 equal to P† rho_n P for the isometry P = Phi conj(W) diag(w)^{-1/2}, where
-Phi stacks the row-major vectorized site products.
+Phi stacks the row-major vectorized site products.  ``support_decomposition``,
+``projected_density`` and ``materialize_isometry`` build this explicit route.
+
+``region_entropy`` needs only the spectrum.  Since Phi† Phi = conj(H), the
+density rho_n = Phi (I kron sigma) Phi† has the nonzero spectrum of
+K conj(H) K with K = I kron sigma^(1/2), so S(n) costs one d_M^2 x d_M^2
+eigenvalue-only solve; K is computed once per instance.
 
 A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C| and E^|B|
-for the QMI.  Each instance keeps both: ``TransferMatrix.power`` grows E^n by
-one d_M^2 x d_M^2 multiply per new region length, and ``qcmi`` reads each S(n)
-from ``IuMps.entropies``, computing a missing one once, with one support
-``eigh``, through the same ``region_entropy`` pipeline as a standalone call.
+for the QMI.  Each instance keeps all three: ``TransferMatrix.power`` grows
+E^n by one d_M^2 x d_M^2 multiply per new region length, ``qcmi`` reads each
+S(n) from ``IuMps.entropies``, computing a missing one once through
+``region_entropy``, and ``rho_disjoint`` keeps the two |B|-independent
+contractions of rho_AC in ``IuMps.qmi_ends``, so a QMI point costs one
+multiply by E^|B| and the final contraction.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import numpy as np
 
 from .exceptions import TooLarge
 from .mps import IuMps, KrausSet, TransferMatrix, vec
-from .numerics import eig_hermitian, mat_power
+from .numerics import eig_hermitian, eigvals_hermitian, mat_power
 
 DEFAULT_THRESHOLD = 1e-12
 BRUTE_FORCE_CAP = 1024
@@ -133,12 +141,30 @@ def projected_density(sp: SupportProjection, sigma: np.ndarray) -> np.ndarray:
 
 
 def region_entropy(mps: IuMps, n: int, threshold: float = DEFAULT_THRESHOLD) -> EntropyReport:
-    """Von Neumann entropy of n contiguous sites via support projection."""
-    sp = support_decomposition(mps.transfer, n, threshold)
-    rho = projected_density(sp, mps.sigma)
-    lam = np.linalg.eigvalsh(rho)[::-1]
+    """Von Neumann entropy of n contiguous sites from one d_M^2 x d_M^2
+    eigenvalue solve.
+
+    rho_n = Phi (I kron sigma) Phi† and Phi† Phi = conj(H) for the support
+    Gram matrix H of ``support_decomposition``, so rho_n has the nonzero
+    spectrum of K conj(H) K with K = I kron sigma^(1/2) (kept on ``mps``).
+    ``eigenvalues`` is the support spectrum: the eigenvalues above
+    ``threshold`` times the largest, descending.  ``clipped_weight`` is the
+    negative weight of the full d_M^2 spectrum, which the entropy drops.
+    ``NotHermitian`` is raised when H is not Hermitian, as in
+    ``support_decomposition``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    d = mps.kraus.d_M
+    # conj(H) = H^T, read off E^n by a transpose of its four indices
+    e4 = mps.transfer.power(n).reshape(d, d, d, d)
+    h_conj = e4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    lam = eigvals_hermitian(h_conj, mps.kron_sqrt_sigma)
     clipped = float(-lam[lam < 0].sum())
-    lam = np.clip(lam, 0.0, None)
+    top = lam[0]
+    lam = lam[lam > threshold * top] if top > 0 else lam[:0]
     return EntropyReport(
         region_len=n,
         eigenvalues=lam,
@@ -167,6 +193,23 @@ def qcmi(mps: IuMps, region: RegionSpec, threshold: float = DEFAULT_THRESHOLD) -
     return s(la + lb) + s(lb + lc) - s(la + lb + lc) - s(lb)
 
 
+def _qmi_ends(mps: IuMps, la: int, lc: int) -> tuple[np.ndarray, np.ndarray]:
+    """The |B|-independent ends of rho_AC, computed once per ``(|A|, |C|)``."""
+    if (la, lc) not in mps.qmi_ends:
+        d = mps.kraus.d_M
+        phi_a = site_products(mps.kraus, la)
+        phi_c = site_products(mps.kraus, lc)
+        # right[s, s'] = vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
+        right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(
+            len(phi_a), len(phi_a), d * d
+        )
+        left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(
+            len(phi_c), len(phi_c), d * d
+        )
+        mps.qmi_ends[la, lc] = (right, left)
+    return mps.qmi_ends[la, lc]
+
+
 def rho_disjoint(mps: IuMps, region: RegionSpec) -> np.ndarray:
     """Joint reduced state of A and C separated by |B| sites, E^{|B|} contracted.
 
@@ -176,22 +219,11 @@ def rho_disjoint(mps: IuMps, region: RegionSpec) -> np.ndarray:
     la, lb, lc = region.len_a, region.len_b, region.len_c
     if la < 1 or lc < 1:
         raise ValueError("rho_disjoint requires len_a, len_c >= 1")
-    ds, d = mps.kraus.d_s, mps.kraus.d_M
-    if ds ** (la + lc) > BRUTE_FORCE_CAP:
-        raise TooLarge(f"d_s^(|A|+|C|) = {ds ** (la + lc)} exceeds {BRUTE_FORCE_CAP}")
-    phi_a = site_products(mps.kraus, la)
-    phi_c = site_products(mps.kraus, lc)
-    # right[s, s'] = E^{|B|} vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
-    right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(
-        len(phi_a), len(phi_a), d * d
-    )
-    right = right @ mps.transfer.power(lb).T
-    left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(
-        len(phi_c), len(phi_c), d * d
-    )
-    rho = np.einsum("abv,cdv->cadb", left, right).reshape(
-        len(phi_a) * len(phi_c), len(phi_a) * len(phi_c)
-    )
+    dim = mps.kraus.d_s ** (la + lc)
+    if dim > BRUTE_FORCE_CAP:
+        raise TooLarge(f"d_s^(|A|+|C|) = {dim} exceeds {BRUTE_FORCE_CAP}")
+    right, left = _qmi_ends(mps, la, lc)
+    rho = np.einsum("abv,cdv->cadb", left, right @ mps.transfer.power(lb).T).reshape(dim, dim)
     return (rho + rho.conj().T) / 2
 
 

@@ -8,6 +8,7 @@ transfer matrix.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -124,7 +125,8 @@ class IuMps:
     """A Kraus set together with its fixed-point density operator.
 
     ``entropies`` holds each region entropy S(n) once computed, keyed by
-    ``(n, threshold)``; ``iumps.entropy`` fills it.
+    ``(n, threshold)``, and ``qmi_ends`` the two |B|-independent contractions
+    of rho_AC, keyed by ``(|A|, |C|)``; ``iumps.entropy`` fills both.
     """
 
     kraus: KrausSet
@@ -133,6 +135,16 @@ class IuMps:
     entropies: dict[tuple[int, float], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    qmi_ends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @functools.cached_property
+    def kron_sqrt_sigma(self) -> np.ndarray:
+        """I kron sigma^(1/2), computed on first use and kept."""
+        lam, u = np.linalg.eigh(self.sigma)
+        root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
+        return np.kron(np.eye(self.kraus.d_M), root)
 
 
 def _case1_matrices(d_s: int, d_m: int, stream: RandomStream) -> np.ndarray:

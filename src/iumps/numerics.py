@@ -116,19 +116,36 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors, residual=residual)
 
 
+def _hermitized(a: np.ndarray) -> np.ndarray:
+    """(a + a†)/2, after checking that ``a`` is Hermitian to 1e-10 relative
+    asymmetry (Frobenius); raises ``NotHermitian`` otherwise."""
+    a = np.asarray(a, dtype=complex)
+    a_h = a.conj().T
+    norm_a = float(np.linalg.norm(a))
+    asym = float(np.linalg.norm(a - a_h))
+    if norm_a > 0 and asym > 1e-10 * norm_a:
+        raise NotHermitian(f"relative asymmetry {asym / norm_a:.3e} exceeds 1e-10")
+    return (a + a_h) / 2
+
+
 def eig_hermitian(a: np.ndarray) -> HermitianEigenDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
     The caller is expected to Hermitize first; a relative asymmetry above
     1e-10 (Frobenius) raises ``NotHermitian``.
     """
-    a = np.asarray(a, dtype=complex)
-    norm_a = float(np.linalg.norm(a))
-    asym = float(np.linalg.norm(a - a.conj().T))
-    if norm_a > 0 and asym > 1e-10 * norm_a:
-        raise NotHermitian(f"relative asymmetry {asym / norm_a:.3e} exceeds 1e-10")
-    values, vectors = np.linalg.eigh((a + a.conj().T) / 2)
+    values, vectors = np.linalg.eigh(_hermitized(a))
     return HermitianEigenDecomposition(values=values[::-1], vectors=vectors[:, ::-1])
+
+
+def eigvals_hermitian(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Eigenvalues, descending, of ``k h k`` for Hermitian ``h`` and ``k``.
+
+    Eigenvalues only, no eigenvectors.  ``h`` gets the guard of
+    ``eig_hermitian``: a relative asymmetry above 1e-10 (Frobenius) raises
+    ``NotHermitian``.  ``k`` is trusted to be Hermitian.
+    """
+    return np.linalg.eigvalsh(k @ _hermitized(h) @ k)[::-1]
 
 
 def mat_power(a: np.ndarray, n: int) -> np.ndarray:

@@ -43,6 +43,22 @@ def test_spectrum_multiple_instances(tmp_path):
     assert ids == {"0", "1", "2"}
 
 
+@pytest.mark.parametrize("fixed", [("--case", "golden"), ("--kraus", "KRAUS")], ids=" ".join)
+def test_spectrum_takes_an_instance_count_for_sampled_cases_only(tmp_path, capsys, fixed):
+    kraus_file = tmp_path / "kraus.json"
+    kraus_file.write_text(benchmark_kraus().to_json())
+    fixed = [str(kraus_file) if a == "KRAUS" else a for a in fixed]
+    assert run(tmp_path / "fixed", "spectrum", *fixed, "--n", "3", "--save-kraus") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ValueError: ") and err.count("\n") == 1
+    assert not (tmp_path / "fixed").exists()
+    assert run(tmp_path / "one", "spectrum", *fixed, "--n", "1") == 0
+    assert run(tmp_path / "sampled", "spectrum", "--case", "2", "--n", "3") == 0
+    rows = read(tmp_path / "sampled" / "spectrum.csv").strip().splitlines()
+    assert len(rows) == 1 + 3 * 16
+    assert {row.split(",")[0] for row in rows[1:]} == {"0", "1", "2"}
+
+
 def test_spectrum_deterministic(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     run(a_dir, "spectrum", "--case", "2", "--seed", "11")
@@ -258,6 +274,8 @@ def test_sampling_commands_reject_fixed_instance(tmp_path, capsys, argv):
         ("benchmark", "--n", "2"),
         ("benchmark", "--kraus", "KRAUS"),
         ("benchmark", "--save-kraus"),
+        ("benchmark", "--case", "2"),
+        ("benchmark", "--b-max", "10"),
     ],
     ids=" ".join,
 )

@@ -3,11 +3,13 @@ import pytest
 
 from iumps import (
     I_TH,
+    IuMps,
     KrausSet,
     NotHermitian,
     RandomStream,
     RegionSpec,
     TooLarge,
+    analytic_family,
     benchmark_kraus,
     brute_force_density,
     brute_force_entropy,
@@ -78,6 +80,9 @@ def test_support_rejects_broken_index_convention():
     )
     with pytest.raises(NotHermitian):
         support_decomposition(fake, 1)
+    golden = build_iumps(benchmark_kraus())
+    with pytest.raises(NotHermitian):
+        region_entropy(IuMps(kraus=golden.kraus, sigma=golden.sigma, transfer=fake), 1)
 
 
 def test_projected_density_trace_and_psd(case1_instance):
@@ -275,20 +280,51 @@ def case_instances(case1_instance, case2_instance, case3_instance):
     return (case1_instance, case2_instance, case3_instance)
 
 
-def reference_rho_disjoint(mps, b):
-    """rho_AC for |A| = |C| = 1 entry by entry: Tr(M_t E^b(M_p sigma M_q†) M_t'†)
-    at row (p, t), column (q, t'), with E^b by binary exponentiation."""
-    m, d = mps.kraus.matrices, mps.kraus.d_M
+def reference_rho_disjoint(mps, b, la=1, lc=1):
+    """rho_AC entry by entry: Tr(M_t E^b(M_p sigma M_q†) M_t'†) at row (p, t),
+    column (q, t'), with M_p, M_t the |A|- and |C|-site products and E^b by
+    binary exponentiation."""
+    m_a, m_c = site_products(mps.kraus, la), site_products(mps.kraus, lc)
+    d = mps.kraus.d_M
     eb = mat_power(mps.transfer.e, b)
-    ds = len(m)
-    rho = np.empty((ds, ds, ds, ds), dtype=complex)
-    for p in range(ds):
-        for q in range(ds):
-            y = unvec(eb @ vec(m[p] @ mps.sigma @ m[q].conj().T), d)
-            for t in range(ds):
-                for u in range(ds):
-                    rho[p, t, q, u] = np.trace(m[t] @ y @ m[u].conj().T)
-    return rho.reshape(ds * ds, ds * ds)
+    rho = np.empty((len(m_a), len(m_c), len(m_a), len(m_c)), dtype=complex)
+    for p in range(len(m_a)):
+        for q in range(len(m_a)):
+            y = unvec(eb @ vec(m_a[p] @ mps.sigma @ m_a[q].conj().T), d)
+            for t in range(len(m_c)):
+                for u in range(len(m_c)):
+                    rho[p, t, q, u] = np.trace(m_c[t] @ y @ m_c[u].conj().T)
+    return rho.reshape(len(m_a) * len(m_c), len(m_a) * len(m_c))
+
+
+def test_region_entropy_matches_support_projection(case_instances, golden_mps):
+    """The one-solve S(n) against the explicit route: support_decomposition,
+    projected_density, eigvalsh."""
+    first = build_iumps(analytic_family("first", 0.1))
+    for mps in (*case_instances, golden_mps, first):
+        for n in range(1, 43):
+            report = region_entropy(mps, n)
+            sp = support_decomposition(mps.transfer, n)
+            lam = np.clip(np.linalg.eigvalsh(projected_density(sp, mps.sigma))[::-1], 0.0, None)
+            assert report.eigenvalues.size == sp.support_dim, n
+            assert np.abs(report.eigenvalues - lam).max(initial=0.0) <= 1e-13, n
+            assert abs(report.entropy - entropy_from_eigenvalues(lam)) <= 1e-13, n
+
+
+def test_qmi_ends_kept_per_region_pair(case1_instance):
+    """rho_AC and QMI from the kept ends against the entry-by-entry reference,
+    for two (|A|, |C|) keys on one instance, asked for in alternation."""
+    ent = lambda r: entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(r), 0, None))
+    mps = build_iumps(case1_instance.kraus)
+    for b in (1, 4, 17, 4):
+        for la, lc in ((1, 1), (2, 1)):
+            region = RegionSpec(la, b, lc)
+            ref = reference_rho_disjoint(mps, b, la, lc)
+            assert np.abs(rho_disjoint(mps, region) - ref).max() <= 1e-13, (b, la)
+            t = ref.reshape(3**la, 3**lc, 3**la, 3**lc)
+            ref_qmi = ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(ref)
+            assert abs(qmi(mps, region) - ref_qmi) <= 1e-13, (b, la)
+    assert sorted(mps.qmi_ends) == [(1, 1), (2, 1)]
 
 
 def test_profile_matches_region_entropy_and_brute_force(case_instances):
@@ -340,8 +376,8 @@ def test_scan_after_scrambled_queries_matches_fresh_scan(case1_instance):
 
 @pytest.mark.parametrize("fixture", ["case1_instance", "golden_mps"])
 def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
-    """One support eigh per distinct region length, every QCMI via experiments.qcmi;
-    a second scan of the same instance recomputes nothing."""
+    """One eigenvalue solve per distinct region length, every QCMI via
+    experiments.qcmi; a second scan of the same instance recomputes nothing."""
     import iumps.entropy as ent
     import iumps.experiments as exp
 
@@ -349,17 +385,17 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     mps = build_iumps(request.getfixturevalue(fixture).kraus)
     eighs = []
     evaluated = []
-    eig_hermitian, qcmi_binding = ent.eig_hermitian, exp.qcmi
+    eigvals_hermitian, qcmi_binding = ent.eigvals_hermitian, exp.qcmi
 
-    def counting_eig(a):
+    def counting_eig(h, k):
         eighs.append(1)
-        return eig_hermitian(a)
+        return eigvals_hermitian(h, k)
 
     def recording_qcmi(mps, region, *args, **kwargs):
         evaluated.append(region.len_b)
         return qcmi_binding(mps, region, *args, **kwargs)
 
-    monkeypatch.setattr(ent, "eig_hermitian", counting_eig)
+    monkeypatch.setattr(ent, "eigvals_hermitian", counting_eig)
     monkeypatch.setattr(exp, "qcmi", recording_qcmi)
     curve = scan_instance(mps, RegionSpec(1, 2, 1))
     b_stop = evaluated[-1]

@@ -8,6 +8,7 @@ from iumps import (
     RandomStream,
     eig_general,
     eig_hermitian,
+    eigvals_hermitian,
     haar_unitary,
     mat_power,
 )
@@ -127,8 +128,25 @@ def test_eig_hermitian_reconstruction_random():
 
 
 def test_eig_hermitian_rejects_non_hermitian():
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotHermitian):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eig_hermitian(a)
+    # the guard reads h itself, not the Hermitian product k h k = 0
+    with pytest.raises(NotHermitian):
+        eigvals_hermitian(a, np.zeros((2, 2)))
+
+
+def test_eigvals_hermitian_congruence():
+    rng = np.random.default_rng(23)
+    z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    h = (z + z.conj().T) / 2
+    y = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    k = y @ y.conj().T
+    values = eigvals_hermitian(h, k)
+    assert np.all(np.diff(values) <= 0)
+    expected = eig_hermitian((k @ h @ k + (k @ h @ k).conj().T) / 2).values
+    assert np.abs(values - expected).max() <= 1e-12 * np.linalg.norm(k @ h @ k)
+    assert np.abs(eigvals_hermitian(h, np.eye(16)) - eig_hermitian(h).values).max() <= 1e-12
 
 
 def test_mat_power_basics():
