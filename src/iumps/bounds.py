@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NearDegenerate, Unsupported
-from .mps import IuMps, spectral_gap
+from .mps import PERIPHERAL_TOL, IuMps, spectral_gap
 
 DEGENERACY_TOL = 1e-8
 SUFFICIENT_B_CAP = 1_000_000
@@ -81,7 +81,7 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
 
     clusters = _distinct_clusters(values)
     d_cap = len(clusters)  # sum of (K_nu + 1) with every K_nu = 0
-    peripheral = clusters[np.abs(clusters) > 1 - transfer.peripheral_tol]
+    peripheral = clusters[np.abs(clusters) > 1 - PERIPHERAL_TOL]
     delta = min(
         abs(p - c) for p in peripheral for c in clusters if abs(p - c) > DEGENERACY_TOL
     )

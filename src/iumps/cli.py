@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import jordan_constants, sufficient_b, decay_bound
-from .entropy import RegionSpec
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -58,11 +57,10 @@ EXIT_INVALID = 4
 _CASES = {"1": CASE1, "2": CASE2, "3": CASE3, "a": "golden", "golden": "golden"}
 
 
-# Value types each RunConfig annotation accepts: an int is a valid float, a
-# bool is valid only for a bool field, and None only for kraus_path.
+# Value types each RunConfig annotation accepts: a bool is valid only for a
+# bool field, and None only for kraus_path.
 _ACCEPTED_TYPES = {
     "int": int,
-    "float": (int, float),
     "str": str,
     "bool": bool,
     "str | None": (str, type(None)),
@@ -82,9 +80,6 @@ class RunConfig:
     n_instances: int = 1
     case_tag: str = CASE1
     master_seed: int = 0
-    threshold: float = 1e-12
-    peripheral_tol: float = 1e-8
-    burn_in: int = 3
     output_dir: str = "."
     kraus_path: str | None = None  # reload an instance instead of sampling
     save_kraus: bool = False  # persist the constructed instance as JSON
@@ -165,7 +160,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     rows = ["instance_id,eig_index,re,im,abs,is_peripheral"]
     gap_payload: dict = {}
     for i in range(config.n_instances):
-        transfer = transfer_matrix(_kraus(config, i), config.peripheral_tol)
+        transfer = transfer_matrix(_kraus(config, i))
         peripheral = set(transfer.peripheral_indices.tolist())
         for idx, v in enumerate(transfer.spectrum.values):
             rows.append(
@@ -189,15 +184,8 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_scan(config: RunConfig) -> int:
     _reject_instance_count(config, "scan")
     out = Path(config.output_dir)
-    mps = build_iumps(_kraus(config, 0), config.peripheral_tol)
-    curve = scan_instance(
-        mps,
-        RegionSpec(config.len_a, 2, config.len_c),
-        config.b_max_limit,
-        config.k,
-        config.threshold,
-        instance_id=0,
-    )
+    mps = build_iumps(_kraus(config, 0))
+    curve = scan_instance(mps, config.len_a, config.len_c, config.b_max_limit, config.k)
     bound_values: dict[int, float] = {}
     try:
         constants = jordan_constants(mps)
@@ -217,16 +205,14 @@ def cmd_ensemble(config: RunConfig) -> int:
     out = Path(config.output_dir)
     summary = run_ensemble(
         n=config.n_instances,
-        case_mix={config.case_tag: 1.0},
-        region=RegionSpec(config.len_a, 2, config.len_c),
+        case_tag=config.case_tag,
+        len_a=config.len_a,
+        len_c=config.len_c,
         master_seed=config.master_seed,
         b_max_limit=config.b_max_limit,
         k=config.k,
-        burn_in=config.burn_in,
         d_s=config.d_s,
         d_m=config.d_M,
-        threshold=config.threshold,
-        peripheral_tol=config.peripheral_tol,
     )
     rows = ["instance_id,nu_gap,b_max,rate,n_points"]
     for r in summary.records:
@@ -260,7 +246,7 @@ def cmd_ensemble(config: RunConfig) -> int:
 
 def cmd_bound(config: RunConfig) -> int:
     _reject_instance_count(config, "bound")
-    mps = build_iumps(_kraus(config, 0), config.peripheral_tol)
+    mps = build_iumps(_kraus(config, 0))
     constants = jordan_constants(mps)
     payload = asdict(constants)
     b_suff = sufficient_b(constants, config.d_s)

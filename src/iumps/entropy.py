@@ -25,13 +25,16 @@ density rho_n = Phi (I kron sigma) Phi† has the nonzero spectrum of
 K conj(H) K with K = I kron sigma^(1/2), so S(n) costs one d_M^2 x d_M^2
 eigenvalue-only solve; K is computed once per instance.
 
+Eigenvalues below ``THRESHOLD`` times the largest are outside the support
+and carry no entropy.
+
 A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C| and E^|B|
 for the QMI.  Each instance keeps all three: ``TransferMatrix.power`` grows
-E^n by one d_M^2 x d_M^2 multiply per new region length, ``qcmi`` reads each
-S(n) from ``IuMps.entropies``, computing a missing one once through
-``region_entropy``, and ``rho_disjoint`` keeps the two |B|-independent
+E^n by one d_M^2 x d_M^2 multiply per new region length, ``qcmi`` and
+``qmi`` read each S(n) from ``IuMps.entropies``, computing a missing one once
+through ``region_entropy``, and ``rho_disjoint`` keeps the two |B|-independent
 contractions of rho_AC in ``IuMps.qmi_ends``, so a QMI point costs one
-multiply by E^|B| and the final contraction.
+multiply by E^|B|, the final contraction and the spectrum of rho_AC.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .exceptions import TooLarge
 from .mps import IuMps, KrausSet, TransferMatrix, vec
 from .numerics import eig_hermitian, eigvals_hermitian, mat_power
 
-DEFAULT_THRESHOLD = 1e-12
+THRESHOLD = 1e-12
 BRUTE_FORCE_CAP = 1024
 
 
@@ -69,13 +72,12 @@ class SupportProjection:
 
     ``w`` holds the full unitary eigenvector matrix, ``sigma_diag`` the full
     descending eigenvalue list; only the first ``support_dim`` columns carry
-    weight above ``threshold`` relative to the largest eigenvalue.
+    weight above ``THRESHOLD`` relative to the largest eigenvalue.
     """
 
     w: np.ndarray
     sigma_diag: np.ndarray
     support_dim: int
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,7 @@ def site_products(kraus: KrausSet, n: int) -> np.ndarray:
     return prods
 
 
-def support_decomposition(
-    transfer: TransferMatrix, n: int, threshold: float = DEFAULT_THRESHOLD
-) -> SupportProjection:
+def support_decomposition(transfer: TransferMatrix, n: int) -> SupportProjection:
     """Spectral decomposition of the support Gram matrix of rho_n.
 
     The permuted E^n is Hermitian analytically; ``eig_hermitian`` raises
@@ -117,17 +117,13 @@ def support_decomposition(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     d2 = transfer.e.shape[0]
     d = int(round(np.sqrt(d2)))
     h = transfer.power(n).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
     dec = eig_hermitian(h)
     top = dec.values[0]
-    support_dim = int(np.count_nonzero(dec.values > threshold * top)) if top > 0 else 0
-    return SupportProjection(
-        w=dec.vectors, sigma_diag=dec.values, support_dim=support_dim, threshold=threshold
-    )
+    support_dim = int(np.count_nonzero(dec.values > THRESHOLD * top)) if top > 0 else 0
+    return SupportProjection(w=dec.vectors, sigma_diag=dec.values, support_dim=support_dim)
 
 
 def projected_density(sp: SupportProjection, sigma: np.ndarray) -> np.ndarray:
@@ -140,7 +136,7 @@ def projected_density(sp: SupportProjection, sigma: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
-def region_entropy(mps: IuMps, n: int, threshold: float = DEFAULT_THRESHOLD) -> EntropyReport:
+def region_entropy(mps: IuMps, n: int) -> EntropyReport:
     """Von Neumann entropy of n contiguous sites from one d_M^2 x d_M^2
     eigenvalue solve.
 
@@ -148,15 +144,13 @@ def region_entropy(mps: IuMps, n: int, threshold: float = DEFAULT_THRESHOLD) -> 
     Gram matrix H of ``support_decomposition``, so rho_n has the nonzero
     spectrum of K conj(H) K with K = I kron sigma^(1/2) (kept on ``mps``).
     ``eigenvalues`` is the support spectrum: the eigenvalues above
-    ``threshold`` times the largest, descending.  ``clipped_weight`` is the
+    ``THRESHOLD`` times the largest, descending.  ``clipped_weight`` is the
     negative weight of the full d_M^2 spectrum, which the entropy drops.
     ``NotHermitian`` is raised when H is not Hermitian, as in
     ``support_decomposition``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     d = mps.kraus.d_M
     # conj(H) = H^T, read off E^n by a transpose of its four indices
     e4 = mps.transfer.power(n).reshape(d, d, d, d)
@@ -164,7 +158,7 @@ def region_entropy(mps: IuMps, n: int, threshold: float = DEFAULT_THRESHOLD) -> 
     lam = eigvals_hermitian(h_conj, mps.kron_sqrt_sigma)
     clipped = float(-lam[lam < 0].sum())
     top = lam[0]
-    lam = lam[lam > threshold * top] if top > 0 else lam[:0]
+    lam = lam[lam > THRESHOLD * top] if top > 0 else lam[:0]
     return EntropyReport(
         region_len=n,
         eigenvalues=lam,
@@ -173,23 +167,22 @@ def region_entropy(mps: IuMps, n: int, threshold: float = DEFAULT_THRESHOLD) -> 
     )
 
 
-def _entropy(mps: IuMps, n: int, threshold: float) -> float:
+def _entropy(mps: IuMps, n: int) -> float:
     """S(n) of ``mps``, computed through ``region_entropy`` on first request."""
-    key = (n, threshold)
-    if key not in mps.entropies:
-        mps.entropies[key] = region_entropy(mps, n, threshold).entropy
-    return mps.entropies[key]
+    if n not in mps.entropies:
+        mps.entropies[n] = region_entropy(mps, n).entropy
+    return mps.entropies[n]
 
 
-def qcmi(mps: IuMps, region: RegionSpec, threshold: float = DEFAULT_THRESHOLD) -> float:
+def qcmi(mps: IuMps, region: RegionSpec) -> float:
     """I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B) for contiguous A,B,C.
 
-    Each S(n) is computed once per instance and threshold, then reused.
+    Each S(n) is computed once per instance, then reused.
     """
     if region.len_b < 1 or region.len_a < 1 or region.len_c < 1:
         raise ValueError("qcmi requires len_a, len_b, len_c >= 1")
     la, lb, lc = region.len_a, region.len_b, region.len_c
-    s = lambda n: _entropy(mps, n, threshold)
+    s = lambda n: _entropy(mps, n)
     return s(la + lb) + s(lb + lc) - s(la + lb + lc) - s(lb)
 
 
@@ -228,15 +221,12 @@ def rho_disjoint(mps: IuMps, region: RegionSpec) -> np.ndarray:
 
 
 def qmi(mps: IuMps, region: RegionSpec) -> float:
-    """I(A:C) = S(A) + S(C) - S(AC) across the separating region B."""
-    la, lc = region.len_a, region.len_c
-    ds = mps.kraus.d_s
-    rho_ac = rho_disjoint(mps, region)
-    t = rho_ac.reshape(ds**la, ds**lc, ds**la, ds**lc)
-    rho_a = np.einsum("acbc->ab", t)
-    rho_c = np.einsum("acad->cd", t)
-    ent = lambda r: entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(r), 0, None))
-    return ent(rho_a) + ent(rho_c) - ent(rho_ac)
+    """I(A:C) = S(A) + S(C) - S(AC) across the separating region B.
+
+    S(A) and S(C) are the instance's S(|A|) and S(|C|), shared with ``qcmi``.
+    """
+    s_ac = entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(rho_disjoint(mps, region)), 0, None))
+    return _entropy(mps, region.len_a) + _entropy(mps, region.len_c) - s_ac
 
 
 def brute_force_density(mps: IuMps, n: int) -> np.ndarray:

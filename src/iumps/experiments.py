@@ -12,6 +12,7 @@ from .entropy import RegionSpec, qcmi, qmi, rho_disjoint
 from .exceptions import BenchmarkFailed, EmptyCurve, IumpsError, TooFewPoints
 from .mps import (
     CASE2,
+    EXPLICIT,
     IuMps,
     KrausSet,
     build_case,
@@ -23,7 +24,7 @@ from .mps import (
 from .numerics import RandomStream
 
 HISTOGRAM_BINS = 20
-DEFAULT_BURN_IN = 3
+BURN_IN = 3
 
 # Limiting mutual information of the golden Case-2 benchmark instance,
 # 17 ln2 / 16 - 9 ln3 / 8 + 5 ln5 / 16.
@@ -62,7 +63,6 @@ class InstanceRecord:
 class EnsembleSummary:
     n_instances: int
     records: list[InstanceRecord]
-    rates: list[float]
     histogram: np.ndarray
     out_of_range: int
     total_shifted: int
@@ -73,20 +73,21 @@ class EnsembleSummary:
 
 def scan_instance(
     mps: IuMps,
-    region: RegionSpec,
+    len_a: int,
+    len_c: int,
     b_max_limit: int = 40,
     k: int = 12,
-    threshold: float = 1e-12,
     instance_id: int = 0,
 ) -> DecayCurve:
-    """QCMI/QMI over |B| = 2, 4, ..., stopping once QCMI falls to 10^-k.
+    """QCMI/QMI of regions A, C of ``len_a``, ``len_c`` sites over
+    |B| = 2, 4, ..., stopping once QCMI falls to 10^-k.
 
     The last retained |B| (the curve's b_max) is the final even size at which
     QCMI still exceeds the numerical floor, or b_max_limit.  The instance
     keeps every E^n and S(n) it computes, so each is computed once, however
     many scans and QMI/QCMI calls read it.
     """
-    if region.len_a < 1 or region.len_c < 1:
+    if len_a < 1 or len_c < 1:
         raise ValueError("scan requires len_a, len_c >= 1")
     if b_max_limit % 2 != 0 or b_max_limit < 2:
         raise ValueError("b_max_limit must be even and >= 2")
@@ -97,8 +98,8 @@ def scan_instance(
     floor = 10.0 ** (-k)
     points: list[CurvePoint] = []
     for b in range(2, b_max_limit + 1, 2):
-        reg = RegionSpec(region.len_a, b, region.len_c)
-        qc = qcmi(mps, reg, threshold)
+        reg = RegionSpec(len_a, b, len_c)
+        qc = qcmi(mps, reg)
         if qc <= floor:
             break
         qm = qmi(mps, reg)
@@ -122,14 +123,14 @@ def shift_graph(curve: DecayCurve) -> list[tuple[float, float]]:
     return [(float(p.b_len - curve.b_max), p.f - f_end) for p in curve.points]
 
 
-def extract_rate(curve: DecayCurve, burn_in: int = DEFAULT_BURN_IN) -> float:
-    """Negated least-squares slope of f versus |B| after ``burn_in`` points.
+def extract_rate(curve: DecayCurve) -> float:
+    """Negated least-squares slope of f versus |B| after the first ``BURN_IN`` points.
 
     A curve decaying exactly at the bounding-function rate yields 1.0.
     """
-    pts = curve.points[burn_in:]
+    pts = curve.points[BURN_IN:]
     if len(pts) < 2:
-        raise TooFewPoints(f"need at least {burn_in + 2} points, have {len(curve.points)}")
+        raise TooFewPoints(f"need at least {BURN_IN + 2} points, have {len(curve.points)}")
     xs = np.array([p.b_len for p in pts], dtype=float)
     ys = np.array([p.f for p in pts], dtype=float)
     slope = np.polyfit(xs, ys, 1)[0]
@@ -140,8 +141,12 @@ def bin_shifted(points: list[tuple[float, float]]) -> tuple[np.ndarray, int]:
     """20x20 histogram over bins (-(2i+1), -(2i-1)) x [2j, 2j+2).
 
     Shifted x values are even and never sit on the odd bin edges; y = 0 (the
-    origin) falls in bin j = 0 under the half-open convention.  Returns the
-    counts and the number of points outside the grid.
+    origin) falls in bin j = 0 under the half-open convention.  The y edges
+    2j, by contrast, sit where shifted points cluster: on a curve decaying at
+    rate q, y = f(b) - f(b_max) is close to b_max - b, and near the 10^-k stop
+    f(b_max) carries a relative noise of about 1e-3.  Builds whose entropies
+    differ at ulp level can therefore move points across a y edge and change
+    the counts.  Returns the counts and the number of points outside the grid.
     """
     counts = np.zeros((HISTOGRAM_BINS, HISTOGRAM_BINS), dtype=np.int64)
     out = 0
@@ -155,48 +160,24 @@ def bin_shifted(points: list[tuple[float, float]]) -> tuple[np.ndarray, int]:
     return counts, out
 
 
-def _assign_cases(n: int, case_mix: dict[str, float]) -> list[str]:
-    """Deterministic largest-remainder apportionment, block assignment."""
-    tags = sorted(case_mix)
-    total = sum(case_mix[t] for t in tags)
-    if total <= 0:
-        raise ValueError("case_mix weights must sum to a positive value")
-    quotas = [n * case_mix[t] / total for t in tags]
-    counts = [int(q) for q in quotas]
-    for _ in range(n - sum(counts)):
-        i = max(range(len(tags)), key=lambda i: (quotas[i] - counts[i], -i))
-        counts[i] += 1
-    out: list[str] = []
-    for tag, c in zip(tags, counts):
-        out.extend([tag] * c)
-    return out
-
-
-def build_instance(
-    case_tag: str,
-    d_s: int,
-    d_m: int,
-    stream: RandomStream,
-    peripheral_tol: float = 1e-8,
-) -> IuMps:
+def build_instance(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> IuMps:
     """Sample one iuMPS of the given case from the given stream."""
-    return build_iumps(build_case(case_tag, d_s, d_m, stream), peripheral_tol)
+    return build_iumps(build_case(case_tag, d_s, d_m, stream))
 
 
 def run_ensemble(
     n: int,
-    case_mix: dict[str, float],
-    region: RegionSpec,
+    case_tag: str,
+    len_a: int,
+    len_c: int,
     master_seed: int,
     b_max_limit: int = 40,
     k: int = 12,
-    burn_in: int = DEFAULT_BURN_IN,
     d_s: int = 3,
     d_m: int = 4,
-    threshold: float = 1e-12,
-    peripheral_tol: float = 1e-8,
 ) -> EnsembleSummary:
-    """Scan ``n`` independently seeded instances and aggregate the statistics.
+    """Scan ``n`` independently seeded instances of one case and aggregate
+    the statistics.
 
     Instance i always draws from stream index i of ``master_seed``.  The
     instances run serially: each scan is a chain of 16x16 kernels that hold
@@ -205,7 +186,6 @@ def run_ensemble(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cases = _assign_cases(n, case_mix)
     records: list[InstanceRecord] = []
     rates: list[float] = []
     cdf_full: list[float] = []
@@ -215,8 +195,8 @@ def run_ensemble(
     total_shifted = 0
     for i in range(n):
         try:
-            mps = build_instance(cases[i], d_s, d_m, RandomStream(master_seed, i), peripheral_tol)
-            res = scan_instance(mps, region, b_max_limit, k, threshold, instance_id=i)
+            mps = build_instance(case_tag, d_s, d_m, RandomStream(master_seed, i))
+            res = scan_instance(mps, len_a, len_c, b_max_limit, k, instance_id=i)
         except IumpsError as exc:
             skipped.append((i, f"{type(exc).__name__}: {exc}"))
             continue
@@ -226,7 +206,7 @@ def run_ensemble(
         histogram += counts
         out_of_range += out
         try:
-            rate = extract_rate(res, burn_in)
+            rate = extract_rate(res)
         except TooFewPoints:
             rate = None
         records.append(
@@ -246,7 +226,6 @@ def run_ensemble(
     return EnsembleSummary(
         n_instances=n,
         records=records,
-        rates=rates,
         histogram=histogram,
         out_of_range=out_of_range,
         total_shifted=total_shifted,
@@ -347,7 +326,7 @@ def golden_benchmark(
         if dev > rho_tol:
             raise BenchmarkFailed(f"{name} differs from its limit by {dev:.3e}")
 
-    curve = scan_instance(mps, RegionSpec(1, 2, 1), 40, k)
+    curve = scan_instance(mps, 1, 1, 40, k)
     qcmi_curve = [(p.b_len, p.qcmi) for p in curve.points]
     tail = np.log([q for _, q in qcmi_curve[-10:]])
     if not np.all(np.diff(tail) < 0):
@@ -459,7 +438,7 @@ def analytic_family(which: str, beta: float) -> KrausSet:
         ).astype(complex) / scale
     else:
         raise ValueError("which must be 'first' or 'second'")
-    ks = KrausSet(d_s=3, d_M=4, matrices=mats, case_tag="explicit")
+    ks = KrausSet(d_s=3, d_M=4, matrices=mats, case_tag=EXPLICIT)
     ks.validate()
     return ks
 

@@ -24,7 +24,7 @@ EXPLICIT = "explicit"
 
 CANONICAL_TOL = 1e-10
 FIXED_POINT_TOL = 1e-8
-DEFAULT_PERIPHERAL_TOL = 1e-8
+PERIPHERAL_TOL = 1e-8
 CLIP_BUDGET = 1e-6
 
 
@@ -105,7 +105,6 @@ class TransferMatrix:
     spectrum: EigenDecomposition
     peripheral_indices: np.ndarray
     nu_gap: float | None
-    peripheral_tol: float
     _powers: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def power(self, n: int) -> np.ndarray:
@@ -125,14 +124,14 @@ class IuMps:
     """A Kraus set together with its fixed-point density operator.
 
     ``entropies`` holds each region entropy S(n) once computed, keyed by
-    ``(n, threshold)``, and ``qmi_ends`` the two |B|-independent contractions
+    ``n``, and ``qmi_ends`` the two |B|-independent contractions
     of rho_AC, keyed by ``(|A|, |C|)``; ``iumps.entropy`` fills both.
     """
 
     kraus: KrausSet
     sigma: np.ndarray
     transfer: TransferMatrix
-    entropies: dict[tuple[int, float], float] = field(
+    entropies: dict[int, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     qmi_ends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
@@ -208,24 +207,16 @@ def build_case(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> Kraus
     return BUILDERS[case_tag](d_s, d_m, stream)
 
 
-def transfer_matrix(kraus: KrausSet, peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> TransferMatrix:
+def transfer_matrix(kraus: KrausSet) -> TransferMatrix:
     """Assemble E, compute its full spectrum, and classify the peripheral set."""
-    if not 0 < peripheral_tol < 0.1:
-        raise ValueError("peripheral_tol must lie in (0, 0.1)")
     m = kraus.matrices
     e = np.einsum("sab,scd->acbd", m, m.conj()).reshape(kraus.d_M**2, kraus.d_M**2)
     spectrum = eig_general(e)
     mags = np.abs(spectrum.values)
-    peripheral = np.flatnonzero(mags > 1 - peripheral_tol)
-    bulk = mags[mags <= 1 - peripheral_tol]
+    peripheral = np.flatnonzero(mags > 1 - PERIPHERAL_TOL)
+    bulk = mags[mags <= 1 - PERIPHERAL_TOL]
     nu_gap = float(bulk.max()) if bulk.size else None
-    return TransferMatrix(
-        e=e,
-        spectrum=spectrum,
-        peripheral_indices=peripheral,
-        nu_gap=nu_gap,
-        peripheral_tol=peripheral_tol,
-    )
+    return TransferMatrix(e=e, spectrum=spectrum, peripheral_indices=peripheral, nu_gap=nu_gap)
 
 
 def spectral_gap(transfer: TransferMatrix) -> float:
@@ -273,9 +264,9 @@ def fixed_point(transfer: TransferMatrix) -> np.ndarray:
     return sigma / np.trace(sigma).real
 
 
-def build_iumps(kraus: KrausSet, peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> IuMps:
+def build_iumps(kraus: KrausSet) -> IuMps:
     """Kraus set -> transfer matrix -> fixed point, bundled."""
-    transfer = transfer_matrix(kraus, peripheral_tol)
+    transfer = transfer_matrix(kraus)
     sigma = fixed_point(transfer)
     return IuMps(kraus=kraus, sigma=sigma, transfer=transfer)
 

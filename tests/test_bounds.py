@@ -3,7 +3,6 @@ import pytest
 
 from iumps import (
     KrausSet,
-    RegionSpec,
     Unsupported,
     build_iumps,
     jordan_constants,
@@ -83,7 +82,7 @@ def test_bound_dominates_measured_qcmi_on_benchmark():
 
     mps = build_iumps(benchmark_kraus())
     constants = jordan_constants(mps)
-    curve = scan_instance(mps, RegionSpec(1, 2, 1), 40, 12)
+    curve = scan_instance(mps, 1, 1, 40, 12)
     for p in curve.points:
         assert decay_bound(constants, p.b_len) >= p.qcmi
 

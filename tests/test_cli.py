@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iumps import benchmark_kraus
-from iumps.cli import load_config, main
+from iumps.cli import main
 
 
 def run(tmp_path, *args):
@@ -296,7 +296,9 @@ def test_single_instance_commands_reject_flags_that_do_not_apply(tmp_path, capsy
     "payload_message",
     [
         ({"d_s": "3"}, "d_s must be int, not '3'"),
-        ({"threshold": "x"}, "threshold must be float, not 'x'"),
+        ({"threshold": 1e-12}, "unexpected keyword argument 'threshold'"),
+        ({"peripheral_tol": 1e-8}, "unexpected keyword argument 'peripheral_tol'"),
+        ({"burn_in": 3}, "unexpected keyword argument 'burn_in'"),
         ({"n_instances": True}, "n_instances must be int, not True"),
         ({"k": 12.0}, "k must be int, not 12.0"),
         ({"case_tag": None}, "case_tag must be str, not None"),
@@ -316,11 +318,6 @@ def test_rejects_bad_config_file(tmp_path, capsys, payload_message):
     assert err.startswith("invalid input: ValueError: config: ") and err.count("\n") == 1
     assert message in err
     assert not out_dir.exists()
-
-
-def test_config_accepts_int_for_float_field():
-    config = load_config(None, {"threshold": 0, "kraus_path": "k.json"})
-    assert config.threshold == 0 and config.kraus_path == "k.json"
 
 
 def test_ensemble_exit_when_every_instance_fails(tmp_path):

@@ -28,7 +28,7 @@ from iumps import (
     unvec,
     vec,
 )
-from iumps.entropy import DEFAULT_THRESHOLD, _entropy, entropy_from_eigenvalues
+from iumps.entropy import _entropy, entropy_from_eigenvalues
 from iumps.numerics import mat_power
 
 
@@ -76,7 +76,6 @@ def test_support_rejects_broken_index_convention():
         spectrum=eig_general(z),
         peripheral_indices=np.array([0]),
         nu_gap=0.5,
-        peripheral_tol=1e-8,
     )
     with pytest.raises(NotHermitian):
         support_decomposition(fake, 1)
@@ -332,14 +331,14 @@ def test_profile_matches_region_entropy_and_brute_force(case_instances):
     for mps in case_instances:
         kept = build_iumps(mps.kraus)
         for n in range(1, 43):
-            s = _entropy(kept, n, DEFAULT_THRESHOLD)
-            assert kept.entropies[n, DEFAULT_THRESHOLD] == s, n
+            s = _entropy(kept, n)
+            assert kept.entropies[n] == s, n
             assert abs(s - region_entropy(mps, n).entropy) <= 1e-13, n
             if n <= 5:
                 assert abs(s - brute_force_entropy(mps, n)) <= 1e-9, n
         fresh = build_iumps(mps.kraus)
-        for (n, threshold), s in mps.entropies.items():
-            assert s == region_entropy(fresh, n, threshold).entropy, n
+        for n, s in mps.entropies.items():
+            assert s == region_entropy(fresh, n).entropy, n
 
 
 def test_profile_power_and_qmi(case_instances):
@@ -370,8 +369,7 @@ def test_scan_after_scrambled_queries_matches_fresh_scan(case1_instance):
         rho_disjoint(queried, RegionSpec(1, n, 1))
         qcmi(queried, RegionSpec(1, n, 1))
     fresh = build_iumps(case1_instance.kraus)
-    region = RegionSpec(1, 2, 1)
-    assert scan_instance(queried, region).points == scan_instance(fresh, region).points
+    assert scan_instance(queried, 1, 1).points == scan_instance(fresh, 1, 1).points
 
 
 @pytest.mark.parametrize("fixture", ["case1_instance", "golden_mps"])
@@ -397,12 +395,12 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
 
     monkeypatch.setattr(ent, "eigvals_hermitian", counting_eig)
     monkeypatch.setattr(exp, "qcmi", recording_qcmi)
-    curve = scan_instance(mps, RegionSpec(1, 2, 1))
+    curve = scan_instance(mps, 1, 1)
     b_stop = evaluated[-1]
     assert evaluated == list(range(2, b_stop + 1, 2))
     assert b_stop in (curve.b_max, curve.b_max + 2)
-    # |A| = |C| = 1 needs S(n) for n = 2 .. b_stop + 2
-    assert len(eighs) == b_stop + 1
+    # |A| = |C| = 1 needs S(n) for n = 2 .. b_stop + 2 (QCMI) and S(1) (QMI)
+    assert len(eighs) == b_stop + 2
     eighs.clear()
-    assert scan_instance(mps, RegionSpec(1, 2, 1)) == curve
+    assert scan_instance(mps, 1, 1) == curve
     assert eighs == []

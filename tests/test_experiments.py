@@ -30,7 +30,7 @@ from iumps.experiments import CurvePoint, DecayCurve, bin_shifted, second_family
 
 @pytest.fixture(scope="module")
 def sample_curve(case1_instance):
-    return scan_instance(case1_instance, RegionSpec(1, 2, 1), 40, 12)
+    return scan_instance(case1_instance, 1, 1, 40, 12)
 
 
 def synthetic_curve(nu_gap, rate_per_site, n_points=12, prefactor=0.3):
@@ -57,7 +57,7 @@ def test_scan_stopping_rule(sample_curve, case1_instance):
 
 
 def test_scan_small_k_short_curve(case1_instance):
-    short = scan_instance(case1_instance, RegionSpec(1, 2, 1), 40, 1)
+    short = scan_instance(case1_instance, 1, 1, 40, 1)
     assert short.b_max <= 6
     assert all(p.qcmi > 0.1 for p in short.points)
 
@@ -65,8 +65,8 @@ def test_scan_small_k_short_curve(case1_instance):
 def test_scan_deterministic():
     a = build_instance("case1", 3, 4, RandomStream(99, 4))
     b = build_instance("case1", 3, 4, RandomStream(99, 4))
-    ca = scan_instance(a, RegionSpec(1, 2, 1), 20, 12)
-    cb = scan_instance(b, RegionSpec(1, 2, 1), 20, 12)
+    ca = scan_instance(a, 1, 1, 20, 12)
+    cb = scan_instance(b, 1, 1, 20, 12)
     assert ca == cb
     # only the sampled cases have builders; the golden instance is fixed
     with pytest.raises(ValueError, match="unknown case 'golden'"):
@@ -78,7 +78,7 @@ def test_scan_empty_curve():
     mps = build_iumps(analytic_family("first", 0.05))
     assert qcmi(mps, RegionSpec(1, 2, 1)) <= 0.1
     with pytest.raises(EmptyCurve):
-        scan_instance(mps, RegionSpec(1, 2, 1), 40, 1)
+        scan_instance(mps, 1, 1, 40, 1)
 
 
 def test_shift_graph_contains_origin(sample_curve):
@@ -105,13 +105,13 @@ def test_extract_rate_recovers_planted_rates():
 def test_extract_rate_too_few_points():
     curve = synthetic_curve(0.5, 1.0, n_points=3)
     with pytest.raises(TooFewPoints):
-        extract_rate(curve, burn_in=3)
+        extract_rate(curve)
 
 
 def test_extract_rate_benchmark_instance():
     mps = build_iumps(benchmark_kraus())
-    curve = scan_instance(mps, RegionSpec(1, 2, 1), 40, 12)
-    assert extract_rate(curve, burn_in=3) >= 0.95
+    curve = scan_instance(mps, 1, 1, 40, 12)
+    assert extract_rate(curve) >= 0.95
 
 
 def test_bin_shifted_edges():
@@ -126,8 +126,9 @@ def test_bin_shifted_edges():
 def test_run_ensemble_deterministic_and_conserving():
     kwargs = dict(
         n=12,
-        case_mix={"case1": 1.0},
-        region=RegionSpec(1, 2, 1),
+        case_tag="case1",
+        len_a=1,
+        len_c=1,
         master_seed=424242,
         b_max_limit=20,
         k=12,
@@ -138,33 +139,40 @@ def test_run_ensemble_deterministic_and_conserving():
     assert np.array_equal(a.histogram, b.histogram)
     assert a.cdf_all == b.cdf_all
     assert a.histogram.sum() + a.out_of_range == a.total_shifted
-    assert a.cdf_all == sorted(a.rates)
+    assert a.cdf_all == sorted(r.rate for r in a.records if r.rate is not None)
     assert set(a.cdf_full) <= set(a.cdf_all)
 
 
-def test_run_ensemble_case_mix_assignment():
-    summary = run_ensemble(
-        n=9,
-        case_mix={"case1": 1 / 3, "case2": 1 / 3, "case3": 1 / 3},
-        region=RegionSpec(1, 2, 1),
-        master_seed=5,
-        b_max_limit=12,
-        k=12,
-    )
-    assert len(summary.records) + len(summary.skipped) == 9
+def test_run_ensemble_case2_and_case3():
+    """Two-block ensembles scan instances of their own case, as a direct scan does."""
+    for case in ("case2", "case3"):
+        summary = run_ensemble(
+            n=3, case_tag=case, len_a=1, len_c=1, master_seed=5, b_max_limit=12, k=12
+        )
+        assert len(summary.records) + len(summary.skipped) == 3
+        assert summary.records and all(r.case_tag == case for r in summary.records)
+        rec = summary.records[0]
+        mps = build_instance(case, 3, 4, RandomStream(5, rec.instance_id))
+        curve = scan_instance(mps, 1, 1, 12, 12)
+        assert (rec.b_max, rec.nu_gap, rec.n_points) == (
+            curve.b_max,
+            curve.nu_gap,
+            len(curve.points),
+        )
 
 
 def test_run_ensemble_singleton_consistent_with_scan():
     summary = run_ensemble(
         n=1,
-        case_mix={"case1": 1.0},
-        region=RegionSpec(1, 2, 1),
+        case_tag="case1",
+        len_a=1,
+        len_c=1,
         master_seed=321,
         b_max_limit=20,
         k=12,
     )
     mps = build_instance("case1", 3, 4, RandomStream(321, 0))
-    curve = scan_instance(mps, RegionSpec(1, 2, 1), 20, 12)
+    curve = scan_instance(mps, 1, 1, 20, 12)
     rec = summary.records[0]
     assert rec.b_max == curve.b_max
     assert rec.nu_gap == curve.nu_gap

@@ -23,7 +23,7 @@ from iumps import (
     unvec,
     vec,
 )
-from iumps.mps import TransferMatrix, build_case
+from iumps.mps import PERIPHERAL_TOL, TransferMatrix, build_case
 from iumps.numerics import EigenDecomposition
 
 
@@ -67,7 +67,7 @@ def test_case3_block_structure_and_period_two_signature():
     assert has_minus_one or degenerate_one
     # -1 is peripheral, hence excluded from the gap
     gap = spectral_gap(transfer)
-    assert gap < 1 - transfer.peripheral_tol
+    assert gap < 1 - PERIPHERAL_TOL
 
 
 def test_left_fixed_point_of_every_case():
@@ -148,7 +148,6 @@ def test_fixed_point_missing():
         spectrum=dec,
         peripheral_indices=np.array([], dtype=int),
         nu_gap=0.9,
-        peripheral_tol=1e-8,
     )
     with pytest.raises(NoFixedPoint):
         fixed_point(transfer)
@@ -195,7 +194,6 @@ def test_fixed_point_singular_eigenvectors():
         spectrum=spectrum,
         peripheral_indices=np.array([0, 1]),
         nu_gap=0.5,
-        peripheral_tol=1e-8,
     )
     with pytest.raises(NonConvergence):
         fixed_point(transfer)
@@ -208,7 +206,6 @@ def test_spectral_gap_synthetic_diagonal():
         spectrum=eig_general(e),
         peripheral_indices=np.array([0]),
         nu_gap=0.6,
-        peripheral_tol=1e-8,
     )
     assert spectral_gap(transfer) == 0.6
 
