@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 benchmark failure, 2 numerical failure, 3 degenerate input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -339,25 +340,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``parse_args`` keeps no state
+    between calls, and every subcommand takes the same options."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", type=str, default=None, help="flat JSON config file")
+    options.add_argument("--seed", type=int, default=None, help="master seed")
+    options.add_argument("--case", type=str, choices=sorted(_CASES), default=None)
+    options.add_argument("--n", type=int, default=None, help="number of instances")
+    options.add_argument("--b-max", type=int, default=None, help="largest even |B|")
+    options.add_argument("--k", type=int, default=None, help="QCMI floor exponent")
+    options.add_argument("--out", type=str, default=None, help="output directory")
+    options.add_argument("--kraus", type=str, default=None,
+                         help="load the instance from a KrausSet JSON file")
+    options.add_argument("--save-kraus", action="store_true", default=None,
+                         help="persist the constructed instance as kraus_<id>.json")
     parser = _Parser(
         prog="iumps",
         description="Random infinite uniform MPS: spectra, entropies, and QCMI decay",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "scan", "ensemble", "benchmark", "bound", "gapstats"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--case", type=str, choices=sorted(_CASES), default=None)
-        p.add_argument("--n", type=int, default=None, help="number of instances")
-        p.add_argument("--b-max", type=int, default=None, help="largest even |B|")
-        p.add_argument("--k", type=int, default=None, help="QCMI floor exponent")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--kraus", type=str, default=None,
-                       help="load the instance from a KrausSet JSON file")
-        p.add_argument("--save-kraus", action="store_true", default=None,
-                       help="persist the constructed instance as kraus_<id>.json")
+        sub.add_parser(name, parents=[options])
     return parser
 
 

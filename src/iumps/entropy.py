@@ -20,25 +20,32 @@ equal to P† rho_n P for the isometry P = Phi conj(W) diag(w)^{-1/2}, where
 Phi stacks the row-major vectorized site products.  ``support_decomposition``,
 ``projected_density`` and ``materialize_isometry`` build this explicit route.
 
-``region_entropy`` needs only the spectrum.  Since Phi† Phi = conj(H), the
-density rho_n = Phi (I kron sigma) Phi† has the nonzero spectrum of
+``region_entropy_stack`` needs only the spectrum.  Since Phi† Phi = conj(H),
+the density rho_n = Phi (I kron sigma) Phi† has the nonzero spectrum of
 K conj(H) K with K = I kron sigma^(1/2), so S(n) costs one d_M^2 x d_M^2
-eigenvalue-only solve; K is computed once per instance.
+eigenvalue-only solve; K is computed once per instance.  At d_M^2 = 16 the
+cost of one solve is mostly per-call overhead, so the solves for several
+lengths go into one stacked ``eigvalsh``, which returns, row by row, the
+eigenvalues of one call per matrix.  ``region_entropy`` is the one-length
+case of that stack.
 
 Eigenvalues below ``THRESHOLD`` times the largest are outside the support
 and carry no entropy.
 
 A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C| and E^|B|
 for the QMI.  Each instance keeps all three: ``TransferMatrix.power`` grows
-E^n by one d_M^2 x d_M^2 multiply per new region length, ``qcmi`` and
-``qmi`` read each S(n) from ``IuMps.entropies``, computing a missing one once
-through ``region_entropy``, and ``rho_disjoint`` keeps the two |B|-independent
-contractions of rho_AC in ``IuMps.qmi_ends``, so a QMI point costs one
-multiply by E^|B|, the final contraction and the spectrum of rho_AC.
+E^n by one d_M^2 x d_M^2 multiply per new region length, ``fill_entropies``
+solves the lengths not yet kept in ``IuMps.entropies`` in one stack, and
+``qcmi`` and ``qmi_stack`` read S(n) from there.  ``rho_disjoint_stack`` keeps
+the two |B|-independent contractions of rho_AC in ``IuMps.qmi_ends``, so the
+QMI of a stack of |B| costs one multiply by each E^|B|, one final contraction
+and one stacked spectrum of rho_AC; ``rho_disjoint`` and ``qmi`` are its
+one-|B| case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,41 +143,65 @@ def projected_density(sp: SupportProjection, sigma: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
-def region_entropy(mps: IuMps, n: int) -> EntropyReport:
-    """Von Neumann entropy of n contiguous sites from one d_M^2 x d_M^2
-    eigenvalue solve.
+def region_entropy_stack(mps: IuMps, lengths: Sequence[int]) -> list[EntropyReport]:
+    """Von Neumann entropies of ``lengths`` contiguous sites from one stacked
+    d_M^2 x d_M^2 eigenvalue solve.
 
     rho_n = Phi (I kron sigma) Phi† and Phi† Phi = conj(H) for the support
     Gram matrix H of ``support_decomposition``, so rho_n has the nonzero
     spectrum of K conj(H) K with K = I kron sigma^(1/2) (kept on ``mps``).
-    ``eigenvalues`` is the support spectrum: the eigenvalues above
-    ``THRESHOLD`` times the largest, descending.  ``clipped_weight`` is the
-    negative weight of the full d_M^2 spectrum, which the entropy drops.
-    ``NotHermitian`` is raised when H is not Hermitian, as in
-    ``support_decomposition``.
+    Each report's ``eigenvalues`` is the support spectrum: the eigenvalues
+    above ``THRESHOLD`` times the largest, descending.  ``clipped_weight`` is
+    the negative weight of the full d_M^2 spectrum, which the entropy drops.
+    ``NotHermitian`` is raised when any H is not Hermitian, as in
+    ``support_decomposition``.  A report does not depend on the other lengths
+    of the stack.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not lengths or min(lengths) < 1:
+        raise ValueError("region lengths must be a nonempty list of n >= 1")
     d = mps.kraus.d_M
     # conj(H) = H^T, read off E^n by a transpose of its four indices
-    e4 = mps.transfer.power(n).reshape(d, d, d, d)
-    h_conj = e4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
-    lam = eigvals_hermitian(h_conj, mps.kron_sqrt_sigma)
-    clipped = float(-lam[lam < 0].sum())
-    top = lam[0]
-    lam = lam[lam > THRESHOLD * top] if top > 0 else lam[:0]
-    return EntropyReport(
-        region_len=n,
-        eigenvalues=lam,
-        entropy=entropy_from_eigenvalues(lam),
-        clipped_weight=clipped,
-    )
+    e4 = np.stack([mps.transfer.power(n) for n in lengths]).reshape(-1, d, d, d, d)
+    h_conj = e4.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d)
+    spectra = eigvals_hermitian(h_conj, mps.kron_sqrt_sigma)
+    clipped = -np.minimum(spectra, 0.0).sum(axis=-1)
+    # rows are descending, so each support is a prefix; none when the top is <= 0
+    ranks = np.count_nonzero(spectra > THRESHOLD * spectra[:, :1], axis=-1)
+    entropies = np.zeros(len(lengths))
+    for r in set(ranks.tolist()) - {0}:
+        rows = ranks == r
+        support = spectra[rows, :r]  # summed per row exactly as entropy_from_eigenvalues sums
+        entropies[rows] = -(support * np.log(support)).sum(axis=-1)
+    return [
+        EntropyReport(
+            region_len=n,
+            eigenvalues=spectra[i, : ranks[i]],
+            entropy=float(entropies[i]),
+            clipped_weight=float(clipped[i]),
+        )
+        for i, n in enumerate(lengths)
+    ]
+
+
+def region_entropy(mps: IuMps, n: int) -> EntropyReport:
+    """Von Neumann entropy of n contiguous sites: ``region_entropy_stack``
+    of the one length ``n``."""
+    return region_entropy_stack(mps, (n,))[0]
+
+
+def fill_entropies(mps: IuMps, lengths: Iterable[int]) -> None:
+    """Keep S(n) on ``mps`` for every n in ``lengths``, solving the ones not
+    yet kept in one ``region_entropy_stack`` call."""
+    missing = sorted(set(lengths) - mps.entropies.keys())
+    if missing:
+        for report in region_entropy_stack(mps, missing):
+            mps.entropies[report.region_len] = report.entropy
 
 
 def _entropy(mps: IuMps, n: int) -> float:
-    """S(n) of ``mps``, computed through ``region_entropy`` on first request."""
+    """S(n) of ``mps``, solved on first request and kept."""
     if n not in mps.entropies:
-        mps.entropies[n] = region_entropy(mps, n).entropy
+        fill_entropies(mps, (n,))
     return mps.entropies[n]
 
 
@@ -203,30 +234,48 @@ def _qmi_ends(mps: IuMps, la: int, lc: int) -> tuple[np.ndarray, np.ndarray]:
     return mps.qmi_ends[la, lc]
 
 
-def rho_disjoint(mps: IuMps, region: RegionSpec) -> np.ndarray:
-    """Joint reduced state of A and C separated by |B| sites, E^{|B|} contracted.
+def rho_disjoint_stack(
+    mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int
+) -> np.ndarray:
+    """Joint reduced states of A and C separated by each |B| in ``lens_b``,
+    E^{|B|} contracted, as one stack of shape (len(lens_b), dim, dim).
 
     Basis ordering: A-site indices slow, C-site indices fast.  Exact at any
-    separation; the physical dimension d_s^(|A|+|C|) must stay at oracle scale.
+    separation; the physical dimension dim = d_s^(|A|+|C|) must stay at
+    oracle scale.
     """
-    la, lb, lc = region.len_a, region.len_b, region.len_c
-    if la < 1 or lc < 1:
+    if len_a < 1 or len_c < 1:
         raise ValueError("rho_disjoint requires len_a, len_c >= 1")
-    dim = mps.kraus.d_s ** (la + lc)
+    dim = mps.kraus.d_s ** (len_a + len_c)
     if dim > BRUTE_FORCE_CAP:
         raise TooLarge(f"d_s^(|A|+|C|) = {dim} exceeds {BRUTE_FORCE_CAP}")
-    right, left = _qmi_ends(mps, la, lc)
-    rho = np.einsum("abv,cdv->cadb", left, right @ mps.transfer.power(lb).T).reshape(dim, dim)
-    return (rho + rho.conj().T) / 2
+    right, left = _qmi_ends(mps, len_a, len_c)
+    powers_t = np.stack([mps.transfer.power(b).T for b in lens_b])[:, None]
+    rho = np.einsum("abv,ncdv->ncadb", left, right @ powers_t).reshape(-1, dim, dim)
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def qmi(mps: IuMps, region: RegionSpec) -> float:
-    """I(A:C) = S(A) + S(C) - S(AC) across the separating region B.
+def rho_disjoint(mps: IuMps, region: RegionSpec) -> np.ndarray:
+    """Joint reduced state of A and C separated by |B| sites:
+    ``rho_disjoint_stack`` of the one separation |B|."""
+    return rho_disjoint_stack(mps, region.len_a, (region.len_b,), region.len_c)[0]
+
+
+def qmi_stack(mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int) -> list[float]:
+    """I(A:C) = S(A) + S(C) - S(AC) across each separating |B| in ``lens_b``,
+    from one stacked contraction and ``eigvalsh`` of rho_AC.
 
     S(A) and S(C) are the instance's S(|A|) and S(|C|), shared with ``qcmi``.
     """
-    s_ac = entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(rho_disjoint(mps, region)), 0, None))
-    return _entropy(mps, region.len_a) + _entropy(mps, region.len_c) - s_ac
+    lam = np.clip(np.linalg.eigvalsh(rho_disjoint_stack(mps, len_a, lens_b, len_c)), 0, None)
+    s_a, s_c = _entropy(mps, len_a), _entropy(mps, len_c)
+    return [s_a + s_c - entropy_from_eigenvalues(row) for row in lam]
+
+
+def qmi(mps: IuMps, region: RegionSpec) -> float:
+    """I(A:C) across the separating region B: ``qmi_stack`` of the one
+    separation |B|."""
+    return qmi_stack(mps, region.len_a, (region.len_b,), region.len_c)[0]
 
 
 def brute_force_density(mps: IuMps, n: int) -> np.ndarray:

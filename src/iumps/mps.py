@@ -146,12 +146,20 @@ class IuMps:
         return np.kron(np.eye(self.kraus.d_M), root)
 
 
+@functools.cache
+def _psi(d_s: int, d_m: int) -> np.ndarray:
+    """The fixed isometry Psi = (1/sqrt(d_s)) * ones(d_s) kron I, built once
+    per shape and read-only."""
+    psi = np.kron(np.ones((d_s, 1)) / np.sqrt(d_s), np.eye(d_m))
+    psi.flags.writeable = False
+    return psi
+
+
 def _case1_matrices(d_s: int, d_m: int, stream: RandomStream) -> np.ndarray:
     """Sample M^s via a Haar unitary on dimension d_s*d_M applied to the
-    fixed isometry Psi = (1/sqrt(d_s)) * ones(d_s) kron I."""
+    fixed isometry ``_psi(d_s, d_M)``."""
     u = haar_unitary(d_s * d_m, stream)
-    psi = np.kron(np.ones((d_s, 1)) / np.sqrt(d_s), np.eye(d_m))
-    mu = u @ psi  # rows indexed by the composite (s, i)
+    mu = u @ _psi(d_s, d_m)  # rows indexed by the composite (s, i)
     return mu.reshape(d_s, d_m, d_m)
 
 

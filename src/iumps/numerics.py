@@ -117,14 +117,17 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
 
 
 def _hermitized(a: np.ndarray) -> np.ndarray:
-    """(a + a†)/2, after checking that ``a`` is Hermitian to 1e-10 relative
-    asymmetry (Frobenius); raises ``NotHermitian`` otherwise."""
+    """(a + a†)/2 for a matrix or a stack ``(..., m, m)`` of them, after checking
+    that every matrix is Hermitian to 1e-10 relative asymmetry (Frobenius);
+    raises ``NotHermitian`` otherwise."""
     a = np.asarray(a, dtype=complex)
-    a_h = a.conj().T
-    norm_a = float(np.linalg.norm(a))
-    asym = float(np.linalg.norm(a - a_h))
-    if norm_a > 0 and asym > 1e-10 * norm_a:
-        raise NotHermitian(f"relative asymmetry {asym / norm_a:.3e} exceeds 1e-10")
+    a_h = a.conj().swapaxes(-1, -2)
+    norm_a = np.linalg.norm(a, axis=(-2, -1))
+    asym = np.linalg.norm(a - a_h, axis=(-2, -1))
+    bad = (norm_a > 0) & (asym > 1e-10 * norm_a)
+    if np.any(bad):
+        worst = float((asym[bad] / norm_a[bad]).max())
+        raise NotHermitian(f"relative asymmetry {worst:.3e} exceeds 1e-10")
     return (a + a_h) / 2
 
 
@@ -141,11 +144,13 @@ def eig_hermitian(a: np.ndarray) -> HermitianEigenDecomposition:
 def eigvals_hermitian(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Eigenvalues, descending, of ``k h k`` for Hermitian ``h`` and ``k``.
 
-    Eigenvalues only, no eigenvectors.  ``h`` gets the guard of
-    ``eig_hermitian``: a relative asymmetry above 1e-10 (Frobenius) raises
+    ``h`` is one matrix or a stack ``(..., m, m)``; the result then has shape
+    ``(..., m)``, row by row the eigenvalues of one call per matrix.
+    Eigenvalues only, no eigenvectors.  Every matrix of ``h`` gets the guard
+    of ``eig_hermitian``: a relative asymmetry above 1e-10 (Frobenius) raises
     ``NotHermitian``.  ``k`` is trusted to be Hermitian.
     """
-    return np.linalg.eigvalsh(k @ _hermitized(h) @ k)[::-1]
+    return np.linalg.eigvalsh(k @ _hermitized(h) @ k)[..., ::-1]
 
 
 def mat_power(a: np.ndarray, n: int) -> np.ndarray:

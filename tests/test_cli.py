@@ -228,6 +228,23 @@ def test_bound_exit_code_on_near_degenerate_gap(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_parser_is_reused_without_leaking_state(tmp_path, capsys):
+    from iumps.cli import build_parser
+
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "bad", "scan", "--case", "9")
+    assert exc.value.code == 4
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(tmp_path / "ok", "spectrum", "--case", "2", "--seed", "4") == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "ok" / "spectrum.csv").exists()
+    assert run(tmp_path / "saved", "spectrum", "--case", "2", "--save-kraus") == 0
+    assert (tmp_path / "saved" / "kraus_0.json").exists()
+    assert run(tmp_path / "plain", "spectrum", "--case", "2") == 0
+    assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == ["gap.json", "spectrum.csv"]
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     for argv, message in (
         (("scan", "--case", "9"), "invalid choice"),

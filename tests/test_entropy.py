@@ -20,8 +20,11 @@ from iumps import (
     purified_spectrum,
     qcmi,
     qmi,
+    qmi_stack,
     region_entropy,
+    region_entropy_stack,
     rho_disjoint,
+    rho_disjoint_stack,
     scan_instance,
     site_products,
     support_decomposition,
@@ -298,31 +301,53 @@ def reference_rho_disjoint(mps, b, la=1, lc=1):
 
 def test_region_entropy_matches_support_projection(case_instances, golden_mps):
     """The one-solve S(n) against the explicit route: support_decomposition,
-    projected_density, eigvalsh."""
+    projected_density, eigvalsh; and stacked S(n), in either order, equal to
+    one length at a time."""
     first = build_iumps(analytic_family("first", 0.1))
     for mps in (*case_instances, golden_mps, first):
-        for n in range(1, 43):
+        lengths = list(range(1, 43))
+        stacked = region_entropy_stack(mps, lengths) + region_entropy_stack(mps, lengths[::-1])
+        for n in lengths:
             report = region_entropy(mps, n)
             sp = support_decomposition(mps.transfer, n)
             lam = np.clip(np.linalg.eigvalsh(projected_density(sp, mps.sigma))[::-1], 0.0, None)
             assert report.eigenvalues.size == sp.support_dim, n
             assert np.abs(report.eigenvalues - lam).max(initial=0.0) <= 1e-13, n
             assert abs(report.entropy - entropy_from_eigenvalues(lam)) <= 1e-13, n
+            assert report.entropy == entropy_from_eigenvalues(report.eigenvalues), n
+            for other in (stacked[n - 1], stacked[-n]):
+                assert other.region_len == n
+                assert other.entropy == report.entropy, n
+                assert other.clipped_weight == report.clipped_weight, n
+                assert np.array_equal(other.eigenvalues, report.eigenvalues), n
 
 
 def test_qmi_ends_kept_per_region_pair(case1_instance):
     """rho_AC and QMI from the kept ends against the entry-by-entry reference,
-    for two (|A|, |C|) keys on one instance, asked for in alternation."""
+    for two (|A|, |C|) keys on one instance, asked for in alternation, one
+    |B| at a time and as one stack."""
     ent = lambda r: entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(r), 0, None))
     mps = build_iumps(case1_instance.kraus)
-    for b in (1, 4, 17, 4):
-        for la, lc in ((1, 1), (2, 1)):
-            region = RegionSpec(la, b, lc)
+    pairs, sizes = ((1, 1), (2, 1)), (1, 4, 17)
+    refs = {}
+    for la, lc in pairs:
+        for b in sizes:
             ref = reference_rho_disjoint(mps, b, la, lc)
-            assert np.abs(rho_disjoint(mps, region) - ref).max() <= 1e-13, (b, la)
             t = ref.reshape(3**la, 3**lc, 3**la, 3**lc)
-            ref_qmi = ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(ref)
+            refs[la, b] = ref, ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(ref)
+    for b in (1, 4, 17, 4):
+        for la, lc in pairs:
+            region = RegionSpec(la, b, lc)
+            ref, ref_qmi = refs[la, b]
+            assert np.abs(rho_disjoint(mps, region) - ref).max() <= 1e-13, (b, la)
             assert abs(qmi(mps, region) - ref_qmi) <= 1e-13, (b, la)
+    for la, lc in pairs:
+        rhos, qmis = rho_disjoint_stack(mps, la, sizes, lc), qmi_stack(mps, la, sizes, lc)
+        for b, rho, q in zip(sizes, rhos, qmis, strict=True):
+            ref, ref_qmi = refs[la, b]
+            assert np.abs(rho - ref).max() <= 1e-13, (b, la)
+            assert abs(q - ref_qmi) <= 1e-13, (b, la)
+            assert q == qmi(mps, RegionSpec(la, b, lc)), (b, la)
     assert sorted(mps.qmi_ends) == [(1, 1), (2, 1)]
 
 
@@ -374,19 +399,20 @@ def test_scan_after_scrambled_queries_matches_fresh_scan(case1_instance):
 
 @pytest.mark.parametrize("fixture", ["case1_instance", "golden_mps"])
 def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
-    """One eigenvalue solve per distinct region length, every QCMI via
-    experiments.qcmi; a second scan of the same instance recomputes nothing."""
+    """Each region length solved exactly once, in the stacked solves of the
+    scan's blocks of |B|, up to the end of the block holding the stop; every
+    QCMI via experiments.qcmi; a second scan of the same instance solves nothing."""
     import iumps.entropy as ent
     import iumps.experiments as exp
 
     # a fresh instance: the session fixtures keep the entropies earlier tests computed
     mps = build_iumps(request.getfixturevalue(fixture).kraus)
-    eighs = []
+    solved = []
     evaluated = []
     eigvals_hermitian, qcmi_binding = ent.eigvals_hermitian, exp.qcmi
 
     def counting_eig(h, k):
-        eighs.append(1)
+        solved.append(len(h))  # region lengths in this (m, 16, 16) stack
         return eigvals_hermitian(h, k)
 
     def recording_qcmi(mps, region, *args, **kwargs):
@@ -399,8 +425,12 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     b_stop = evaluated[-1]
     assert evaluated == list(range(2, b_stop + 1, 2))
     assert b_stop in (curve.b_max, curve.b_max + 2)
-    # |A| = |C| = 1 needs S(n) for n = 2 .. b_stop + 2 (QCMI) and S(1) (QMI)
-    assert len(eighs) == b_stop + 2
-    eighs.clear()
+    # blocks of |B| start at 2 and span 2 * SCAN_BLOCK; the scan stops at |B| = 40
+    width = 2 * exp.SCAN_BLOCK
+    block_end = min(40, ((b_stop - 2) // width + 1) * width)
+    # |A| = |C| = 1 needs S(n) for n = 2 .. block_end + 2 (QCMI) and S(1) (QMI)
+    assert sorted(mps.entropies) == list(range(1, block_end + 3))
+    assert sum(solved) == block_end + 2
+    solved.clear()
     assert scan_instance(mps, 1, 1) == curve
-    assert eighs == []
+    assert solved == []

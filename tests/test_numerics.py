@@ -134,6 +134,11 @@ def test_eig_hermitian_rejects_non_hermitian():
     # the guard reads h itself, not the Hermitian product k h k = 0
     with pytest.raises(NotHermitian):
         eigvals_hermitian(a, np.zeros((2, 2)))
+    # and every matrix of a stack: only the last one is non-Hermitian
+    stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), a])
+    assert eigvals_hermitian(stack[:2], np.eye(2)).shape == (2, 2)
+    with pytest.raises(NotHermitian):
+        eigvals_hermitian(stack, np.eye(2))
 
 
 def test_eigvals_hermitian_congruence():
@@ -147,6 +152,11 @@ def test_eigvals_hermitian_congruence():
     expected = eig_hermitian((k @ h @ k + (k @ h @ k).conj().T) / 2).values
     assert np.abs(values - expected).max() <= 1e-12 * np.linalg.norm(k @ h @ k)
     assert np.abs(eigvals_hermitian(h, np.eye(16)) - eig_hermitian(h).values).max() <= 1e-12
+    # a stack gives, row by row, exactly the eigenvalues of one call per matrix
+    stack = np.stack([h, k, h @ k + k @ h])
+    assert np.array_equal(
+        eigvals_hermitian(stack, k), np.stack([eigvals_hermitian(m, k) for m in stack])
+    )
 
 
 def test_mat_power_basics():
