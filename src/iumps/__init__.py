@@ -73,8 +73,10 @@ from .mps import (
     build_iumps,
     channel_apply,
     fixed_point,
+    sample_case1,
     spectral_gap,
     transfer_matrix,
+    transfer_operators,
     unvec,
     vec,
 )
@@ -85,6 +87,7 @@ from .numerics import (
     eig_general,
     eig_hermitian,
     eigvals_hermitian,
+    haar_unitaries,
     haar_unitary,
     mat_power,
 )

@@ -55,6 +55,11 @@ EXIT_NUMERICAL = 2
 EXIT_DEGENERATE = 3
 EXIT_INVALID = 4
 
+# Tolerances of the benchmark's sampled and analytic checks: max |1 - |nu1||
+# over 200 Case-1 samples, and the first family's distinct magnitudes.
+NU1_TOL = 1e-12
+FIRST_FAMILY_TOL = 1e-10
+
 _CASES = {"1": CASE1, "2": CASE2, "3": CASE3, "a": "golden", "golden": "golden"}
 
 
@@ -148,6 +153,15 @@ def _reject_fixed_instance(config: RunConfig, command: str) -> None:
         raise ValueError(f"{command} chooses its instances; --kraus and --save-kraus do not apply")
 
 
+def _reject_non_default(config: RunConfig, reason: str, names: tuple[str, ...]) -> None:
+    """Options that a command does not use take only their default value."""
+    defaults = RunConfig()
+    for name in names:
+        value = getattr(config, name)
+        if value != getattr(defaults, name):
+            raise ValueError(f"{reason}; {name} {value!r} does not apply")
+
+
 def _reject_instance_count(config: RunConfig, command: str) -> None:
     """Single-instance commands take no instance count other than 1."""
     if config.n_instances != 1:
@@ -155,6 +169,7 @@ def _reject_instance_count(config: RunConfig, command: str) -> None:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
+    _reject_non_default(config, "spectrum scans no curve", ("b_max_limit", "k"))
     if config.kraus_path is not None or config.case_tag == "golden":
         _reject_instance_count(config, "spectrum of a fixed instance")
     out = Path(config.output_dir)
@@ -259,6 +274,7 @@ def cmd_bound(config: RunConfig) -> int:
 
 def cmd_gapstats(config: RunConfig) -> int:
     _reject_fixed_instance(config, "gapstats")
+    _reject_non_default(config, "gapstats scans no curve", ("b_max_limit", "k"))
     if config.case_tag != CASE1:
         raise ValueError(f"gapstats samples {CASE1} only, not {config.case_tag}")
     out = Path(config.output_dir)
@@ -277,47 +293,48 @@ def cmd_gapstats(config: RunConfig) -> int:
 def cmd_benchmark(config: RunConfig) -> int:
     _reject_instance_count(config, "benchmark")
     _reject_fixed_instance(config, "benchmark")
-    defaults = RunConfig()
-    for name in ("case_tag", "b_max_limit"):
-        if getattr(config, name) != getattr(defaults, name):
-            raise ValueError(
-                f"benchmark checks the golden instance; {name} {getattr(config, name)!r} "
-                "does not apply"
-            )
+    _reject_non_default(
+        config, "benchmark checks the golden instance", ("case_tag", "b_max_limit")
+    )
+    # sampled first: a config it rejects (d_M < 2) then ends before any output
+    stats = gap_statistics(200, config.master_seed, config.d_s, config.d_M)
     try:
         report = golden_benchmark(k=config.k)
     except BenchmarkFailed as exc:
         print(f"benchmark FAILED: {exc}")
         return EXIT_BENCHMARK
+    tol = report.tolerances
     print("golden instance:")
-    print(f"  canonical deviation      {report.canonical_dev:.3e}")
-    print(f"  fixed point vs I/4       {report.sigma_dev:.3e}  ({report.notes})")
+    print(f"  canonical deviation      {report.canonical_dev:.3e}  (<= {tol['canonical']:.0e})")
+    print(f"  fixed point vs I/4       {report.sigma_dev:.3e}  (<= {tol['sigma']:.0e}; "
+          f"{report.notes})")
     print(f"  nu_gap                   {report.nu_gap:.12f}")
     print(f"  I_th reference           {report.i_th:.17g}")
     print(f"  QMI(|B|=26)              {report.qmi_at_26:.17g}")
-    print(f"  |QMI(26) - I_th|         {report.qmi_dev:.3e}")
-    print(f"  rho_A dev (|B|=40)       {report.rho_a_dev:.3e}")
-    print(f"  rho_AC dev (|B|=40)      {report.rho_ac_dev:.3e}")
+    print(f"  |QMI(26) - I_th|         {report.qmi_dev:.3e}  (<= {tol['qmi']:.0e})")
+    print(f"  rho_A dev (|B|=40)       {report.rho_a_dev:.3e}  (<= {tol['rho']:.0e})")
+    print(f"  rho_AC dev (|B|=40)      {report.rho_ac_dev:.3e}  (<= {tol['rho']:.0e})")
     print(f"  QCMI curve               {len(report.qcmi_curve)} points, "
           f"b_max={report.qcmi_curve[-1][0]}, ln-monotone tail ok")
 
-    stats = gap_statistics(200, config.master_seed, config.d_s, config.d_M)
     worst = stats.markers()["max_one_minus_nu1"]
-    print(f"gap statistics (n=200): max |1 - |nu1|| = {worst:.3e}")
-    if worst > 1e-12:
-        print("benchmark FAILED: leading eigenvalue error above 1e-12")
+    print(f"gap statistics (n=200): max |1 - |nu1|| = {worst:.3e} (<= {NU1_TOL:.0e})")
+    if worst > NU1_TOL:
+        print(f"benchmark FAILED: leading eigenvalue error above {NU1_TOL:.0e}")
         return EXIT_BENCHMARK
 
     for beta in (0.1, 0.01):
         fam = analytic_family("first", beta)
         mags = distinct_magnitudes(transfer_matrix(fam).spectrum.values)
         expected = np.array([1.0, 1.0 - beta, 1.0 - 2 * beta])
-        if np.abs(mags - expected).max() > 1e-10:
+        dev = np.abs(mags - expected).max()
+        if dev > FIRST_FAMILY_TOL:
             print(f"benchmark FAILED: first-family spectrum at beta={beta}")
             return EXIT_BENCHMARK
         print(
-            f"first family beta={beta}: distinct |eig| = (1, 1-b, 1-2b); "
-            f"population-sector split 2b = {2 * beta}, leading gap = {mags[0] - mags[1]:.6f}"
+            f"first family beta={beta}: distinct |eig| = (1, 1-b, 1-2b) to {dev:.1e} "
+            f"(<= {FIRST_FAMILY_TOL:.0e}); population-sector split 2b = {2 * beta}, "
+            f"leading gap = {mags[0] - mags[1]:.6f}"
         )
     coeff = (np.sqrt(6) - 2) / np.sqrt(3)
     for beta in (1e-3, 1e-4):
@@ -327,7 +344,10 @@ def cmd_benchmark(config: RunConfig) -> int:
         if dev > 10 * beta**2:
             print(f"benchmark FAILED: second-family |nu2|-|nu3| at beta={beta}, dev={dev:.3e}")
             return EXIT_BENCHMARK
-        print(f"second family beta={beta}: |nu2|-|nu3| matches {coeff:.6f}*beta to {dev:.1e}")
+        print(
+            f"second family beta={beta}: |nu2|-|nu3| matches {coeff:.6f}*beta to {dev:.1e} "
+            f"(<= 10*beta^2 = {10 * beta**2:.0e})"
+        )
     print("benchmark PASSED")
     return EXIT_OK
 

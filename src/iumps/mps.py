@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import DegenerateSpectrum, NoFixedPoint, NonConvergence, NotPositive
-from .numerics import EigenDecomposition, RandomStream, eig_general, haar_unitary
+from .numerics import (
+    EigenDecomposition,
+    RandomStream,
+    eig_general,
+    flagged_at,
+    haar_unitaries,
+    haar_unitary,
+)
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -36,6 +44,29 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(d, d)
 
 
+def canonical_deviations(matrices: np.ndarray) -> np.ndarray:
+    """Max-norm deviation of sum_s M^s† M^s from the identity for each Kraus
+    set of a stack ``(..., d_s, d_M, d_M)``; shape ``(...)``."""
+    acc = np.einsum("...sji,...sjk->...ik", matrices.conj(), matrices)
+    return np.abs(acc - np.eye(matrices.shape[-1])).max(axis=(-2, -1))
+
+
+def check_canonical(matrices: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first Kraus set of a stack
+    ``(..., d_s, d_M, d_M)`` that has a non-finite entry or deviates from
+    canonical form by more than ``CANONICAL_TOL``."""
+    finite = np.isfinite(matrices).all(axis=(-3, -2, -1))
+    if not finite.all():
+        raise ValueError(f"matrix entries must be finite{flagged_at(~finite)}")
+    dev = canonical_deviations(matrices)
+    bad = dev > CANONICAL_TOL
+    if bad.any():
+        worst = float(np.max(dev, where=bad, initial=0.0))
+        raise ValueError(
+            f"canonical-form deviation {worst:.3e} exceeds {CANONICAL_TOL:.1e}{flagged_at(bad)}"
+        )
+
+
 @dataclass(frozen=True)
 class KrausSet:
     """Generating matrices {M^s} of an iuMPS, stored as a (d_s, d_M, d_M) array."""
@@ -47,17 +78,12 @@ class KrausSet:
 
     def canonical_deviation(self) -> float:
         """Max-norm deviation of sum_s M^s† M^s from the identity."""
-        acc = np.einsum("sji,sjk->ik", self.matrices.conj(), self.matrices)
-        return float(np.abs(acc - np.eye(self.d_M)).max())
+        return float(canonical_deviations(self.matrices))
 
     def validate(self) -> None:
         if self.matrices.shape != (self.d_s, self.d_M, self.d_M):
             raise ValueError("matrices must have shape (d_s, d_M, d_M)")
-        if not np.all(np.isfinite(self.matrices.view(float))):
-            raise ValueError("matrix entries must be finite")
-        dev = self.canonical_deviation()
-        if dev > CANONICAL_TOL:
-            raise ValueError(f"canonical-form deviation {dev:.3e} exceeds {CANONICAL_TOL:.1e}")
+        check_canonical(self.matrices)
         if self.case_tag in (CASE2, CASE3):
             h = self.d_M // 2
             if self.case_tag == CASE2:
@@ -155,29 +181,45 @@ def _psi(d_s: int, d_m: int) -> np.ndarray:
     return psi
 
 
-def _case1_matrices(d_s: int, d_m: int, stream: RandomStream) -> np.ndarray:
-    """Sample M^s via a Haar unitary on dimension d_s*d_M applied to the
-    fixed isometry ``_psi(d_s, d_M)``."""
-    u = haar_unitary(d_s * d_m, stream)
+def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:
+    """M^s from a Haar unitary on dimension d_s*d_M applied to the fixed
+    isometry ``_psi(d_s, d_M)``; a stack ``(..., d_s*d_M, d_s*d_M)`` of
+    unitaries gives a stack ``(..., d_s, d_M, d_M)`` of Kraus sets."""
     mu = u @ _psi(d_s, d_m)  # rows indexed by the composite (s, i)
-    return mu.reshape(d_s, d_m, d_m)
+    return mu.reshape(*u.shape[:-2], d_s, d_m, d_m)
+
+
+def _check_dims(d_s: int, d_m: int) -> None:
+    if d_s < 1 or d_m < 1:
+        raise ValueError("d_s and d_M must be >= 1")
 
 
 def build_case1(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Single-fixed-point instance from one Haar unitary."""
-    if d_s < 1 or d_m < 1:
-        raise ValueError("d_s and d_M must be >= 1")
-    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=_case1_matrices(d_s, d_m, stream), case_tag=CASE1)
+    _check_dims(d_s, d_m)
+    u = haar_unitary(d_s * d_m, stream)
+    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=_case1_matrices(d_s, d_m, u), case_tag=CASE1)
     ks.validate()
     return ks
+
+
+def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndarray:
+    """The matrices of ``build_case1`` for each stream, stacked
+    ``(len(streams), d_s, d_M, d_M)`` and checked as ``KrausSet.validate``
+    checks them: one stacked Haar draw and one vectorised canonical check.
+    Row i is, bit for bit, ``build_case1(d_s, d_m, streams[i]).matrices``."""
+    _check_dims(d_s, d_m)
+    matrices = _case1_matrices(d_s, d_m, haar_unitaries(d_s * d_m, streams))
+    check_canonical(matrices)
+    return matrices
 
 
 def _two_blocks(d_s: int, d_m: int, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
     if d_m % 2 != 0:
         raise ValueError("d_M must be even")
     h = d_m // 2
-    b1 = _case1_matrices(d_s, h, stream.substream(0))
-    b2 = _case1_matrices(d_s, h, stream.substream(1))
+    b1 = _case1_matrices(d_s, h, haar_unitary(d_s * h, stream.substream(0)))
+    b2 = _case1_matrices(d_s, h, haar_unitary(d_s * h, stream.substream(1)))
     return b1, b2
 
 
@@ -215,10 +257,17 @@ def build_case(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> Kraus
     return BUILDERS[case_tag](d_s, d_m, stream)
 
 
+def transfer_operators(matrices: np.ndarray) -> np.ndarray:
+    """E = sum_s M^s kron conj(M^s) of each Kraus set of a stack
+    ``(..., d_s, d_M, d_M)``; shape ``(..., d_M^2, d_M^2)``."""
+    d2 = matrices.shape[-1] ** 2
+    e = np.einsum("...sab,...scd->...acbd", matrices, matrices.conj())
+    return e.reshape(*matrices.shape[:-3], d2, d2)
+
+
 def transfer_matrix(kraus: KrausSet) -> TransferMatrix:
     """Assemble E, compute its full spectrum, and classify the peripheral set."""
-    m = kraus.matrices
-    e = np.einsum("sab,scd->acbd", m, m.conj()).reshape(kraus.d_M**2, kraus.d_M**2)
+    e = transfer_operators(kraus.matrices)
     spectrum = eig_general(e)
     mags = np.abs(spectrum.values)
     peripheral = np.flatnonzero(mags > 1 - PERIPHERAL_TOL)

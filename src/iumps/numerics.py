@@ -3,10 +3,17 @@
 Everything here operates on plain ``numpy`` arrays at desk scale (matrices up
 to 64x64).  The eigensolvers wrap LAPACK but pin down the ordering, residual,
 and error contracts the rest of the package relies on.
+
+The Haar sampler, ``eig_general`` and ``eigvals_hermitian`` also take
+stacks: at these sizes much of a single call is per-call numpy overhead
+around the LAPACK routine, which a stack pays once.  A stack returns, row by
+row, the bits of one call per matrix, and ``haar_unitary`` and a
+single-matrix ``eig_general`` are the one-element case of the stacked code.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +59,13 @@ class EigenDecomposition:
     ``values`` are sorted by descending magnitude, ties broken by descending
     real then imaginary part; ``vectors`` columns are unit-norm right
     eigenvectors aligned with ``values``; ``residual`` is
-    ``max_i ||A v_i - nu_i v_i||_2``.
+    ``max_i ||A v_i - nu_i v_i||_2``.  For a stack of matrices each field
+    gains the stack's leading axes, and ``residual`` is an array.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,34 +76,63 @@ class HermitianEigenDecomposition:
     vectors: np.ndarray
 
 
-def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
-    """Draw a Haar-distributed ``dim x dim`` unitary.
+def haar_unitaries(dim: int, streams: Sequence[RandomStream]) -> np.ndarray:
+    """Draw one Haar-distributed ``dim x dim`` unitary per stream, stacked
+    ``(len(streams), dim, dim)``.
 
     Complex Ginibre matrix followed by QR, with each column of Q rescaled by
     the phase of the corresponding diagonal entry of R so that the diagonal
     of R is real positive.  Without the phase fix the QR convention would
-    bias the distribution.
+    bias the distribution.  Each stream draws its real and imaginary parts
+    in one ``standard_normal((2, dim, dim))``; the whole stack then goes
+    through one QR.  Row i is, bit for bit, ``haar_unitary(dim, streams[i])``.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = stream.generator()
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    draws = np.empty((len(streams), 2, dim, dim))
+    for out, stream in zip(draws, streams):
+        stream.generator().standard_normal(out=out)
+    z = draws[:, 0] + 1j * draws[:, 1]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
+    """One Haar-distributed ``dim x dim`` unitary: ``haar_unitaries`` of the
+    one stream."""
+    return haar_unitaries(dim, (stream,))[0]
 
 
 def _sort_spectrum(values: np.ndarray) -> np.ndarray:
-    # lexsort uses the last key as primary
+    # lexsort uses the last key as primary; each row of a stack sorts alone
     return np.lexsort((-values.imag, -values.real, -np.abs(values)))
 
 
+def flagged_at(bad: np.ndarray) -> str:
+    """Where the first flagged matrix of a stack sits, as ``" (matrix i)"``;
+    ``""`` for a single matrix, whose flag ``bad`` is 0-d."""
+    if bad.ndim == 0:
+        return ""
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f" (matrix {index[0] if len(index) == 1 else index})"
+
+
 def eig_general(a: np.ndarray) -> EigenDecomposition:
-    """Full spectrum of a square complex matrix (dimension <= 64)."""
+    """Full spectrum of a square complex matrix (dimension <= 64), or of each
+    matrix of a stack ``(..., m, m)``.
+
+    A stack gives ``values`` of shape ``(..., m)``, ``vectors`` of shape
+    ``(..., m, m)`` and ``residual`` of shape ``(...)``, row by row the bits of
+    one call per matrix, from one LAPACK-looping ``eig``; the ordering,
+    normalisation and residual contract hold for every matrix.  A residual
+    above ``EIG_RESIDUAL_TOL`` times the matrix's Frobenius norm raises
+    ``NonConvergence`` naming the first failing matrix.
+    """
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError("matrix must be square")
     if n > MAX_EIG_DIM:
         raise ValueError(f"dimension {n} exceeds supported maximum {MAX_EIG_DIM}")
@@ -104,16 +141,24 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver failed: {exc}") from exc
     order = _sort_spectrum(values)
-    values = values[order]
-    vectors = vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-    residual = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
-    norm_a = float(np.linalg.norm(a))
-    if norm_a > 0 and residual > EIG_RESIDUAL_TOL * norm_a:
+    index = (*(i[..., None] for i in np.indices(order.shape[:-1], sparse=True)), order)
+    values = values[index]
+    # gathered as rows of V^T, each matrix's columns end up contiguous, the
+    # layout ``vectors[:, order]`` has for one matrix: the norms and the
+    # residual then sum in the same order whether or not the matrix is stacked
+    vectors = vectors.swapaxes(-1, -2)[index].swapaxes(-1, -2)
+    vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
+    residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=-2).max(axis=-1)
+    norm_a = np.linalg.norm(a, axis=(-2, -1))
+    bad = (norm_a > 0) & (residual > EIG_RESIDUAL_TOL * norm_a)
+    if bad.any():
+        worst = float(np.max(residual, where=bad, initial=0.0))
         raise NonConvergence(
-            f"eigenvector residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e}*||a||"
+            f"eigenvector residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.1e}*||a||{flagged_at(bad)}"
         )
-    return EigenDecomposition(values=values, vectors=vectors, residual=residual)
+    return EigenDecomposition(
+        values=values, vectors=vectors, residual=residual if a.ndim > 2 else float(residual)
+    )
 
 
 def _hermitized(a: np.ndarray) -> np.ndarray:

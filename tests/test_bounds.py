@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from iumps import (
+    IuMps,
     KrausSet,
+    NearDegenerate,
+    TransferMatrix,
     Unsupported,
     build_iumps,
+    eig_general,
     jordan_constants,
     qcmi,
     qcmi_error_estimate,
@@ -24,6 +28,45 @@ def pauli_channel_mps(p=0.7, q=0.2, r=0.1):
     ks = KrausSet(d_s=3, d_M=2, matrices=mats, case_tag="explicit")
     ks.validate()
     return build_iumps(ks)
+
+
+def hand_built_mps(e):
+    """An IuMps on d_M = 2 whose transfer matrix is the 4x4 ``e``, with sigma = I/2.
+
+    ``jordan_constants`` reads only E's spectrum, sigma and d_M, so ``e``
+    need not come from the Kraus set.
+    """
+    spectrum = eig_general(e)
+    mags = np.abs(spectrum.values)
+    transfer = TransferMatrix(
+        e=e,
+        spectrum=spectrum,
+        peripheral_indices=np.flatnonzero(mags > 1 - 1e-8),
+        nu_gap=float(mags[mags <= 1 - 1e-8].max()),
+    )
+    kraus = KrausSet(d_s=1, d_M=2, matrices=np.eye(2, dtype=complex)[None], case_tag="explicit")
+    return IuMps(kraus=kraus, sigma=np.eye(2) / 2, transfer=transfer)
+
+
+def test_near_jordan_gap_pair_raises_near_degenerate():
+    # a 2x2 Jordan block at the gap magnitude, its diagonal split by 1e-9: the
+    # pair is defective to within 1e-9, and its eigenvectors nearly parallel
+    e = np.diag([1.0, 0.5, 0.5 + 1e-9, 0.1]).astype(complex)
+    e[1, 2] = 1.0
+    mps = hand_built_mps(e)
+    shell = mps.transfer.spectrum.values[1:3]
+    assert 1e-12 < abs(shell[0] - shell[1]) <= 1e-8
+    with pytest.raises(NearDegenerate, match="K > 0 suspected"):
+        jordan_constants(mps)
+
+
+def test_exactly_degenerate_semisimple_gap_pair_passes():
+    mps = hand_built_mps(np.diag([1.0, 0.5, 0.5, 0.1]).astype(complex))
+    constants = jordan_constants(mps)
+    assert constants.k_jordan == 0
+    assert constants.nu_gap == 0.5
+    assert constants.d_cap == 3
+    assert abs(constants.cond_s - 1.0) <= 1e-12
 
 
 def test_normal_channel_has_unit_condition_number():

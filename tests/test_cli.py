@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -161,12 +162,38 @@ def test_gapstats_files(tmp_path):
     assert markers["max_one_minus_nu1"] <= 1e-12
 
 
+def test_gapstats_byte_identical_rerun(tmp_path):
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    for out in (a_dir, b_dir):
+        assert run(out, "gapstats", "--n", "40", "--seed", "7") == 0
+    for name in ("gapstats.csv", "gapstats.json"):
+        assert read(a_dir / name) == read(b_dir / name), name
+
+
 def test_benchmark_exit_zero(tmp_path, capsys):
     assert run(tmp_path, "benchmark") == 0
     out = capsys.readouterr().out
     assert "I_th reference" in out
     assert "QMI(|B|=26)" in out
     assert "benchmark PASSED" in out
+    # every checked deviation is printed next to its tolerance, and within it
+    checked = {
+        "canonical deviation": "1e-12",
+        "fixed point vs I/4": "1e-10",
+        "|QMI(26) - I_th|": "1e-12",
+        "rho_A dev (|B|=40)": "1e-10",
+        "rho_AC dev (|B|=40)": "1e-10",
+        "max |1 - |nu1||": "1e-12",
+        "first family beta=0.1": "1e-10",
+        "first family beta=0.01": "1e-10",
+        "second family beta=0.001": "10*beta^2 = 1e-05",
+        "second family beta=0.0001": "10*beta^2 = 1e-07",
+    }
+    for label, tol in checked.items():
+        line = next(line for line in out.splitlines() if label in line)
+        match = re.search(r"(\d\.\d+e[-+]\d+)\s+\(<= " + re.escape(tol) + r"[;)]", line)
+        assert match, line
+        assert float(match.group(1)) <= float(tol.rsplit(" ", 1)[-1]), line
 
 
 def test_benchmark_negative_control_exit_one(tmp_path, monkeypatch, capsys):
@@ -306,6 +333,42 @@ def test_single_instance_commands_reject_flags_that_do_not_apply(tmp_path, capsy
     assert captured.err.startswith("invalid input: ValueError: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gapstats", "--b-max", "10"),
+        ("gapstats", "--k", "5"),
+        ("spectrum", "--case", "1", "--b-max", "10"),
+        ("spectrum", "--case", "1", "--k", "5"),
+        ("spectrum", "--case", "golden", "--k", "13"),
+    ],
+    ids=" ".join,
+)
+def test_commands_without_a_scan_reject_scan_options(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out", str(out_dir)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ValueError: ")
+    assert "does not apply" in captured.err and captured.err.count("\n") == 1
+    assert not out_dir.exists()
+    # the default value is no rejection
+    default = "40" if "--b-max" in argv else "12"
+    assert main([*argv[:-1], default, "--out", str(out_dir)]) == 0
+
+
+@pytest.mark.parametrize("command", ["gapstats", "benchmark"])
+def test_bond_dimension_one_has_no_gap_statistics(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"d_M": 1}))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out_dir)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ValueError: gap statistics need d_M >= 2")
+    assert captured.err.count("\n") == 1
     assert not out_dir.exists()
 
 

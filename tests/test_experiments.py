@@ -18,6 +18,7 @@ from iumps import (
     build_iumps,
     distinct_magnitudes,
     extract_rate,
+    build_case1,
     gap_statistics,
     qcmi,
     run_ensemble,
@@ -206,6 +207,25 @@ def test_gap_statistics_small_sample():
     assert markers["min_nu1_minus_nu2"] >= 0
     again = gap_statistics(60, 2024)
     assert np.array_equal(stats.nu1_minus_nu2, again.nu1_minus_nu2)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 60])
+def test_gap_statistics_equals_per_instance_reference(n):
+    assert iumps.experiments.GAP_CHUNK == 16
+    g = np.empty((n, 3))
+    for i in range(n):
+        mags = np.abs(transfer_matrix(build_case1(3, 4, RandomStream(2024, i))).spectrum.values)
+        g[i] = abs(1.0 - mags[0]), abs(mags[0] - mags[1]), abs(mags[1] - mags[2])
+    stats = gap_statistics(n, 2024)
+    assert stats.one_minus_nu1.tobytes() == np.sort(g[:, 0]).tobytes()
+    assert stats.nu1_minus_nu2.tobytes() == np.sort(g[:, 1]).tobytes()
+    assert stats.nu2_minus_nu3.tobytes() == np.sort(g[:, 2]).tobytes()
+
+
+def test_gap_statistics_rejects_bond_dimension_one():
+    # E is 1x1 at d_M = 1: one eigenvalue, no gaps
+    with pytest.raises(ValueError, match="d_M >= 2"):
+        gap_statistics(3, 0, d_m=1)
 
 
 def test_analytic_family_first_structure():

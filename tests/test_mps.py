@@ -18,12 +18,14 @@ from iumps import (
     distinct_magnitudes,
     eig_general,
     fixed_point,
+    sample_case1,
     spectral_gap,
     transfer_matrix,
+    transfer_operators,
     unvec,
     vec,
 )
-from iumps.mps import PERIPHERAL_TOL, TransferMatrix, build_case
+from iumps.mps import PERIPHERAL_TOL, TransferMatrix, build_case, check_canonical
 from iumps.numerics import EigenDecomposition
 
 
@@ -230,6 +232,31 @@ def test_kraus_validation_rejects_broken_blocks():
     mats[0, 0, 3] = 1e-14  # off-block must be exactly zero
     with pytest.raises(ValueError):
         KrausSet(d_s=3, d_M=4, matrices=mats, case_tag=CASE2).validate()
+
+
+def test_sample_case1_rows_equal_single_builds():
+    for d_s, d_m in ((3, 4), (2, 3)):
+        streams = [RandomStream(41, i) for i in range(7)]
+        stack = sample_case1(d_s, d_m, streams)
+        assert stack.shape == (7, d_s, d_m, d_m)
+        e = transfer_operators(stack)
+        for i, stream in enumerate(streams):
+            ks = build_case1(d_s, d_m, stream)
+            assert stack[i].tobytes() == ks.matrices.tobytes()
+            assert e[i].tobytes() == transfer_matrix(ks).e.tobytes()
+
+
+def test_canonical_check_covers_every_kraus_set_of_a_stack():
+    stack = sample_case1(3, 4, [RandomStream(43, i) for i in range(5)])
+    check_canonical(stack)
+    scaled = stack.copy()
+    scaled[-1] *= 1.001  # the last set alone is off canonical form
+    with pytest.raises(ValueError, match=r"canonical-form deviation .*\(matrix 4\)"):
+        check_canonical(scaled)
+    nonfinite = stack.copy()
+    nonfinite[-1, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"must be finite \(matrix 4\)"):
+        check_canonical(nonfinite)
 
 
 def test_block_cases_reject_odd_bond_dimension():

@@ -9,6 +9,7 @@ from iumps import (
     eig_general,
     eig_hermitian,
     eigvals_hermitian,
+    haar_unitaries,
     haar_unitary,
     mat_power,
 )
@@ -68,6 +69,27 @@ def test_haar_left_invariance_ks():
     assert stats.ks_2samp(base, rotated).pvalue >= 0.01
 
 
+def test_haar_unitaries_rows_equal_single_draws():
+    for dim in (1, 4, 12):
+        streams = [RandomStream(17, i) for i in range(5)] + [RandomStream(17, 2).substream(1)]
+        stack = haar_unitaries(dim, streams)
+        assert stack.shape == (len(streams), dim, dim)
+        for row, stream in zip(stack, streams):
+            assert row.tobytes() == haar_unitary(dim, stream).tobytes()
+
+
+def test_haar_unitary_keeps_the_two_draw_construction():
+    # one standard_normal((2, dim, dim)) draw gives the bits of the real and
+    # imaginary parts drawn one after the other
+    for i in range(4):
+        rng = RandomStream(23, i).generator()
+        z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        z /= np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        assert haar_unitary(12, RandomStream(23, i)).tobytes() == (q * (d / np.abs(d))).tobytes()
+
+
 def test_eig_general_identity():
     dec = eig_general(np.eye(4))
     assert np.allclose(dec.values, 1.0)
@@ -96,6 +118,44 @@ def test_eig_general_reconstruction():
         rec = dec.vectors @ np.diag(dec.values) @ np.linalg.inv(dec.vectors)
         assert np.linalg.norm(rec - a) <= 1e-9 * np.linalg.norm(a)
         assert np.allclose(np.linalg.norm(dec.vectors, axis=0), 1.0)
+
+
+def test_eig_general_stack_equals_one_call_per_matrix():
+    rng = np.random.default_rng(8)
+    mats = rng.standard_normal((5, 16, 16)) + 1j * rng.standard_normal((5, 16, 16))
+    ties = np.zeros((3, 16, 16), dtype=complex)
+    ties[0, :4, :4] = np.diag([1j, -1j, 1.0, -1.0])
+    ties[1, :4, :4] = np.diag([-1.0, 1.0, -1j, 1j])
+    ties[2] = np.eye(16)
+    stack = np.concatenate([mats[:2], ties[:1], mats[2:], ties[1:]])
+    dec = eig_general(stack)
+    assert dec.values.shape == (8, 16)
+    assert dec.vectors.shape == (8, 16, 16)
+    assert dec.residual.shape == (8,)
+    for i, a in enumerate(stack):
+        one = eig_general(a)
+        assert one.values.tobytes() == dec.values[i].tobytes()
+        assert one.vectors.tobytes() == np.ascontiguousarray(dec.vectors[i]).tobytes()
+        assert isinstance(one.residual, float) and one.residual == dec.residual[i]
+    # the exact-tie ordering holds in each row: Re descends, then Im
+    assert np.array_equal(dec.values[2, :4], [1.0, 1j, -1j, -1.0])
+    assert np.array_equal(dec.values[6, :4], [1.0, 1j, -1j, -1.0])
+
+
+def test_eig_general_checks_the_residual_of_every_matrix(monkeypatch):
+    real_eig = np.linalg.eig
+
+    def last_vectors_off(a):
+        values, vectors = real_eig(a)
+        vectors = vectors.copy()
+        vectors[-1, :, 0] += 1e-3  # breaks the contract of the last matrix only
+        return values, vectors
+
+    stack = np.stack([np.diag([1.0, 0.5, 0.25, 0.1]) + k * 0.01 for k in range(3)])
+    assert eig_general(stack).residual.max() <= 1e-13
+    monkeypatch.setattr(np.linalg, "eig", last_vectors_off)
+    with pytest.raises(NonConvergence, match=r"\(matrix 2\)"):
+        eig_general(stack)
 
 
 def test_eig_general_rejects_large_matrix():
