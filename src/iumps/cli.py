@@ -5,7 +5,9 @@ reals, so 64-bit floats round-trip exactly; repeated runs with identical
 config and seed produce byte-identical files.
 
 Exit codes: 0 ok, 1 benchmark failure, 2 numerical failure, 3 degenerate input,
-4 invalid configuration or input; each ends in a one-line stderr message.
+4 invalid configuration or input. Exit 1 ends in one ``benchmark FAILED`` line
+on stdout; the others end in a one-line stderr message, except ``spectrum``'s
+exit 3, which records the gapless spectrum in gap.json.
 """
 
 from __future__ import annotations
@@ -117,6 +119,41 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return config
 
 
+# The RunConfig fields each command reads besides output_dir; a field it does
+# not read must keep its default. A fixed instance (--kraus, or --case golden
+# where kraus_path is read) is not sampled, so the seed, dimensions and
+# instance count are not read; under --kraus neither is case_tag.
+_SAMPLING = ("case_tag", "master_seed", "d_s", "d_M")
+_INSTANCE = ("kraus_path", "save_kraus")
+_SCAN = ("len_a", "len_c", "b_max_limit", "k")
+_READS = {
+    "spectrum": {*_SAMPLING, "n_instances", *_INSTANCE},
+    "scan": {*_SAMPLING, *_INSTANCE, *_SCAN},
+    "ensemble": {*_SAMPLING, "n_instances", *_SCAN},
+    "bound": {*_SAMPLING, *_INSTANCE, "b_max_limit"},
+    "gapstats": {"master_seed", "d_s", "d_M", "n_instances"},
+    "benchmark": {"master_seed", "d_s", "d_M", "k"},
+}
+
+
+def _check_reads(command: str, config: RunConfig) -> None:
+    """Raise ValueError naming a field ``command`` does not read whose value
+    is not its default."""
+    reads, what = _READS[command] | {"output_dir"}, command
+    if "kraus_path" in reads and (config.kraus_path is not None or config.case_tag == "golden"):
+        reads -= {"master_seed", "d_s", "d_M", "n_instances"}
+        if config.kraus_path is not None:
+            reads.remove("case_tag")
+        what = f"{command} of a fixed instance"
+    defaults = RunConfig()
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name not in reads and value != getattr(defaults, f.name):
+            raise ValueError(
+                f"{what} does not read {f.name}, so {f.name} = {value!r} does not apply"
+            )
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -147,31 +184,7 @@ def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
     return kraus
 
 
-def _reject_fixed_instance(config: RunConfig, command: str) -> None:
-    """Commands that choose their own instances take no fixed one."""
-    if config.kraus_path is not None or config.save_kraus:
-        raise ValueError(f"{command} chooses its instances; --kraus and --save-kraus do not apply")
-
-
-def _reject_non_default(config: RunConfig, reason: str, names: tuple[str, ...]) -> None:
-    """Options that a command does not use take only their default value."""
-    defaults = RunConfig()
-    for name in names:
-        value = getattr(config, name)
-        if value != getattr(defaults, name):
-            raise ValueError(f"{reason}; {name} {value!r} does not apply")
-
-
-def _reject_instance_count(config: RunConfig, command: str) -> None:
-    """Single-instance commands take no instance count other than 1."""
-    if config.n_instances != 1:
-        raise ValueError(f"{command} runs one instance; --n {config.n_instances} does not apply")
-
-
 def cmd_spectrum(config: RunConfig) -> int:
-    _reject_non_default(config, "spectrum scans no curve", ("b_max_limit", "k"))
-    if config.kraus_path is not None or config.case_tag == "golden":
-        _reject_instance_count(config, "spectrum of a fixed instance")
     out = Path(config.output_dir)
     rows = ["instance_id,eig_index,re,im,abs,is_peripheral"]
     gap_payload: dict = {}
@@ -198,7 +211,6 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_scan(config: RunConfig) -> int:
-    _reject_instance_count(config, "scan")
     out = Path(config.output_dir)
     mps = build_iumps(_kraus(config, 0))
     curve = scan_instance(mps, config.len_a, config.len_c, config.b_max_limit, config.k)
@@ -217,7 +229,6 @@ def cmd_scan(config: RunConfig) -> int:
 
 
 def cmd_ensemble(config: RunConfig) -> int:
-    _reject_fixed_instance(config, "ensemble")
     out = Path(config.output_dir)
     summary = run_ensemble(
         n=config.n_instances,
@@ -261,11 +272,10 @@ def cmd_ensemble(config: RunConfig) -> int:
 
 
 def cmd_bound(config: RunConfig) -> int:
-    _reject_instance_count(config, "bound")
     mps = build_iumps(_kraus(config, 0))
     constants = jordan_constants(mps)
     payload = asdict(constants)
-    b_suff = sufficient_b(constants, config.d_s)
+    b_suff = sufficient_b(constants, mps.kraus.d_s)
     payload["sufficient_b"] = b_suff
     payload["sufficient_b_within_scan"] = b_suff <= config.b_max_limit
     print(json.dumps(payload, sort_keys=True))
@@ -273,10 +283,6 @@ def cmd_bound(config: RunConfig) -> int:
 
 
 def cmd_gapstats(config: RunConfig) -> int:
-    _reject_fixed_instance(config, "gapstats")
-    _reject_non_default(config, "gapstats scans no curve", ("b_max_limit", "k"))
-    if config.case_tag != CASE1:
-        raise ValueError(f"gapstats samples {CASE1} only, not {config.case_tag}")
     out = Path(config.output_dir)
     stats = gap_statistics(config.n_instances, config.master_seed, config.d_s, config.d_M)
     rows = ["rank,one_minus_nu1,nu1_minus_nu2,nu2_minus_nu3"]
@@ -291,63 +297,54 @@ def cmd_gapstats(config: RunConfig) -> int:
 
 
 def cmd_benchmark(config: RunConfig) -> int:
-    _reject_instance_count(config, "benchmark")
-    _reject_fixed_instance(config, "benchmark")
-    _reject_non_default(
-        config, "benchmark checks the golden instance", ("case_tag", "b_max_limit")
-    )
     # sampled first: a config it rejects (d_M < 2) then ends before any output
     stats = gap_statistics(200, config.master_seed, config.d_s, config.d_M)
     try:
         report = golden_benchmark(k=config.k)
+        tol = report.tolerances
+        print("golden instance:")
+        print(f"  canonical deviation      {report.canonical_dev:.3e}  (<= {tol['canonical']:.0e})")
+        print(f"  fixed point vs I/4       {report.sigma_dev:.3e}  (<= {tol['sigma']:.0e}; "
+              f"{report.notes})")
+        print(f"  nu_gap                   {report.nu_gap:.12f}")
+        print(f"  I_th reference           {report.i_th:.17g}")
+        print(f"  QMI(|B|=26)              {report.qmi_at_26:.17g}")
+        print(f"  |QMI(26) - I_th|         {report.qmi_dev:.3e}  (<= {tol['qmi']:.0e})")
+        print(f"  rho_A dev (|B|=40)       {report.rho_a_dev:.3e}  (<= {tol['rho']:.0e})")
+        print(f"  rho_AC dev (|B|=40)      {report.rho_ac_dev:.3e}  (<= {tol['rho']:.0e})")
+        print(f"  QCMI curve               {len(report.qcmi_curve)} points, "
+              f"b_max={report.qcmi_curve[-1][0]}, ln-monotone tail ok")
+
+        worst = stats.markers()["max_one_minus_nu1"]
+        print(f"gap statistics (n=200): max |1 - |nu1|| = {worst:.3e} (<= {NU1_TOL:.0e})")
+        if worst > NU1_TOL:
+            raise BenchmarkFailed(f"leading eigenvalue error above {NU1_TOL:.0e}")
+
+        for beta in (0.1, 0.01):
+            fam = analytic_family("first", beta)
+            mags = distinct_magnitudes(transfer_matrix(fam).spectrum.values)
+            dev = np.abs(mags - np.array([1.0, 1.0 - beta, 1.0 - 2 * beta])).max()
+            if dev > FIRST_FAMILY_TOL:
+                raise BenchmarkFailed(f"first-family spectrum at beta={beta}, dev={dev:.3e}")
+            print(
+                f"first family beta={beta}: distinct |eig| = (1, 1-b, 1-2b) to {dev:.1e} "
+                f"(<= {FIRST_FAMILY_TOL:.0e}); population-sector split 2b = {2 * beta}, "
+                f"leading gap = {mags[0] - mags[1]:.6f}"
+            )
+        coeff = (np.sqrt(6) - 2) / np.sqrt(3)
+        for beta in (1e-3, 1e-4):
+            fam = analytic_family("second", beta)
+            mags = distinct_magnitudes(transfer_matrix(fam).spectrum.values)
+            dev = abs((mags[1] - mags[2]) - coeff * beta)
+            if dev > 10 * beta**2:
+                raise BenchmarkFailed(f"second-family |nu2|-|nu3| at beta={beta}, dev={dev:.3e}")
+            print(
+                f"second family beta={beta}: |nu2|-|nu3| matches {coeff:.6f}*beta to {dev:.1e} "
+                f"(<= 10*beta^2 = {10 * beta**2:.0e})"
+            )
     except BenchmarkFailed as exc:
         print(f"benchmark FAILED: {exc}")
         return EXIT_BENCHMARK
-    tol = report.tolerances
-    print("golden instance:")
-    print(f"  canonical deviation      {report.canonical_dev:.3e}  (<= {tol['canonical']:.0e})")
-    print(f"  fixed point vs I/4       {report.sigma_dev:.3e}  (<= {tol['sigma']:.0e}; "
-          f"{report.notes})")
-    print(f"  nu_gap                   {report.nu_gap:.12f}")
-    print(f"  I_th reference           {report.i_th:.17g}")
-    print(f"  QMI(|B|=26)              {report.qmi_at_26:.17g}")
-    print(f"  |QMI(26) - I_th|         {report.qmi_dev:.3e}  (<= {tol['qmi']:.0e})")
-    print(f"  rho_A dev (|B|=40)       {report.rho_a_dev:.3e}  (<= {tol['rho']:.0e})")
-    print(f"  rho_AC dev (|B|=40)      {report.rho_ac_dev:.3e}  (<= {tol['rho']:.0e})")
-    print(f"  QCMI curve               {len(report.qcmi_curve)} points, "
-          f"b_max={report.qcmi_curve[-1][0]}, ln-monotone tail ok")
-
-    worst = stats.markers()["max_one_minus_nu1"]
-    print(f"gap statistics (n=200): max |1 - |nu1|| = {worst:.3e} (<= {NU1_TOL:.0e})")
-    if worst > NU1_TOL:
-        print(f"benchmark FAILED: leading eigenvalue error above {NU1_TOL:.0e}")
-        return EXIT_BENCHMARK
-
-    for beta in (0.1, 0.01):
-        fam = analytic_family("first", beta)
-        mags = distinct_magnitudes(transfer_matrix(fam).spectrum.values)
-        expected = np.array([1.0, 1.0 - beta, 1.0 - 2 * beta])
-        dev = np.abs(mags - expected).max()
-        if dev > FIRST_FAMILY_TOL:
-            print(f"benchmark FAILED: first-family spectrum at beta={beta}")
-            return EXIT_BENCHMARK
-        print(
-            f"first family beta={beta}: distinct |eig| = (1, 1-b, 1-2b) to {dev:.1e} "
-            f"(<= {FIRST_FAMILY_TOL:.0e}); population-sector split 2b = {2 * beta}, "
-            f"leading gap = {mags[0] - mags[1]:.6f}"
-        )
-    coeff = (np.sqrt(6) - 2) / np.sqrt(3)
-    for beta in (1e-3, 1e-4):
-        fam = analytic_family("second", beta)
-        mags = distinct_magnitudes(transfer_matrix(fam).spectrum.values)
-        dev = abs((mags[1] - mags[2]) - coeff * beta)
-        if dev > 10 * beta**2:
-            print(f"benchmark FAILED: second-family |nu2|-|nu3| at beta={beta}, dev={dev:.3e}")
-            return EXIT_BENCHMARK
-        print(
-            f"second family beta={beta}: |nu2|-|nu3| matches {coeff:.6f}*beta to {dev:.1e} "
-            f"(<= 10*beta^2 = {10 * beta**2:.0e})"
-        )
     print("benchmark PASSED")
     return EXIT_OK
 
@@ -415,9 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         config = load_config(args.config, overrides)
+        _check_reads(args.command, config)
         return _COMMANDS[args.command](config)
-    except BenchmarkFailed as exc:
-        return _fail(EXIT_BENCHMARK, "benchmark failure", exc)
     except (DegenerateSpectrum, EmptyCurve, NearDegenerate) as exc:
         return _fail(EXIT_DEGENERATE, "degenerate input", exc)
     except (ValueError, OSError, TooLarge, Unsupported) as exc:

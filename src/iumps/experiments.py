@@ -38,6 +38,9 @@ GAP_CHUNK = 16
 # Limiting mutual information of the golden Case-2 benchmark instance,
 # 17 ln2 / 16 - 9 ln3 / 8 + 5 ln5 / 16.
 I_TH = 17 * math.log(2) / 16 - 9 * math.log(3) / 8 + 5 * math.log(5) / 16
+# Tolerances of golden_benchmark's |QMI(26) - I_TH| and limiting-marginal checks.
+QMI_TOL = 1e-12
+RHO_TOL = 1e-10
 
 
 class CurvePoint(NamedTuple):
@@ -312,18 +315,14 @@ class BenchmarkReport:
     tolerances: dict[str, float]
 
 
-def golden_benchmark(
-    qmi_tol: float = 1e-12,
-    rho_tol: float = 1e-10,
-    k: int = 12,
-) -> BenchmarkReport:
+def golden_benchmark(k: int = 12) -> BenchmarkReport:
     """Run the golden-instance checks; raise BenchmarkFailed naming the first miss.
 
     The mutual information is checked at |B| = 26 against I_TH; the joint
     limiting marginal is checked entrywise at |B| = 40, where the residual
     in-block coherence corrections (decaying as 2^-|B|) are below tolerance.
     """
-    tolerances = {"canonical": 1e-12, "sigma": 1e-10, "qmi": qmi_tol, "rho": rho_tol}
+    tolerances = {"canonical": 1e-12, "sigma": 1e-10, "qmi": QMI_TOL, "rho": RHO_TOL}
     kraus = benchmark_kraus()
     canonical_dev = kraus.canonical_deviation()
     if canonical_dev > tolerances["canonical"]:
@@ -337,7 +336,7 @@ def golden_benchmark(
     qmi_curve = list(zip(sizes, qmi_stack(mps, 1, sizes, 1)))
     qmi_at_26 = qmi_curve[-1][1]
     qmi_dev = abs(qmi_at_26 - I_TH)
-    if qmi_dev > qmi_tol:
+    if qmi_dev > QMI_TOL:
         raise BenchmarkFailed(f"QMI(26) differs from reference plateau by {qmi_dev:.3e}")
 
     rho_ac = rho_disjoint(mps, RegionSpec(1, 40, 1))
@@ -348,7 +347,7 @@ def golden_benchmark(
     rho_c_dev = float(np.abs(rho_c - reference_rho_a()).max())
     rho_ac_dev = float(np.abs(rho_ac - reference_rho_ac()).max())
     for name, dev in (("rho_A", rho_a_dev), ("rho_C", rho_c_dev), ("rho_AC", rho_ac_dev)):
-        if dev > rho_tol:
+        if dev > RHO_TOL:
             raise BenchmarkFailed(f"{name} differs from its limit by {dev:.3e}")
 
     curve = scan_instance(mps, 1, 1, 40, k)

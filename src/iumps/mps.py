@@ -67,6 +67,19 @@ def check_canonical(matrices: np.ndarray) -> None:
         )
 
 
+# Where each two-block case puts its two half-dimension instances, as (row,
+# column) block indices; each block row holds one, so the other block of the
+# row is exactly zero.
+_BLOCK_LAYOUT = {CASE2: ((0, 0), (1, 1)), CASE3: ((0, 1), (1, 0))}
+
+
+def _block(matrices: np.ndarray, row: int, col: int) -> np.ndarray:
+    """The (row, col) half-dimension block of every M^s, as a view."""
+    h = matrices.shape[-1] // 2
+    halves = (slice(None, h), slice(h, None))
+    return matrices[:, halves[row], halves[col]]
+
+
 @dataclass(frozen=True)
 class KrausSet:
     """Generating matrices {M^s} of an iuMPS, stored as a (d_s, d_M, d_M) array."""
@@ -84,15 +97,9 @@ class KrausSet:
         if self.matrices.shape != (self.d_s, self.d_M, self.d_M):
             raise ValueError("matrices must have shape (d_s, d_M, d_M)")
         check_canonical(self.matrices)
-        if self.case_tag in (CASE2, CASE3):
-            h = self.d_M // 2
-            if self.case_tag == CASE2:
-                off = [self.matrices[:, :h, h:], self.matrices[:, h:, :h]]
-            else:
-                off = [self.matrices[:, :h, :h], self.matrices[:, h:, h:]]
-            for block in off:
-                if np.any(block != 0):
-                    raise ValueError(f"{self.case_tag} off-blocks must be exactly zero")
+        for row, col in _BLOCK_LAYOUT.get(self.case_tag, ()):
+            if np.any(_block(self.matrices, row, 1 - col) != 0):
+                raise ValueError(f"{self.case_tag} off-blocks must be exactly zero")
 
     def to_json(self) -> str:
         payload = {
@@ -214,37 +221,29 @@ def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndar
     return matrices
 
 
-def _two_blocks(d_s: int, d_m: int, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+def _build_two_blocks(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
+    """Two independent half-dimension Case-1 instances, drawn from substreams
+    0 and 1, placed where ``_BLOCK_LAYOUT[case_tag]`` says."""
     if d_m % 2 != 0:
         raise ValueError("d_M must be even")
     h = d_m // 2
-    b1 = _case1_matrices(d_s, h, haar_unitary(d_s * h, stream.substream(0)))
-    b2 = _case1_matrices(d_s, h, haar_unitary(d_s * h, stream.substream(1)))
-    return b1, b2
+    mats = np.zeros((d_s, d_m, d_m), dtype=complex)
+    for i, (row, col) in enumerate(_BLOCK_LAYOUT[case_tag]):
+        u = haar_unitary(d_s * h, stream.substream(i))
+        _block(mats, row, col)[...] = _case1_matrices(d_s, h, u)
+    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=mats, case_tag=case_tag)
+    ks.validate()
+    return ks
 
 
 def build_case2(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Two independent half-dimension instances on the diagonal blocks."""
-    b1, b2 = _two_blocks(d_s, d_m, stream)
-    h = d_m // 2
-    mats = np.zeros((d_s, d_m, d_m), dtype=complex)
-    mats[:, :h, :h] = b1
-    mats[:, h:, h:] = b2
-    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=mats, case_tag=CASE2)
-    ks.validate()
-    return ks
+    return _build_two_blocks(CASE2, d_s, d_m, stream)
 
 
 def build_case3(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Two independent half-dimension instances on the anti-diagonal blocks."""
-    b1, b2 = _two_blocks(d_s, d_m, stream)
-    h = d_m // 2
-    mats = np.zeros((d_s, d_m, d_m), dtype=complex)
-    mats[:, :h, h:] = b1
-    mats[:, h:, :h] = b2
-    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=mats, case_tag=CASE3)
-    ks.validate()
-    return ks
+    return _build_two_blocks(CASE3, d_s, d_m, stream)
 
 
 BUILDERS = {CASE1: build_case1, CASE2: build_case2, CASE3: build_case3}

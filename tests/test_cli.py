@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iumps import benchmark_kraus
-from iumps.cli import main
+import iumps.cli as cli
+from iumps import RandomStream, benchmark_kraus, build_case1
+from iumps.cli import RunConfig, main
 
 
 def run(tmp_path, *args):
@@ -153,6 +154,17 @@ def test_bound_subcommand(tmp_path, capsys):
     )
 
 
+def test_bound_takes_d_s_from_the_instance(tmp_path, monkeypatch):
+    kraus_file = tmp_path / "kraus.json"
+    kraus_file.write_text(build_case1(2, 4, RandomStream(3, 0)).to_json())
+    seen, sufficient_b = [], cli.sufficient_b
+    monkeypatch.setattr(
+        cli, "sufficient_b", lambda constants, d_s: seen.append(d_s) or sufficient_b(constants, d_s)
+    )
+    assert run(tmp_path, "bound", "--kraus", str(kraus_file)) == 0
+    assert seen == [2]
+
+
 def test_gapstats_files(tmp_path):
     assert run(tmp_path, "gapstats", "--n", "25", "--seed", "31") == 0
     rows = read(tmp_path / "gapstats.csv").strip().splitlines()
@@ -202,6 +214,14 @@ def test_benchmark_negative_control_exit_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(exp, "I_TH", exp.I_TH + 1e-6)
     assert run(tmp_path, "benchmark") == 1
     assert "QMI" in capsys.readouterr().out
+
+
+def test_benchmark_family_negative_control_exit_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "FIRST_FAMILY_TOL", -1.0)  # below any deviation
+    assert run(tmp_path, "benchmark") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("benchmark FAILED: first-family spectrum at beta=0.1, dev=")
+    assert sum("benchmark " in line for line in lines) == 1
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -410,3 +430,145 @@ def test_ensemble_exit_when_every_instance_fails(tmp_path):
     summary = json.loads(read(out_dir / "summary.json"))
     assert summary["n_skipped"] == 3
     assert all("DegenerateSpectrum" in msg for _, msg in summary["skipped"])
+
+
+# The fields each command reads (every command also reads output_dir), and a
+# non-default value of every RunConfig field.
+SAMPLING = ("case_tag", "master_seed", "d_s", "d_M")
+READS = {
+    "spectrum": (*SAMPLING, "n_instances", "kraus_path", "save_kraus"),
+    "scan": (*SAMPLING, "kraus_path", "save_kraus", "len_a", "len_c", "b_max_limit", "k"),
+    "ensemble": (*SAMPLING, "n_instances", "len_a", "len_c", "b_max_limit", "k"),
+    "bound": (*SAMPLING, "kraus_path", "save_kraus", "b_max_limit"),
+    "gapstats": ("master_seed", "d_s", "d_M", "n_instances"),
+    "benchmark": ("master_seed", "d_s", "d_M", "k"),
+}
+NON_DEFAULT = {
+    "d_s": 2,
+    "d_M": 6,
+    "len_a": 2,
+    "len_c": 3,
+    "b_max_limit": 20,
+    "k": 10,
+    "n_instances": 3,
+    "case_tag": "case2",
+    "master_seed": 9,
+    "output_dir": "elsewhere",
+    "kraus_path": "kraus.json",
+    "save_kraus": True,
+}
+# The two ways to fix the instance, and the fields a fixed instance leaves unread.
+FIXED = {
+    "kraus_path": ("kraus.json", ("master_seed", "d_s", "d_M", "n_instances", "case_tag")),
+    "case_tag": ("golden", ("master_seed", "d_s", "d_M", "n_instances")),
+}
+
+
+def test_non_default_values_cover_every_field():
+    defaults = RunConfig()
+    assert set(NON_DEFAULT) == set(vars(defaults))
+    assert all(value != getattr(defaults, name) for name, value in NON_DEFAULT.items())
+
+
+@pytest.fixture
+def handled(monkeypatch):
+    """Stub every command handler; the list collects the configs they receive."""
+    seen = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda config: seen.append(config) or 0)
+    return seen
+
+
+def run_config(tmp_path, command, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    return main([command, "--config", str(config)])
+
+
+@pytest.mark.parametrize(
+    "command,field",
+    [(command, field) for command, reads in READS.items() for field in (*reads, "output_dir")],
+    ids="-".join,
+)
+def test_each_command_takes_every_field_it_reads(tmp_path, handled, command, field):
+    assert run_config(tmp_path, command, {field: NON_DEFAULT[field]}) == 0
+    assert [getattr(config, field) for config in handled] == [NON_DEFAULT[field]]
+
+
+@pytest.mark.parametrize(
+    "command,field",
+    [
+        (command, field)
+        for command, reads in READS.items()
+        for field in NON_DEFAULT
+        if field not in (*reads, "output_dir")
+    ],
+    ids="-".join,
+)
+def test_each_command_rejects_every_field_it_does_not_read(
+    tmp_path, capsys, handled, command, field
+):
+    assert run_config(tmp_path, command, {field: NON_DEFAULT[field]}) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: ValueError: {command} does not read {field}, ")
+    assert err.endswith(" does not apply\n") and err.count("\n") == 1
+    assert handled == []
+
+
+@pytest.mark.parametrize(
+    "command,fixed,field",
+    [
+        (command, fixed, field)
+        for command in ("spectrum", "scan", "bound")
+        for fixed, (_, unread) in FIXED.items()
+        for field in unread
+        if field in READS[command]
+    ],
+    ids="-".join,
+)
+def test_a_fixed_instance_reads_no_sampling_field(tmp_path, capsys, handled, command, fixed, field):
+    value = FIXED[fixed][0]
+    payload = {fixed: value, field: NON_DEFAULT[field]}
+    assert run_config(tmp_path, command, payload) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: ValueError: {command} of a fixed instance does not read")
+    assert f"{field} = " in err and err.count("\n") == 1
+    assert handled == []
+    assert run_config(tmp_path, command, {fixed: value}) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--case", "1", "--k", "5"),
+        ("bound", "--config", '{"len_a": 3}'),
+        ("gapstats", "--config", '{"len_a": 3}'),
+        ("spectrum", "--config", '{"len_a": 3}'),
+        ("benchmark", "--config", '{"len_a": 3}'),
+        ("scan", "--case", "a", "--seed", "9"),
+        ("scan", "--case", "a", "--config", '{"d_s": 2}'),
+        ("bound", "--case", "a", "--seed", "5"),
+        ("scan", "--kraus", "KRAUS", "--case", "2"),
+        ("spectrum", "--case", "golden", "--seed", "3"),
+    ],
+    ids=" ".join,
+)
+def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    def resolve(arg):  # a KrausSet file for KRAUS, a config file for a JSON object
+        if arg == "KRAUS":
+            arg, path = benchmark_kraus().to_json(), tmp_path / "kraus.json"
+        elif arg.startswith("{"):
+            path = tmp_path / "config.json"
+        else:
+            return arg
+        path.write_text(arg)
+        return str(path)
+
+    argv = [resolve(a) for a in argv]
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out", str(out_dir)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ValueError: ")
+    assert captured.err.endswith(" does not apply\n") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out_dir.exists()

@@ -259,6 +259,18 @@ def test_canonical_check_covers_every_kraus_set_of_a_stack():
         check_canonical(nonfinite)
 
 
+def test_block_cases_place_one_case1_instance_per_substream():
+    # Case 2 puts substream 0's instance top-left and substream 1's
+    # bottom-right; Case 3 puts them top-right and bottom-left
+    stream = RandomStream(11, 5)
+    for builder, placed in ((build_case2, ((0, 0), (1, 1))), (build_case3, ((0, 1), (1, 0)))):
+        mats = builder(3, 6, stream).matrices
+        for i, (row, col) in enumerate(placed):
+            block = mats[:, 3 * row:3 * row + 3, 3 * col:3 * col + 3]
+            assert block.tobytes() == build_case1(3, 3, stream.substream(i)).matrices.tobytes()
+            assert not mats[:, 3 * row:3 * row + 3, 3 - 3 * col:6 - 3 * col].any()
+
+
 def test_block_cases_reject_odd_bond_dimension():
     for builder in (build_case2, build_case3):
         with pytest.raises(ValueError):
