@@ -9,7 +9,6 @@ the conditional mutual information against its spectral bounding function.
 from .bounds import BoundConstants, jordan_constants, qcmi_error_estimate, sufficient_b, decay_bound
 from .entropy import (
     EntropyReport,
-    RegionSpec,
     SupportProjection,
     brute_force_density,
     brute_force_entropy,

@@ -41,12 +41,14 @@ class BoundConstants:
     d_M: int
 
 
-def _distinct_clusters(values: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Representatives of eigenvalues clustered at absolute tolerance ``tol``."""
-    reps: list[complex] = []
+def distinct_clusters(values: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """Representatives of ``values`` clustered at absolute tolerance ``tol``,
+    in order: a value within ``tol`` of an earlier representative joins it,
+    any other starts a cluster.  The result has the dtype of ``values``."""
+    reps: list = []
     for v in values:
         if not any(abs(v - r) <= tol for r in reps):
-            reps.append(complex(v))
+            reps.append(v)
     return np.array(reps)
 
 
@@ -79,7 +81,7 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
     c1 = 1.0 / cond_s
     c2 = cond_s  # (K+1)*(e/K)^K -> 1 in the K = 0 limit
 
-    clusters = _distinct_clusters(values)
+    clusters = distinct_clusters(values)
     d_cap = len(clusters)  # sum of (K_nu + 1) with every K_nu = 0
     peripheral = clusters[np.abs(clusters) > 1 - PERIPHERAL_TOL]
     delta = min(

@@ -6,8 +6,7 @@ config and seed produce byte-identical files.
 
 Exit codes: 0 ok, 1 benchmark failure, 2 numerical failure, 3 degenerate input,
 4 invalid configuration or input. Exit 1 ends in one ``benchmark FAILED`` line
-on stdout; the others end in a one-line stderr message, except ``spectrum``'s
-exit 3, which records the gapless spectrum in gap.json.
+on stdout; the others end in a one-line stderr message.
 """
 
 from __future__ import annotations
@@ -205,8 +204,8 @@ def cmd_spectrum(config: RunConfig) -> int:
                 gap_payload["error"] = "degenerate spectrum: every eigenvalue is peripheral"
     _write(out / "spectrum.csv", rows)
     (out / "gap.json").write_text(json.dumps(gap_payload, sort_keys=True) + "\n")
-    if gap_payload.get("nu_gap") is None:
-        return EXIT_DEGENERATE
+    if "error" in gap_payload:
+        raise DegenerateSpectrum("instance 0: every eigenvalue is peripheral; the gap is undefined")
     return EXIT_OK
 
 
@@ -224,7 +223,7 @@ def cmd_scan(config: RunConfig) -> int:
     for p in curve.points:
         bound = _fmt(bound_values[p.b_len]) if p.b_len in bound_values else ""
         rows.append(f"{p.b_len},{_fmt(p.qmi)},{_fmt(p.qcmi)},{_fmt(p.f)},{bound}")
-    _write(out / f"curve_{curve.instance_id}.csv", rows)
+    _write(out / "curve_0.csv", rows)
     return EXIT_OK
 
 

@@ -59,21 +59,6 @@ BRUTE_FORCE_CAP = 1024
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Contiguous region sizes |A|, |B|, |C| in lattice sites."""
-
-    len_a: int
-    len_b: int
-    len_c: int
-
-    def __post_init__(self) -> None:
-        if min(self.len_a, self.len_b, self.len_c) < 0:
-            raise ValueError("region lengths must be nonnegative")
-        if self.len_a + self.len_b + self.len_c < 1:
-            raise ValueError("total region length must be >= 1")
-
-
-@dataclass(frozen=True)
 class SupportProjection:
     """Spectral data of the support Gram matrix of rho_n.
 
@@ -205,16 +190,16 @@ def _entropy(mps: IuMps, n: int) -> float:
     return mps.entropies[n]
 
 
-def qcmi(mps: IuMps, region: RegionSpec) -> float:
-    """I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B) for contiguous A,B,C.
+def qcmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
+    """I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B) for contiguous A, B, C of
+    ``len_a``, ``len_b``, ``len_c`` sites.
 
     Each S(n) is computed once per instance, then reused.
     """
-    if region.len_b < 1 or region.len_a < 1 or region.len_c < 1:
+    if min(len_a, len_b, len_c) < 1:
         raise ValueError("qcmi requires len_a, len_b, len_c >= 1")
-    la, lb, lc = region.len_a, region.len_b, region.len_c
     s = lambda n: _entropy(mps, n)
-    return s(la + lb) + s(lb + lc) - s(la + lb + lc) - s(lb)
+    return s(len_a + len_b) + s(len_b + len_c) - s(len_a + len_b + len_c) - s(len_b)
 
 
 def _qmi_ends(mps: IuMps, la: int, lc: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,10 +240,10 @@ def rho_disjoint_stack(
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def rho_disjoint(mps: IuMps, region: RegionSpec) -> np.ndarray:
-    """Joint reduced state of A and C separated by |B| sites:
-    ``rho_disjoint_stack`` of the one separation |B|."""
-    return rho_disjoint_stack(mps, region.len_a, (region.len_b,), region.len_c)[0]
+def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
+    """Joint reduced state of A and C separated by ``len_b`` sites:
+    ``rho_disjoint_stack`` of the one separation."""
+    return rho_disjoint_stack(mps, len_a, (len_b,), len_c)[0]
 
 
 def qmi_stack(mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int) -> list[float]:
@@ -272,10 +257,10 @@ def qmi_stack(mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int) -> list
     return [s_a + s_c - entropy_from_eigenvalues(row) for row in lam]
 
 
-def qmi(mps: IuMps, region: RegionSpec) -> float:
-    """I(A:C) across the separating region B: ``qmi_stack`` of the one
-    separation |B|."""
-    return qmi_stack(mps, region.len_a, (region.len_b,), region.len_c)[0]
+def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
+    """I(A:C) across a separating region B of ``len_b`` sites: ``qmi_stack``
+    of the one separation."""
+    return qmi_stack(mps, len_a, (len_b,), len_c)[0]
 
 
 def brute_force_density(mps: IuMps, n: int) -> np.ndarray:

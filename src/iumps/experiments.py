@@ -8,7 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import RegionSpec, fill_entropies, qcmi, qmi_stack, rho_disjoint
+from .bounds import distinct_clusters
+from .entropy import fill_entropies, qcmi, qmi_stack, rho_disjoint
 from .exceptions import BenchmarkFailed, EmptyCurve, IumpsError, TooFewPoints
 from .mps import (
     CASE2,
@@ -52,10 +53,10 @@ class CurvePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Per-instance QCMI/QMI values over even |B|, with normalized log-QCMI f."""
+    """One instance's QCMI/QMI values over even |B|, with normalized log-QCMI
+    f, its spectral gap and its last retained |B|.  It holds no instance
+    label: the caller knows which instance it scanned."""
 
-    instance_id: int
-    case_tag: str
     nu_gap: float
     points: list[CurvePoint]
     b_max: int
@@ -64,7 +65,6 @@ class DecayCurve:
 @dataclass(frozen=True)
 class InstanceRecord:
     instance_id: int
-    case_tag: str
     nu_gap: float
     b_max: int
     n_points: int
@@ -89,7 +89,6 @@ def scan_instance(
     len_c: int,
     b_max_limit: int = 40,
     k: int = 12,
-    instance_id: int = 0,
 ) -> DecayCurve:
     """QCMI/QMI of regions A, C of ``len_a``, ``len_c`` sites over
     |B| = 2, 4, ..., stopping once QCMI falls to 10^-k.
@@ -102,7 +101,8 @@ def scan_instance(
     points through ``qcmi`` and the stop, so a block's points past the stop
     are solved but not kept.  The instance keeps every E^n and S(n) it
     computes, so each is computed once, however many scans and QMI/QCMI
-    calls read it.
+    calls read it.  Each point's QCMI is one ``qcmi(mps, len_a, |B|, len_c)``
+    call.
     """
     if len_a < 1 or len_c < 1:
         raise ValueError("scan requires len_a, len_c >= 1")
@@ -124,19 +124,13 @@ def scan_instance(
                 + [n for lb in block for n in (lb, len_a + lb, lb + len_c, len_a + lb + len_c)],
             )
             qmi_at = dict(zip(block, qmi_stack(mps, len_a, block, len_c)))
-        qc = qcmi(mps, RegionSpec(len_a, b, len_c))
+        qc = qcmi(mps, len_a, b, len_c)
         if qc <= floor:
             break
         points.append(CurvePoint(b_len=b, qcmi=qc, qmi=qmi_at[b], f=math.log(qc) / q))
     if not points:
         raise EmptyCurve(f"QCMI <= 1e-{k} already at |B| = 2")
-    return DecayCurve(
-        instance_id=instance_id,
-        case_tag=mps.kraus.case_tag,
-        nu_gap=nu_gap,
-        points=points,
-        b_max=points[-1].b_len,
-    )
+    return DecayCurve(nu_gap=nu_gap, points=points, b_max=points[-1].b_len)
 
 
 def shift_graph(curve: DecayCurve) -> list[tuple[float, float]]:
@@ -220,7 +214,7 @@ def run_ensemble(
     for i in range(n):
         try:
             mps = build_instance(case_tag, d_s, d_m, RandomStream(master_seed, i))
-            res = scan_instance(mps, len_a, len_c, b_max_limit, k, instance_id=i)
+            res = scan_instance(mps, len_a, len_c, b_max_limit, k)
         except IumpsError as exc:
             skipped.append((i, f"{type(exc).__name__}: {exc}"))
             continue
@@ -236,7 +230,6 @@ def run_ensemble(
         records.append(
             InstanceRecord(
                 instance_id=i,
-                case_tag=res.case_tag,
                 nu_gap=res.nu_gap,
                 b_max=res.b_max,
                 n_points=len(res.points),
@@ -339,7 +332,7 @@ def golden_benchmark(k: int = 12) -> BenchmarkReport:
     if qmi_dev > QMI_TOL:
         raise BenchmarkFailed(f"QMI(26) differs from reference plateau by {qmi_dev:.3e}")
 
-    rho_ac = rho_disjoint(mps, RegionSpec(1, 40, 1))
+    rho_ac = rho_disjoint(mps, 1, 40, 1)
     t = rho_ac.reshape(3, 3, 3, 3)
     rho_a = np.einsum("acbc->ab", t)
     rho_c = np.einsum("acad->cd", t)
@@ -425,13 +418,9 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
 
 
 def distinct_magnitudes(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Descending distinct eigenvalue magnitudes, clustered at ``tol``."""
-    mags = np.sort(np.abs(np.asarray(values)))[::-1]
-    out = [mags[0]]
-    for m in mags[1:]:
-        if out[-1] - m > tol:
-            out.append(m)
-    return np.array(out)
+    """Descending distinct eigenvalue magnitudes: ``distinct_clusters`` of the
+    sorted magnitudes, so each cluster is represented by its largest."""
+    return distinct_clusters(np.sort(np.abs(np.asarray(values)))[::-1], tol)
 
 
 def analytic_family(which: str, beta: float) -> KrausSet:

@@ -22,7 +22,6 @@ from .numerics import (
     eig_general,
     flagged_at,
     haar_unitaries,
-    haar_unitary,
 )
 
 CASE1 = "case1"
@@ -201,36 +200,36 @@ def _check_dims(d_s: int, d_m: int) -> None:
         raise ValueError("d_s and d_M must be >= 1")
 
 
-def build_case1(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
-    """Single-fixed-point instance from one Haar unitary."""
-    _check_dims(d_s, d_m)
-    u = haar_unitary(d_s * d_m, stream)
-    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=_case1_matrices(d_s, d_m, u), case_tag=CASE1)
-    ks.validate()
-    return ks
-
-
 def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndarray:
-    """The matrices of ``build_case1`` for each stream, stacked
+    """Case-1 Kraus matrices, one set per stream, stacked
     ``(len(streams), d_s, d_M, d_M)`` and checked as ``KrausSet.validate``
     checks them: one stacked Haar draw and one vectorised canonical check.
-    Row i is, bit for bit, ``build_case1(d_s, d_m, streams[i]).matrices``."""
+    Every sampled case draws its Kraus sets here.  Row i is, bit for bit,
+    what a call on ``streams[i]`` alone gives."""
     _check_dims(d_s, d_m)
     matrices = _case1_matrices(d_s, d_m, haar_unitaries(d_s * d_m, streams))
     check_canonical(matrices)
     return matrices
 
 
+def build_case1(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
+    """Single-fixed-point instance: ``sample_case1`` of the one stream."""
+    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=sample_case1(d_s, d_m, (stream,))[0], case_tag=CASE1)
+    ks.validate()
+    return ks
+
+
 def _build_two_blocks(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
-    """Two independent half-dimension Case-1 instances, drawn from substreams
-    0 and 1, placed where ``_BLOCK_LAYOUT[case_tag]`` says."""
+    """Two independent half-dimension Case-1 instances from one
+    ``sample_case1`` call on substreams 0 and 1, placed where
+    ``_BLOCK_LAYOUT[case_tag]`` says; the other block of each row stays zero.
+    Block i is, bit for bit, ``build_case1(d_s, d_m // 2, stream.substream(i))``."""
     if d_m % 2 != 0:
         raise ValueError("d_M must be even")
-    h = d_m // 2
+    halves = sample_case1(d_s, d_m // 2, (stream.substream(0), stream.substream(1)))
     mats = np.zeros((d_s, d_m, d_m), dtype=complex)
-    for i, (row, col) in enumerate(_BLOCK_LAYOUT[case_tag]):
-        u = haar_unitary(d_s * h, stream.substream(i))
-        _block(mats, row, col)[...] = _case1_matrices(d_s, h, u)
+    for half, (row, col) in zip(halves, _BLOCK_LAYOUT[case_tag]):
+        _block(mats, row, col)[...] = half
     ks = KrausSet(d_s=d_s, d_M=d_m, matrices=mats, case_tag=case_tag)
     ks.validate()
     return ks

@@ -17,7 +17,6 @@ import pytest
 from iumps import (
     NearDegenerate,
     RandomStream,
-    RegionSpec,
     golden_benchmark,
     brute_force_density,
     brute_force_entropy,
@@ -68,7 +67,7 @@ def ensemble():
         nu_gap = mps.transfer.nu_gap
         computed, retained = [], []
         for b in range(2, B_MAX_LIMIT + 1, 2):
-            v = qcmi(mps, RegionSpec(1, b, 1))
+            v = qcmi(mps, 1, b, 1)
             computed.append((b, v))
             if v <= FLOOR:
                 break
@@ -97,7 +96,7 @@ def test_criterion_1_golden_benchmark():
     from iumps import benchmark_kraus, build_iumps
 
     report = golden_benchmark()
-    rho_ac = rho_disjoint(build_iumps(benchmark_kraus()), RegionSpec(1, 26, 1))
+    rho_ac = rho_disjoint(build_iumps(benchmark_kraus()), 1, 26, 1)
     rho_a = np.einsum("acbc->ab", rho_ac.reshape(3, 3, 3, 3))
     rho_a_dev_26 = float(np.abs(rho_a - np.diag([2.0, 3.0, 3.0]) / 8).max())
     tail = np.log([q for _, q in report.qcmi_curve[-10:]])

@@ -392,6 +392,26 @@ def test_bond_dimension_one_has_no_gap_statistics(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+
+def test_spectrum_of_a_gapless_instance_exits_3_with_one_stderr_line(tmp_path, capsys):
+    # bond dimension 1: the one transfer eigenvalue is peripheral, so there is
+    # no gap; the spectrum and gap.json are still written
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"d_M": 1}))
+    out_dir = tmp_path / "out"
+    assert main(["spectrum", "--config", str(config), "--out", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("degenerate input: DegenerateSpectrum: ")
+    assert captured.err.count("\n") == 1
+    gap = json.loads(read(out_dir / "gap.json"))
+    assert gap == {
+        "error": "degenerate spectrum: every eigenvalue is peripheral",
+        "nu_gap": None,
+        "peripheral_count": 1,
+    }
+    assert len(read(out_dir / "spectrum.csv").splitlines()) == 2
+
 @pytest.mark.parametrize(
     "payload_message",
     [

@@ -7,7 +7,6 @@ from iumps import (
     KrausSet,
     NotHermitian,
     RandomStream,
-    RegionSpec,
     TooLarge,
     analytic_family,
     benchmark_kraus,
@@ -139,13 +138,13 @@ def test_entropy_report_normalization(case2_instance, case3_instance):
 
 def test_qcmi_product_state_zero():
     mps = product_state_mps()
-    assert abs(qcmi(mps, RegionSpec(1, 3, 1))) <= 1e-12
+    assert abs(qcmi(mps, 1, 3, 1)) <= 1e-12
 
 
 def test_qcmi_nonnegative(case1_instance, case3_instance):
     for mps in (case1_instance, case3_instance):
         for b in (2, 6, 12):
-            assert qcmi(mps, RegionSpec(1, b, 1)) >= -1e-9
+            assert qcmi(mps, 1, b, 1) >= -1e-9
 
 
 def test_qcmi_matches_brute_force(golden_mps):
@@ -160,12 +159,12 @@ def test_qcmi_matches_brute_force(golden_mps):
 
     ent = lambda r: entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(r), 0, None))
     brute = ent(rho_ab) + ent(rho_bc) - ent(rho4) - ent(rho_b)
-    fast = qcmi(golden_mps, RegionSpec(1, 2, 1))
+    fast = qcmi(golden_mps, 1, 2, 1)
     assert abs(fast - brute) <= 1e-9
 
 
 def test_qmi_golden_instance_plateau(golden_mps):
-    val = qmi(golden_mps, RegionSpec(1, 26, 1))
+    val = qmi(golden_mps, 1, 26, 1)
     assert abs(val - I_TH) <= 1e-12
 
 
@@ -183,7 +182,7 @@ def test_qmi_limit_from_reference_marginal():
 
 def test_qmi_product_state_zero():
     mps = product_state_mps()
-    assert abs(qmi(mps, RegionSpec(1, 20, 1))) <= 1e-12
+    assert abs(qmi(mps, 1, 20, 1)) <= 1e-12
 
 
 def test_rho_disjoint_multisite_regions(case1_instance):
@@ -191,10 +190,10 @@ def test_rho_disjoint_multisite_regions(case1_instance):
     # Composite row ordering: A sites slow (later-applied slowest), then C.
     full = brute_force_density(case1_instance, 5).reshape((3,) * 10)
     brute = np.einsum("cdpabhipfg->abcdfghi", full).reshape(81, 81)
-    mine = rho_disjoint(case1_instance, RegionSpec(2, 1, 2))
+    mine = rho_disjoint(case1_instance, 2, 1, 2)
     assert np.abs(mine - brute).max() <= 1e-12
     brute_asym = np.einsum("cdpqahipqf->acdfhi", full).reshape(27, 27)
-    mine_asym = rho_disjoint(case1_instance, RegionSpec(1, 2, 2))
+    mine_asym = rho_disjoint(case1_instance, 1, 2, 2)
     assert np.abs(mine_asym - brute_asym).max() <= 1e-12
 
 
@@ -206,13 +205,13 @@ def test_qcmi_multisite_a_matches_brute_force(case1_instance):
     rho_b = np.einsum("pijqrpmnqr->ijmn", full).reshape(9, 9)
     rho_abc = full.reshape(243, 243)
     brute = ent(rho_ab) + ent(rho_bc) - ent(rho_abc) - ent(rho_b)
-    assert abs(qcmi(case1_instance, RegionSpec(2, 2, 1)) - brute) <= 1e-9
+    assert abs(qcmi(case1_instance, 2, 2, 1) - brute) <= 1e-9
 
 
 def test_rho_disjoint_cap():
     mps = product_state_mps()
     with pytest.raises(TooLarge):
-        rho_disjoint(mps, RegionSpec(7, 2, 7))
+        rho_disjoint(mps, 7, 2, 7)
 
 
 def test_brute_force_density_golden_instance(golden_mps):
@@ -267,7 +266,7 @@ def test_qcmi_via_purification_route(case2_instance):
     s = lambda n: entropy_from_eigenvalues(np.clip(purified_spectrum(case2_instance, n), 0, None))
     for b in (2, 8, 14):
         alt = s(1 + b) + s(b + 1) - s(b + 2) - s(b)
-        assert abs(alt - qcmi(case2_instance, RegionSpec(1, b, 1))) <= 1e-9
+        assert abs(alt - qcmi(case2_instance, 1, b, 1)) <= 1e-9
 
 
 def test_site_products_ordering(case1_instance):
@@ -337,17 +336,16 @@ def test_qmi_ends_kept_per_region_pair(case1_instance):
             refs[la, b] = ref, ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(ref)
     for b in (1, 4, 17, 4):
         for la, lc in pairs:
-            region = RegionSpec(la, b, lc)
             ref, ref_qmi = refs[la, b]
-            assert np.abs(rho_disjoint(mps, region) - ref).max() <= 1e-13, (b, la)
-            assert abs(qmi(mps, region) - ref_qmi) <= 1e-13, (b, la)
+            assert np.abs(rho_disjoint(mps, la, b, lc) - ref).max() <= 1e-13, (b, la)
+            assert abs(qmi(mps, la, b, lc) - ref_qmi) <= 1e-13, (b, la)
     for la, lc in pairs:
         rhos, qmis = rho_disjoint_stack(mps, la, sizes, lc), qmi_stack(mps, la, sizes, lc)
         for b, rho, q in zip(sizes, rhos, qmis, strict=True):
             ref, ref_qmi = refs[la, b]
             assert np.abs(rho - ref).max() <= 1e-13, (b, la)
             assert abs(q - ref_qmi) <= 1e-13, (b, la)
-            assert q == qmi(mps, RegionSpec(la, b, lc)), (b, la)
+            assert q == qmi(mps, la, b, lc), (b, la)
     assert sorted(mps.qmi_ends) == [(1, 1), (2, 1)]
 
 
@@ -377,13 +375,12 @@ def test_profile_power_and_qmi(case_instances):
         fresh = build_iumps(mps.kraus)
         s = lambda n: region_entropy(fresh, n).entropy
         for b in (1, 2, 3, 9, 26, 40):
-            region = RegionSpec(1, b, 1)
             rho_ac = reference_rho_disjoint(mps, b)
             t = rho_ac.reshape(3, 3, 3, 3)
             ref_qmi = ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(rho_ac)
-            assert abs(qmi(mps, region) - ref_qmi) <= 1e-13
+            assert abs(qmi(mps, 1, b, 1) - ref_qmi) <= 1e-13
             ref_qcmi = s(1 + b) + s(b + 1) - s(b + 2) - s(b)
-            assert abs(qcmi(mps, region) - ref_qcmi) <= 1e-13
+            assert abs(qcmi(mps, 1, b, 1) - ref_qcmi) <= 1e-13
 
 
 def test_scan_after_scrambled_queries_matches_fresh_scan(case1_instance):
@@ -391,8 +388,8 @@ def test_scan_after_scrambled_queries_matches_fresh_scan(case1_instance):
     queried = build_iumps(case1_instance.kraus)
     for n in (17, 3, 40, 1, 29, 8):
         region_entropy(queried, n)
-        rho_disjoint(queried, RegionSpec(1, n, 1))
-        qcmi(queried, RegionSpec(1, n, 1))
+        rho_disjoint(queried, 1, n, 1)
+        qcmi(queried, 1, n, 1)
     fresh = build_iumps(case1_instance.kraus)
     assert scan_instance(queried, 1, 1).points == scan_instance(fresh, 1, 1).points
 
@@ -415,9 +412,9 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
         solved.append(len(h))  # region lengths in this (m, 16, 16) stack
         return eigvals_hermitian(h, k)
 
-    def recording_qcmi(mps, region, *args, **kwargs):
-        evaluated.append(region.len_b)
-        return qcmi_binding(mps, region, *args, **kwargs)
+    def recording_qcmi(mps, len_a, len_b, len_c):
+        evaluated.append(len_b)
+        return qcmi_binding(mps, len_a, len_b, len_c)
 
     monkeypatch.setattr(ent, "eigvals_hermitian", counting_eig)
     monkeypatch.setattr(exp, "qcmi", recording_qcmi)

@@ -9,7 +9,6 @@ from iumps import (
     EmptyCurve,
     I_TH,
     RandomStream,
-    RegionSpec,
     TooFewPoints,
     analytic_family,
     benchmark_kraus,
@@ -41,16 +40,14 @@ def synthetic_curve(nu_gap, rate_per_site, n_points=12, prefactor=0.3):
     for b in range(2, 2 * n_points + 1, 2):
         q = prefactor * math.exp(-rate_per_site * b)
         points.append(CurvePoint(b_len=b, qcmi=q, qmi=0.0, f=math.log(q) / norm))
-    return DecayCurve(
-        instance_id=0, case_tag="explicit", nu_gap=nu_gap, points=points, b_max=points[-1].b_len
-    )
+    return DecayCurve(nu_gap=nu_gap, points=points, b_max=points[-1].b_len)
 
 
 def test_scan_stopping_rule(sample_curve, case1_instance):
     assert all(p.qcmi > 1e-12 for p in sample_curve.points)
     assert [p.b_len for p in sample_curve.points] == list(range(2, sample_curve.b_max + 1, 2))
     if sample_curve.b_max < 40:
-        nxt = qcmi(case1_instance, RegionSpec(1, sample_curve.b_max + 2, 1))
+        nxt = qcmi(case1_instance, 1, sample_curve.b_max + 2, 1)
         assert nxt <= 1e-12
     norm = 2 * math.log(1 / sample_curve.nu_gap)
     for p in sample_curve.points:
@@ -77,7 +74,7 @@ def test_scan_deterministic():
 def test_scan_empty_curve():
     # weakly correlated channel: QCMI(2) ~ 0.02 already sits below the k=1 floor
     mps = build_iumps(analytic_family("first", 0.05))
-    assert qcmi(mps, RegionSpec(1, 2, 1)) <= 0.1
+    assert qcmi(mps, 1, 2, 1) <= 0.1
     with pytest.raises(EmptyCurve):
         scan_instance(mps, 1, 1, 40, 1)
 
@@ -151,15 +148,15 @@ def test_run_ensemble_case2_and_case3():
             n=3, case_tag=case, len_a=1, len_c=1, master_seed=5, b_max_limit=12, k=12
         )
         assert len(summary.records) + len(summary.skipped) == 3
-        assert summary.records and all(r.case_tag == case for r in summary.records)
-        rec = summary.records[0]
-        mps = build_instance(case, 3, 4, RandomStream(5, rec.instance_id))
-        curve = scan_instance(mps, 1, 1, 12, 12)
-        assert (rec.b_max, rec.nu_gap, rec.n_points) == (
-            curve.b_max,
-            curve.nu_gap,
-            len(curve.points),
-        )
+        assert summary.records
+        for rec in summary.records:
+            mps = build_instance(case, 3, 4, RandomStream(5, rec.instance_id))
+            curve = scan_instance(mps, 1, 1, 12, 12)
+            assert (rec.b_max, rec.nu_gap, rec.n_points) == (
+                curve.b_max,
+                curve.nu_gap,
+                len(curve.points),
+            )
 
 
 def test_run_ensemble_singleton_consistent_with_scan():

@@ -263,12 +263,15 @@ def test_block_cases_place_one_case1_instance_per_substream():
     # Case 2 puts substream 0's instance top-left and substream 1's
     # bottom-right; Case 3 puts them top-right and bottom-left
     stream = RandomStream(11, 5)
-    for builder, placed in ((build_case2, ((0, 0), (1, 1))), (build_case3, ((0, 1), (1, 0)))):
-        mats = builder(3, 6, stream).matrices
-        for i, (row, col) in enumerate(placed):
-            block = mats[:, 3 * row:3 * row + 3, 3 * col:3 * col + 3]
-            assert block.tobytes() == build_case1(3, 3, stream.substream(i)).matrices.tobytes()
-            assert not mats[:, 3 * row:3 * row + 3, 3 - 3 * col:6 - 3 * col].any()
+    for d_s, d_M in ((2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6)):
+        h = d_M // 2
+        for builder, placed in ((build_case2, ((0, 0), (1, 1))), (build_case3, ((0, 1), (1, 0)))):
+            mats = builder(d_s, d_M, stream).matrices
+            for i, (row, col) in enumerate(placed):
+                block = mats[:, h * row:h * row + h, h * col:h * col + h]
+                expected = build_case1(d_s, h, stream.substream(i)).matrices
+                assert block.tobytes() == expected.tobytes(), (d_s, d_M, i)
+                assert not mats[:, h * row:h * row + h, h - h * col:d_M - h * col].any()
 
 
 def test_block_cases_reject_odd_bond_dimension():
