@@ -33,19 +33,22 @@ Eigenvalues below ``THRESHOLD`` times the largest are outside the support
 and carry no entropy.
 
 A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C| and E^|B|
-for the QMI.  Each instance keeps all three: ``TransferMatrix.power`` grows
-E^n by one d_M^2 x d_M^2 multiply per new region length, ``fill_entropies``
-solves the lengths not yet kept in ``IuMps.entropies`` in one stack, and
-``qcmi`` and ``qmi_stack`` read S(n) from there.  ``rho_disjoint_stack`` keeps
+for the QMI.  Each instance keeps its S(n) in ``IuMps.entropies``, and
+``qcmi`` and ``qmi_chunk`` read S(n) from there.  ``fill_entropies_chunk``
+solves the lengths some instance of a chunk has not kept yet in one stack,
+from E^n the caller supplies (a scan's ``mps.PowerWindow``); ``fill_entropies``
+is its one-instance case, on ``TransferMatrix.power``, which grows E^n by one
+d_M^2 x d_M^2 multiply per new region length.  ``rho_disjoint_stack`` keeps
 the two |B|-independent contractions of rho_AC in ``IuMps.qmi_ends``, so the
-QMI of a stack of |B| costs one multiply by each E^|B|, one final contraction
-and one stacked spectrum of rho_AC; ``rho_disjoint`` and ``qmi`` are its
-one-|B| case.
+QMI of a stack of |B| costs one multiply by each E^|B| and one final
+contraction per instance, and ``qmi_chunk`` takes every instance's rho_AC
+in one stacked spectrum; ``rho_disjoint``, ``qmi_stack`` and ``qmi`` are its
+one-instance or one-|B| cases.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +131,48 @@ def projected_density(sp: SupportProjection, sigma: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
+def _support_spectra(powers: Sequence[np.ndarray], k: np.ndarray) -> np.ndarray:
+    """Spectra, descending, of K conj(H) K for the support Gram matrix H of
+    each E^n of ``powers``, shape ``(..., len(powers), d_M^2)``.
+
+    Every entry of ``powers`` is one E^n or a stack ``(..., d_M^2, d_M^2)`` of
+    them, one per instance; ``k`` holds each instance's K = I kron
+    sigma^(1/2), broadcast against ``(..., len(powers), d_M^2, d_M^2)``.
+    """
+    lead = powers[0].shape[:-2]
+    d = int(round(np.sqrt(powers[0].shape[-1])))
+    # conj(H) = H^T, read off E^n by a transpose of its four indices, copied
+    # once; no name holds the copy, so it is freed once it is Hermitized
+    order = (*range(len(lead)), *(len(lead) + a for a in (1, 3, 0, 2)))
+    return eigvals_hermitian(
+        np.stack(
+            [p.reshape(*lead, d, d, d, d).transpose(order) for p in powers], axis=len(lead)
+        ).reshape(*lead, len(powers), d * d, d * d),
+        k,
+    )
+
+
+def _support_entropies(spectra: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """-sum(l ln l) over the entries ``support`` marks in each row of
+    ``spectra`` ``(..., m)``; shape ``(...)``.  Rows with equally many marked
+    entries are summed together, each in row order exactly as
+    ``entropy_from_eigenvalues`` sums its positive entries."""
+    rows = spectra.reshape(-1, spectra.shape[-1])
+    marked = support.reshape(rows.shape)
+    counts = np.count_nonzero(marked, axis=-1)
+    out = np.zeros(len(rows))
+    for c in set(counts.tolist()) - {0}:
+        sel = counts == c
+        lam = rows[sel][marked[sel]].reshape(-1, c)
+        out[sel] = -(lam * np.log(lam)).sum(axis=-1)
+    return out.reshape(spectra.shape[:-1])
+
+
+def _supports(spectra: np.ndarray) -> np.ndarray:
+    # rows are descending, so each support is a prefix; none when the top is <= 0
+    return spectra > THRESHOLD * spectra[..., :1]
+
+
 def region_entropy_stack(mps: IuMps, lengths: Sequence[int]) -> list[EntropyReport]:
     """Von Neumann entropies of ``lengths`` contiguous sites from one stacked
     d_M^2 x d_M^2 eigenvalue solve.
@@ -144,19 +189,11 @@ def region_entropy_stack(mps: IuMps, lengths: Sequence[int]) -> list[EntropyRepo
     """
     if not lengths or min(lengths) < 1:
         raise ValueError("region lengths must be a nonempty list of n >= 1")
-    d = mps.kraus.d_M
-    # conj(H) = H^T, read off E^n by a transpose of its four indices
-    e4 = np.stack([mps.transfer.power(n) for n in lengths]).reshape(-1, d, d, d, d)
-    h_conj = e4.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d)
-    spectra = eigvals_hermitian(h_conj, mps.kron_sqrt_sigma)
+    spectra = _support_spectra([mps.transfer.power(n) for n in lengths], mps.kron_sqrt_sigma)
     clipped = -np.minimum(spectra, 0.0).sum(axis=-1)
-    # rows are descending, so each support is a prefix; none when the top is <= 0
-    ranks = np.count_nonzero(spectra > THRESHOLD * spectra[:, :1], axis=-1)
-    entropies = np.zeros(len(lengths))
-    for r in set(ranks.tolist()) - {0}:
-        rows = ranks == r
-        support = spectra[rows, :r]  # summed per row exactly as entropy_from_eigenvalues sums
-        entropies[rows] = -(support * np.log(support)).sum(axis=-1)
+    support = _supports(spectra)
+    ranks = np.count_nonzero(support, axis=-1)
+    entropies = _support_entropies(spectra, support)
     return [
         EntropyReport(
             region_len=n,
@@ -174,13 +211,36 @@ def region_entropy(mps: IuMps, n: int) -> EntropyReport:
     return region_entropy_stack(mps, (n,))[0]
 
 
+def fill_entropies_chunk(
+    instances: Sequence[IuMps], lengths: Iterable[int], power: Callable[[int], np.ndarray]
+) -> None:
+    """Keep S(n) on every instance for every n in ``lengths``, solving in one
+    stacked eigenvalue solve each length some instance has not kept yet.
+
+    ``power(n)`` is the stack ``(len(instances), d_M^2, d_M^2)`` of the
+    instances' E^n.  Each K = I kron sigma^(1/2) is broadcast over the
+    instance's lengths.  S(n) is the entropy ``region_entropy_stack`` gives,
+    which does not depend on the other lengths or instances of the stack; an
+    S(n) an instance already keeps is not overwritten.
+    """
+    kept = set.intersection(*(set(mps.entropies) for mps in instances))
+    missing = sorted(set(lengths) - kept)
+    if not missing:
+        return
+    if missing[0] < 1:
+        raise ValueError("region lengths must be n >= 1")
+    spectra = _support_spectra(
+        [power(n) for n in missing], np.stack([mps.kron_sqrt_sigma for mps in instances])[:, None]
+    )
+    for mps, row in zip(instances, _support_entropies(spectra, _supports(spectra)).tolist()):
+        for n, s_n in zip(missing, row):
+            mps.entropies.setdefault(n, s_n)
+
+
 def fill_entropies(mps: IuMps, lengths: Iterable[int]) -> None:
-    """Keep S(n) on ``mps`` for every n in ``lengths``, solving the ones not
-    yet kept in one ``region_entropy_stack`` call."""
-    missing = sorted(set(lengths) - mps.entropies.keys())
-    if missing:
-        for report in region_entropy_stack(mps, missing):
-            mps.entropies[report.region_len] = report.entropy
+    """Keep S(n) on ``mps`` for every n in ``lengths``: ``fill_entropies_chunk``
+    of the one instance."""
+    fill_entropies_chunk((mps,), lengths, lambda n: mps.transfer.power(n)[None])
 
 
 def _entropy(mps: IuMps, n: int) -> float:
@@ -219,6 +279,21 @@ def _qmi_ends(mps: IuMps, la: int, lc: int) -> tuple[np.ndarray, np.ndarray]:
     return mps.qmi_ends[la, lc]
 
 
+def _rho_ac(
+    mps: IuMps, len_a: int, powers_b: Sequence[np.ndarray], len_c: int
+) -> np.ndarray:
+    """rho_AC across each E^|B| of ``powers_b``, stacked ``(len(powers_b), dim, dim)``."""
+    if len_a < 1 or len_c < 1:
+        raise ValueError("rho_disjoint requires len_a, len_c >= 1")
+    dim = mps.kraus.d_s ** (len_a + len_c)
+    if dim > BRUTE_FORCE_CAP:
+        raise TooLarge(f"d_s^(|A|+|C|) = {dim} exceeds {BRUTE_FORCE_CAP}")
+    right, left = _qmi_ends(mps, len_a, len_c)
+    powers_t = np.stack([p.T for p in powers_b])[:, None]
+    rho = np.einsum("abv,ncdv->ncadb", left, right @ powers_t).reshape(-1, dim, dim)
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
+
+
 def rho_disjoint_stack(
     mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int
 ) -> np.ndarray:
@@ -229,15 +304,7 @@ def rho_disjoint_stack(
     separation; the physical dimension dim = d_s^(|A|+|C|) must stay at
     oracle scale.
     """
-    if len_a < 1 or len_c < 1:
-        raise ValueError("rho_disjoint requires len_a, len_c >= 1")
-    dim = mps.kraus.d_s ** (len_a + len_c)
-    if dim > BRUTE_FORCE_CAP:
-        raise TooLarge(f"d_s^(|A|+|C|) = {dim} exceeds {BRUTE_FORCE_CAP}")
-    right, left = _qmi_ends(mps, len_a, len_c)
-    powers_t = np.stack([mps.transfer.power(b).T for b in lens_b])[:, None]
-    rho = np.einsum("abv,ncdv->ncadb", left, right @ powers_t).reshape(-1, dim, dim)
-    return (rho + rho.conj().swapaxes(-1, -2)) / 2
+    return _rho_ac(mps, len_a, [mps.transfer.power(b) for b in lens_b], len_c)
 
 
 def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
@@ -246,15 +313,30 @@ def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
     return rho_disjoint_stack(mps, len_a, (len_b,), len_c)[0]
 
 
-def qmi_stack(mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int) -> list[float]:
-    """I(A:C) = S(A) + S(C) - S(AC) across each separating |B| in ``lens_b``,
-    from one stacked contraction and ``eigvalsh`` of rho_AC.
+def qmi_chunk(
+    instances: Sequence[IuMps],
+    len_a: int,
+    powers_b: Sequence[Sequence[np.ndarray]],
+    len_c: int,
+) -> list[list[float]]:
+    """I(A:C) = S(A) + S(C) - S(AC) of each instance across each separating
+    region whose E^|B| the instance's entry of ``powers_b`` lists, from one
+    stacked ``eigvalsh`` of every instance's rho_AC.
 
-    S(A) and S(C) are the instance's S(|A|) and S(|C|), shared with ``qcmi``.
+    The contraction of rho_AC stays per instance.  S(A) and S(C) are the
+    instance's S(|A|) and S(|C|), shared with ``qcmi``.
     """
-    lam = np.clip(np.linalg.eigvalsh(rho_disjoint_stack(mps, len_a, lens_b, len_c)), 0, None)
-    s_a, s_c = _entropy(mps, len_a), _entropy(mps, len_c)
-    return [s_a + s_c - entropy_from_eigenvalues(row) for row in lam]
+    rho = np.concatenate([_rho_ac(m, len_a, p, len_c) for m, p in zip(instances, powers_b)])
+    lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
+    s_ac = _support_entropies(lam, lam > 0).reshape(len(instances), -1)
+    ends = np.array([_entropy(m, len_a) + _entropy(m, len_c) for m in instances])
+    return (ends[:, None] - s_ac).tolist()
+
+
+def qmi_stack(mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int) -> list[float]:
+    """I(A:C) across each separating |B| in ``lens_b``: ``qmi_chunk`` of the
+    one instance."""
+    return qmi_chunk((mps,), len_a, ([mps.transfer.power(b) for b in lens_b],), len_c)[0]
 
 
 def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:

@@ -3,22 +3,31 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import distinct_clusters
-from .entropy import fill_entropies, qcmi, qmi_stack, rho_disjoint
-from .exceptions import BenchmarkFailed, EmptyCurve, IumpsError, TooFewPoints
+from .entropy import fill_entropies_chunk, qcmi, qmi_chunk, qmi_stack, rho_disjoint
+from .exceptions import (
+    BenchmarkFailed,
+    DegenerateSpectrum,
+    EmptyCurve,
+    IumpsError,
+    TooFewPoints,
+)
 from .mps import (
     CASE2,
     EXPLICIT,
     IuMps,
     KrausSet,
+    PowerWindow,
     build_case,
     build_iumps,
     sample_case1,
+    sample_iumps,
     spectral_gap,
     transfer_operators,
 )
@@ -35,6 +44,11 @@ SCAN_BLOCK = 8
 # fastest size at flat peak memory: 8 ran about 3% slower, and 32 ran 1-2%
 # faster but raised peak memory by 0.7 MB.
 GAP_CHUNK = 16
+# Instances run_ensemble builds and scans together.  Peak memory binds it: a
+# chunk holds its instances' window of E^n and their stacked entropy solves,
+# so the peak grows with the chunk (tracemalloc: 0.6 MB serial, 1.45 MB at
+# 4, 2.7 MB at 8), and chunks of 8 ran no faster than chunks of 4.
+ENSEMBLE_CHUNK = 4
 
 # Limiting mutual information of the golden Case-2 benchmark instance,
 # 17 ln2 / 16 - 9 ln3 / 8 + 5 ln5 / 16.
@@ -83,6 +97,93 @@ class EnsembleSummary:
     skipped: list[tuple[int, str]] = field(default_factory=list)
 
 
+def scan_instances(
+    instances: Sequence[IuMps],
+    len_a: int,
+    len_c: int,
+    b_max_limit: int = 40,
+    k: int = 12,
+) -> list[DecayCurve | IumpsError]:
+    """QCMI/QMI of regions A, C of ``len_a``, ``len_c`` sites over
+    |B| = 2, 4, ..., stopping once QCMI falls to 10^-k, for every instance
+    together: each instance's curve, or the ``IumpsError`` that ended its scan
+    (``DegenerateSpectrum`` when it has no gap, ``EmptyCurve`` when it stops
+    at |B| = 2).
+
+    An instance's last retained |B| (the curve's b_max) is the final even size
+    at which QCMI still exceeds the numerical floor, or b_max_limit.  |B| is
+    taken in blocks of ``SCAN_BLOCK`` sizes.  On entering a block the scan
+    grows E^n for every instance still scanning by one batched multiply per
+    n, keeping only the powers the block needs; solves every region length
+    the block needs and some instance has not kept in one stacked
+    ``eigvalsh``, and rho_AC for every |B| of the block and every instance in
+    another; then walks each instance's points through
+    ``qcmi(mps, len_a, |B|, len_c)`` and the stop.  A block's points past an
+    instance's stop are solved but not kept, and an instance that has stopped
+    leaves the next block.  Every instance keeps each S(n) it computes, so
+    each is computed once, however many scans and QMI/QCMI calls read it.
+    A failing stacked step (``NotHermitian``, ``TooLarge``) raises for all
+    instances.  Each curve carries the bits of the scan of its instance
+    alone.
+    """
+    if len_a < 1 or len_c < 1:
+        raise ValueError("scan requires len_a, len_c >= 1")
+    if b_max_limit % 2 != 0 or b_max_limit < 2:
+        raise ValueError("b_max_limit must be even and >= 2")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    floor = 10.0 ** (-k)
+    results: list[DecayCurve | IumpsError | None] = [None] * len(instances)
+    live: list[int] = []
+    q: dict[int, float] = {}  # the normalization of f: the bound decay rate
+    points: dict[int, list[CurvePoint]] = {}
+    for i, mps in enumerate(instances):
+        try:
+            nu_gap = spectral_gap(mps.transfer)
+        except DegenerateSpectrum as exc:
+            results[i] = exc
+            continue
+        live.append(i)
+        q[i] = 2.0 * math.log(1.0 / nu_gap)
+        points[i] = []
+    if live:
+        window = PowerWindow(np.stack([instances[i].transfer.e for i in live]))
+    for b in range(2, b_max_limit + 1, 2 * SCAN_BLOCK):
+        if not live:
+            break
+        block = range(b, min(b + 2 * SCAN_BLOCK, b_max_limit + 2), 2)
+        lengths = {len_a, len_c}.union(
+            *((lb, len_a + lb, lb + len_c, len_a + lb + len_c) for lb in block)
+        )
+        scanning = [instances[i] for i in live]
+        kept = set.intersection(*(set(mps.entropies) for mps in scanning))
+        needed = (lengths - kept) | set(block)
+        window.extend(min(needed), max(needed))
+        fill_entropies_chunk(scanning, lengths, window.__getitem__)
+        qmis = qmi_chunk(
+            scanning, len_a, [[window[lb][row] for lb in block] for row in range(len(live))], len_c
+        )
+        still: list[int] = []
+        for row, (i, mps) in enumerate(zip(live, scanning)):
+            for lb, qm in zip(block, qmis[row]):
+                qc = qcmi(mps, len_a, lb, len_c)
+                if qc <= floor:
+                    break
+                points[i].append(CurvePoint(b_len=lb, qcmi=qc, qmi=qm, f=math.log(qc) / q[i]))
+            else:
+                still.append(row)
+        if len(still) < len(live):
+            window.keep(still)
+            live = [live[row] for row in still]
+    for i, pts in points.items():
+        if pts:
+            nu_gap = instances[i].transfer.nu_gap
+            results[i] = DecayCurve(nu_gap=nu_gap, points=pts, b_max=pts[-1].b_len)
+        else:
+            results[i] = EmptyCurve(f"QCMI <= 1e-{k} already at |B| = 2")
+    return results
+
+
 def scan_instance(
     mps: IuMps,
     len_a: int,
@@ -91,46 +192,17 @@ def scan_instance(
     k: int = 12,
 ) -> DecayCurve:
     """QCMI/QMI of regions A, C of ``len_a``, ``len_c`` sites over
-    |B| = 2, 4, ..., stopping once QCMI falls to 10^-k.
+    |B| = 2, 4, ..., stopping once QCMI falls to 10^-k: ``scan_instances`` of
+    the one instance, raising the error it records.
 
-    The last retained |B| (the curve's b_max) is the final even size at which
-    QCMI still exceeds the numerical floor, or b_max_limit.  |B| is taken in
-    blocks of ``SCAN_BLOCK`` sizes: on entering a block the scan solves the
-    S(n) of every region length the block needs in one stacked ``eigvalsh``
-    and rho_AC for every |B| of the block in another, then walks the block's
-    points through ``qcmi`` and the stop, so a block's points past the stop
-    are solved but not kept.  The instance keeps every E^n and S(n) it
-    computes, so each is computed once, however many scans and QMI/QCMI
-    calls read it.  Each point's QCMI is one ``qcmi(mps, len_a, |B|, len_c)``
-    call.
+    Each block of ``SCAN_BLOCK`` sizes of |B| then costs one stacked
+    ``eigvalsh`` for the S(n) it needs and one for its rho_AC; the instance
+    keeps every S(n) it computes, so a second scan solves nothing.
     """
-    if len_a < 1 or len_c < 1:
-        raise ValueError("scan requires len_a, len_c >= 1")
-    if b_max_limit % 2 != 0 or b_max_limit < 2:
-        raise ValueError("b_max_limit must be even and >= 2")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    nu_gap = spectral_gap(mps.transfer)
-    q = 2.0 * math.log(1.0 / nu_gap)  # normalization of f: the bound decay rate
-    floor = 10.0 ** (-k)
-    points: list[CurvePoint] = []
-    qmi_at: dict[int, float] = {}
-    for b in range(2, b_max_limit + 1, 2):
-        if b not in qmi_at:
-            block = range(b, min(b + 2 * SCAN_BLOCK, b_max_limit + 2), 2)
-            fill_entropies(
-                mps,
-                [len_a, len_c]
-                + [n for lb in block for n in (lb, len_a + lb, lb + len_c, len_a + lb + len_c)],
-            )
-            qmi_at = dict(zip(block, qmi_stack(mps, len_a, block, len_c)))
-        qc = qcmi(mps, len_a, b, len_c)
-        if qc <= floor:
-            break
-        points.append(CurvePoint(b_len=b, qcmi=qc, qmi=qmi_at[b], f=math.log(qc) / q))
-    if not points:
-        raise EmptyCurve(f"QCMI <= 1e-{k} already at |B| = 2")
-    return DecayCurve(nu_gap=nu_gap, points=points, b_max=points[-1].b_len)
+    (curve,) = scan_instances((mps,), len_a, len_c, b_max_limit, k)
+    if isinstance(curve, IumpsError):
+        raise curve
+    return curve
 
 
 def shift_graph(curve: DecayCurve) -> list[tuple[float, float]]:
@@ -183,6 +255,36 @@ def build_instance(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> I
     return build_iumps(build_case(case_tag, d_s, d_m, stream))
 
 
+def _scan_one(
+    case_tag: str, d_s: int, d_m: int, stream: RandomStream, *scan_args: int
+) -> DecayCurve | IumpsError:
+    """``scan_instance`` of ``build_instance`` on the one stream, or the
+    ``IumpsError`` either raised."""
+    try:
+        return scan_instance(build_instance(case_tag, d_s, d_m, stream), *scan_args)
+    except IumpsError as exc:
+        return exc
+
+
+def _scan_chunk(
+    case_tag: str, d_s: int, d_m: int, streams: list[RandomStream], *scan_args: int
+) -> list[DecayCurve | IumpsError]:
+    """``_scan_one`` of every stream, built by ``sample_iumps`` and scanned by
+    ``scan_instances`` together.
+
+    A failing stacked step names the failing matrix by its place in the stack
+    or reports the worst of the stack, so the chunk is then done again one
+    instance at a time: each instance fails, or ends the run, with the
+    message of its own build and scan.
+    """
+    try:
+        built = sample_iumps(case_tag, d_s, d_m, streams)
+        curves = iter(scan_instances([m for m in built if isinstance(m, IuMps)], *scan_args))
+        return [next(curves) if isinstance(m, IuMps) else m for m in built]
+    except (IumpsError, ValueError):
+        return [_scan_one(case_tag, d_s, d_m, stream, *scan_args) for stream in streams]
+
+
 def run_ensemble(
     n: int,
     case_tag: str,
@@ -198,8 +300,14 @@ def run_ensemble(
     the statistics.
 
     Instance i always draws from stream index i of ``master_seed``.  The
-    instances run serially: each scan is a chain of 16x16 kernels that hold
-    the GIL, so a thread pool measured slower than this loop.  Per-instance
+    instances are built and scanned in chunks of ``ENSEMBLE_CHUNK``: per
+    chunk one stacked sample, transfer contraction and ``eig_general``
+    (``sample_iumps``), then one scan of them all (``scan_instances``), so
+    the per-call cost of the 16x16 kernels is paid once per chunk.  Every
+    instance carries the bits of ``build_instance`` + ``scan_instance`` on its
+    own stream, so the results do not depend on the chunk size.  The chunk
+    is 4 and not larger because peak memory binds it: the power window and
+    the stacked solves grow with it, and 8 bought no speed.  Per-instance
     failures are recorded and skipped, never aborting the ensemble.
     """
     if n < 1:
@@ -211,35 +319,35 @@ def run_ensemble(
     histogram = np.zeros((HISTOGRAM_BINS, HISTOGRAM_BINS), dtype=np.int64)
     out_of_range = 0
     total_shifted = 0
-    for i in range(n):
-        try:
-            mps = build_instance(case_tag, d_s, d_m, RandomStream(master_seed, i))
-            res = scan_instance(mps, len_a, len_c, b_max_limit, k)
-        except IumpsError as exc:
-            skipped.append((i, f"{type(exc).__name__}: {exc}"))
-            continue
-        shifted = shift_graph(res)
-        total_shifted += len(shifted)
-        counts, out = bin_shifted(shifted)
-        histogram += counts
-        out_of_range += out
-        try:
-            rate = extract_rate(res)
-        except TooFewPoints:
-            rate = None
-        records.append(
-            InstanceRecord(
-                instance_id=i,
-                nu_gap=res.nu_gap,
-                b_max=res.b_max,
-                n_points=len(res.points),
-                rate=rate,
+    for start in range(0, n, ENSEMBLE_CHUNK):
+        streams = [RandomStream(master_seed, i) for i in range(start, min(start + ENSEMBLE_CHUNK, n))]
+        chunk = _scan_chunk(case_tag, d_s, d_m, streams, len_a, len_c, b_max_limit, k)
+        for i, res in enumerate(chunk, start):
+            if isinstance(res, IumpsError):
+                skipped.append((i, f"{type(res).__name__}: {res}"))
+                continue
+            shifted = shift_graph(res)
+            total_shifted += len(shifted)
+            counts, out = bin_shifted(shifted)
+            histogram += counts
+            out_of_range += out
+            try:
+                rate = extract_rate(res)
+            except TooFewPoints:
+                rate = None
+            records.append(
+                InstanceRecord(
+                    instance_id=i,
+                    nu_gap=res.nu_gap,
+                    b_max=res.b_max,
+                    n_points=len(res.points),
+                    rate=rate,
+                )
             )
-        )
-        if rate is not None:
-            rates.append(rate)
-            if res.b_max == b_max_limit:
-                cdf_full.append(rate)
+            if rate is not None:
+                rates.append(rate)
+                if res.b_max == b_max_limit:
+                    cdf_full.append(rate)
     return EnsembleSummary(
         n_instances=n,
         records=records,

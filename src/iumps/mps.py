@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DegenerateSpectrum, NoFixedPoint, NonConvergence, NotPositive
+from .exceptions import (
+    DegenerateSpectrum,
+    IumpsError,
+    NoFixedPoint,
+    NonConvergence,
+    NotPositive,
+)
 from .numerics import (
     EigenDecomposition,
     RandomStream,
@@ -73,10 +79,11 @@ _BLOCK_LAYOUT = {CASE2: ((0, 0), (1, 1)), CASE3: ((0, 1), (1, 0))}
 
 
 def _block(matrices: np.ndarray, row: int, col: int) -> np.ndarray:
-    """The (row, col) half-dimension block of every M^s, as a view."""
+    """The (row, col) half-dimension block of every M^s of a Kraus set or a
+    stack of them, as a view."""
     h = matrices.shape[-1] // 2
     halves = (slice(None, h), slice(h, None))
-    return matrices[:, halves[row], halves[col]]
+    return matrices[..., halves[row], halves[col]]
 
 
 @dataclass(frozen=True)
@@ -212,37 +219,57 @@ def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndar
     return matrices
 
 
-def build_case1(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
-    """Single-fixed-point instance: ``sample_case1`` of the one stream."""
-    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=sample_case1(d_s, d_m, (stream,))[0], case_tag=CASE1)
-    ks.validate()
-    return ks
+def _unknown_case(case_tag: str) -> ValueError:
+    return ValueError(f"unknown case {case_tag!r}; expected one of {sorted(BUILDERS)}")
 
 
-def _build_two_blocks(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
-    """Two independent half-dimension Case-1 instances from one
-    ``sample_case1`` call on substreams 0 and 1, placed where
-    ``_BLOCK_LAYOUT[case_tag]`` says; the other block of each row stays zero.
-    Block i is, bit for bit, ``build_case1(d_s, d_m // 2, stream.substream(i))``."""
+def sample_case(case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndarray:
+    """Kraus matrices of a sampled case, one set per stream, stacked
+    ``(len(streams), d_s, d_M, d_M)``, from one ``sample_case1`` call.
+
+    Case 1 is ``sample_case1`` itself.  A two-block case draws two independent
+    half-dimension Case-1 sets per stream, on its substreams 0 and 1, and
+    places them where ``_BLOCK_LAYOUT[case_tag]`` says; the other block of
+    each row stays zero, so the layout holds by construction, and
+    ``sample_case1`` has checked every block.  Block j of row i is, bit for
+    bit, ``sample_case1(d_s, d_M // 2, (streams[i].substream(j),))[0]``, and
+    row i what a call on ``streams[i]`` alone gives.  A set that fails the
+    canonical check raises ``ValueError`` naming its matrix of the stack.
+    """
+    if case_tag == CASE1:
+        return sample_case1(d_s, d_m, streams)
+    if case_tag not in _BLOCK_LAYOUT:
+        raise _unknown_case(case_tag)
     if d_m % 2 != 0:
         raise ValueError("d_M must be even")
-    halves = sample_case1(d_s, d_m // 2, (stream.substream(0), stream.substream(1)))
-    mats = np.zeros((d_s, d_m, d_m), dtype=complex)
-    for half, (row, col) in zip(halves, _BLOCK_LAYOUT[case_tag]):
-        _block(mats, row, col)[...] = half
-    ks = KrausSet(d_s=d_s, d_M=d_m, matrices=mats, case_tag=case_tag)
-    ks.validate()
-    return ks
+    halves = sample_case1(d_s, d_m // 2, [s.substream(j) for s in streams for j in (0, 1)])
+    mats = np.zeros((len(streams), d_s, d_m, d_m), dtype=complex)
+    for j, (row, col) in enumerate(_BLOCK_LAYOUT[case_tag]):
+        _block(mats, row, col)[...] = halves[j::2]
+    return mats
+
+
+def _sampled(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
+    """The Kraus set ``sample_case`` draws from the one stream.  It is not
+    validated again: ``sample_case`` builds it in shape and layout and checks
+    it canonical, and a second ``validate`` would repeat that check."""
+    matrices = sample_case(case_tag, d_s, d_m, (stream,))[0]
+    return KrausSet(d_s=d_s, d_M=d_m, matrices=matrices, case_tag=case_tag)
+
+
+def build_case1(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
+    """Single-fixed-point instance: ``sample_case1`` of the one stream."""
+    return _sampled(CASE1, d_s, d_m, stream)
 
 
 def build_case2(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Two independent half-dimension instances on the diagonal blocks."""
-    return _build_two_blocks(CASE2, d_s, d_m, stream)
+    return _sampled(CASE2, d_s, d_m, stream)
 
 
 def build_case3(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Two independent half-dimension instances on the anti-diagonal blocks."""
-    return _build_two_blocks(CASE3, d_s, d_m, stream)
+    return _sampled(CASE3, d_s, d_m, stream)
 
 
 BUILDERS = {CASE1: build_case1, CASE2: build_case2, CASE3: build_case3}
@@ -251,7 +278,7 @@ BUILDERS = {CASE1: build_case1, CASE2: build_case2, CASE3: build_case3}
 def build_case(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Kraus set of a sampled case (``case1``, ``case2`` or ``case3``) drawn from ``stream``."""
     if case_tag not in BUILDERS:
-        raise ValueError(f"unknown case {case_tag!r}; expected one of {sorted(BUILDERS)}")
+        raise _unknown_case(case_tag)
     return BUILDERS[case_tag](d_s, d_m, stream)
 
 
@@ -263,15 +290,19 @@ def transfer_operators(matrices: np.ndarray) -> np.ndarray:
     return e.reshape(*matrices.shape[:-3], d2, d2)
 
 
-def transfer_matrix(kraus: KrausSet) -> TransferMatrix:
-    """Assemble E, compute its full spectrum, and classify the peripheral set."""
-    e = transfer_operators(kraus.matrices)
-    spectrum = eig_general(e)
+def _classified(e: np.ndarray, spectrum: EigenDecomposition) -> TransferMatrix:
+    """E with its spectrum, the peripheral set and the gap read off it."""
     mags = np.abs(spectrum.values)
     peripheral = np.flatnonzero(mags > 1 - PERIPHERAL_TOL)
     bulk = mags[mags <= 1 - PERIPHERAL_TOL]
     nu_gap = float(bulk.max()) if bulk.size else None
     return TransferMatrix(e=e, spectrum=spectrum, peripheral_indices=peripheral, nu_gap=nu_gap)
+
+
+def transfer_matrix(kraus: KrausSet) -> TransferMatrix:
+    """Assemble E, compute its full spectrum, and classify the peripheral set."""
+    e = transfer_operators(kraus.matrices)
+    return _classified(e, eig_general(e))
 
 
 def spectral_gap(transfer: TransferMatrix) -> float:
@@ -324,6 +355,72 @@ def build_iumps(kraus: KrausSet) -> IuMps:
     transfer = transfer_matrix(kraus)
     sigma = fixed_point(transfer)
     return IuMps(kraus=kraus, sigma=sigma, transfer=transfer)
+
+
+def sample_iumps(
+    case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStream]
+) -> list[IuMps | IumpsError]:
+    """``build_iumps(build_case(case_tag, d_s, d_M, s))`` for each stream s,
+    from one ``sample_case`` call, one ``transfer_operators`` and one stacked
+    ``eig_general``; each instance then gets a ``TransferMatrix`` from its
+    rows of the stack and its own ``fixed_point``.
+
+    Every instance carries the bits of the one-stream build.  An instance
+    whose ``fixed_point`` raises an ``IumpsError`` is that error in the list.
+    A failing stacked step (the canonical check, ``eig_general``) raises for
+    the whole stack, naming the failing matrix by its place in the stack.
+    """
+    matrices = sample_case(case_tag, d_s, d_m, streams)
+    e = transfer_operators(matrices)
+    spectrum = eig_general(e)
+    out: list[IuMps | IumpsError] = []
+    for i in range(len(streams)):
+        kraus = KrausSet(d_s=d_s, d_M=d_m, matrices=matrices[i], case_tag=case_tag)
+        rows = EigenDecomposition(
+            values=spectrum.values[i],
+            vectors=spectrum.vectors[i],
+            residual=float(spectrum.residual[i]),
+        )
+        transfer = _classified(e[i], rows)
+        try:
+            out.append(IuMps(kraus=kraus, sigma=fixed_point(transfer), transfer=transfer))
+        except IumpsError as exc:
+            out.append(exc)
+    return out
+
+
+class PowerWindow:
+    """E^n of a stack ``(N, m, m)`` of transfer matrices, for the n a block
+    of a scan needs.
+
+    E^n is grown from E^(n-1) by one batched multiply, starting from the
+    identity as ``TransferMatrix.power`` does, so each matrix of a stack
+    carries the bits of ``power(n)`` of its own ``TransferMatrix``.  Only the
+    powers from the lowest n asked for on are kept.
+    """
+
+    def __init__(self, e: np.ndarray) -> None:
+        self.e = e
+        self.top = np.broadcast_to(np.eye(e.shape[-1], dtype=complex), e.shape)
+        self.n_top = 0
+        self.powers: dict[int, np.ndarray] = {}
+
+    def extend(self, low: int, high: int) -> None:
+        """Hold E^n for every n in ``low..high``; drop every power below ``low``."""
+        self.powers = {n: p for n, p in self.powers.items() if n >= low}
+        while self.n_top < high:
+            self.top = self.top @ self.e
+            self.n_top += 1
+            if self.n_top >= low:
+                self.powers[self.n_top] = self.top
+
+    def keep(self, rows: Sequence[int]) -> None:
+        """Keep only the matrices ``rows`` of the stack, in that order."""
+        self.e, self.top = self.e[rows], self.top[rows]
+        self.powers = {n: p[rows] for n, p in self.powers.items()}
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        return self.powers[n]
 
 
 def channel_apply(kraus: KrausSet, x: np.ndarray) -> np.ndarray:

@@ -161,19 +161,34 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
     )
 
 
+def _frobenius(a: np.ndarray, conj_a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of ``a``, given its conjugate, as
+    ``np.linalg.norm(a, axis=(-2, -1))`` computes it; ``out`` takes the
+    products."""
+    return np.sqrt(np.add.reduce(np.multiply(conj_a, a, out=out).real, axis=(-2, -1)))
+
+
 def _hermitized(a: np.ndarray) -> np.ndarray:
     """(a + a†)/2 for a matrix or a stack ``(..., m, m)`` of them, after checking
     that every matrix is Hermitian to 1e-10 relative asymmetry (Frobenius);
-    raises ``NotHermitian`` otherwise."""
+    raises ``NotHermitian`` otherwise.
+
+    Two buffers of the size of ``a`` hold every intermediate, the second of
+    which is returned; the bits are those of ``(a + a_h) / 2`` with the
+    norms of ``np.linalg.norm``.
+    """
     a = np.asarray(a, dtype=complex)
-    a_h = a.conj().swapaxes(-1, -2)
-    norm_a = np.linalg.norm(a, axis=(-2, -1))
-    asym = np.linalg.norm(a - a_h, axis=(-2, -1))
+    conj = np.conjugate(a)
+    work = np.empty_like(a)
+    norm_a = _frobenius(a, conj, work)
+    diff = np.subtract(a, conj.swapaxes(-1, -2), out=work)
+    asym = _frobenius(diff, np.conjugate(diff, out=conj), conj)
     bad = (norm_a > 0) & (asym > 1e-10 * norm_a)
     if np.any(bad):
         worst = float((asym[bad] / norm_a[bad]).max())
         raise NotHermitian(f"relative asymmetry {worst:.3e} exceeds 1e-10")
-    return (a + a_h) / 2
+    a_h = np.conjugate(a, out=conj).swapaxes(-1, -2)
+    return np.divide(np.add(a, a_h, out=work), 2, out=work)
 
 
 def eig_hermitian(a: np.ndarray) -> HermitianEigenDecomposition:
@@ -193,9 +208,13 @@ def eigvals_hermitian(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     ``(..., m)``, row by row the eigenvalues of one call per matrix.
     Eigenvalues only, no eigenvectors.  Every matrix of ``h`` gets the guard
     of ``eig_hermitian``: a relative asymmetry above 1e-10 (Frobenius) raises
-    ``NotHermitian``.  ``k`` is trusted to be Hermitian.
+    ``NotHermitian``.  ``k`` is trusted to be Hermitian, and broadcasts
+    against ``h`` without enlarging it.  The Hermitized copy of ``h`` takes
+    the product, and ``h`` itself is dropped once copied, so a caller that
+    keeps no reference to ``h`` frees it before the solve.
     """
-    return np.linalg.eigvalsh(k @ _hermitized(h) @ k)[..., ::-1]
+    h = _hermitized(h)
+    return np.linalg.eigvalsh(np.matmul(k @ h, k, out=h))[..., ::-1]
 
 
 def mat_power(a: np.ndarray, n: int) -> np.ndarray:

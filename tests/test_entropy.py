@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -409,7 +411,7 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     eigvals_hermitian, qcmi_binding = ent.eigvals_hermitian, exp.qcmi
 
     def counting_eig(h, k):
-        solved.append(len(h))  # region lengths in this (m, 16, 16) stack
+        solved.append(math.prod(h.shape[:-2]))  # matrices in this (..., 16, 16) stack
         return eigvals_hermitian(h, k)
 
     def recording_qcmi(mps, len_a, len_b, len_c):

@@ -8,6 +8,10 @@ from iumps import (
     BenchmarkFailed,
     EmptyCurve,
     I_TH,
+    IumpsError,
+    KrausSet,
+    NonConvergence,
+    NotHermitian,
     RandomStream,
     TooFewPoints,
     analytic_family,
@@ -18,6 +22,8 @@ from iumps import (
     distinct_magnitudes,
     extract_rate,
     build_case1,
+    build_case2,
+    build_case3,
     gap_statistics,
     qcmi,
     run_ensemble,
@@ -25,7 +31,15 @@ from iumps import (
     shift_graph,
     transfer_matrix,
 )
-from iumps.experiments import CurvePoint, DecayCurve, bin_shifted, second_family_coefficients
+from iumps.entropy import fill_entropies
+from iumps.experiments import (
+    CurvePoint,
+    DecayCurve,
+    bin_shifted,
+    scan_instances,
+    second_family_coefficients,
+)
+from iumps.mps import PowerWindow
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +265,198 @@ def test_analytic_family_second_gap_split():
         fam = analytic_family("second", beta)
         mags = distinct_magnitudes(transfer_matrix(fam).spectrum.values)
         assert abs((mags[1] - mags[2]) - coeff * beta) <= 10 * beta**2
+
+
+def _one_by_one(n, case, seed, len_a=1, len_c=1, b_max=40, k=12, d_s=3, d_m=4):
+    """(instance id, curve or skip message) of each instance, built and
+    scanned on its own: the reference every chunk must reproduce."""
+    out = []
+    for i in range(n):
+        try:
+            mps = build_instance(case, d_s, d_m, RandomStream(seed, i))
+            out.append((i, scan_instance(mps, len_a, len_c, b_max, k)))
+        except IumpsError as exc:
+            out.append((i, f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def _assert_same_summary(a, b):
+    assert a.n_instances == b.n_instances
+    assert a.records == b.records
+    assert a.skipped == b.skipped
+    assert a.histogram.tobytes() == b.histogram.tobytes()
+    assert (a.out_of_range, a.total_shifted) == (b.out_of_range, b.total_shifted)
+    assert (a.cdf_all, a.cdf_full) == (b.cdf_all, b.cdf_full)
+
+
+def _assert_matches_one_by_one(summary, reference):
+    records = {r.instance_id: r for r in summary.records}
+    skipped = dict(summary.skipped)
+    for i, res in reference:
+        if isinstance(res, str):
+            assert skipped[i] == res
+        else:
+            rec = records[i]
+            assert (rec.nu_gap, rec.b_max, rec.n_points) == (res.nu_gap, res.b_max, len(res.points))
+    assert len(records) + len(skipped) == len(reference)
+
+
+@pytest.mark.parametrize(
+    "case, seed, k",
+    [("case1", 31, 12), ("case2", 3, 1), ("case3", 3, 1), ("case3", 9, 12)],
+)
+def test_run_ensemble_does_not_depend_on_the_chunk_size(monkeypatch, case, seed, k):
+    """Chunks of 1, 3 and more than n instances give the same summary; with
+    k = 1 some Case-2/3 instances stop at |B| = 2 (EmptyCurve) inside a chunk."""
+    n = 7
+    summaries = []
+    for chunk in (1, 3, n + 1):
+        monkeypatch.setattr(iumps.experiments, "ENSEMBLE_CHUNK", chunk)
+        summaries.append(run_ensemble(n, case, 1, 1, seed, b_max_limit=20, k=k))
+    for other in summaries[1:]:
+        _assert_same_summary(summaries[0], other)
+    _assert_matches_one_by_one(summaries[0], _one_by_one(n, case, seed, b_max=20, k=k))
+    assert summaries[0].records
+    if k == 1:
+        assert summaries[0].skipped
+        assert all("EmptyCurve" in msg for _, msg in summaries[0].skipped)
+
+
+def test_run_ensemble_per_instance_failures_stay_per_instance():
+    """A gapless instance (d_s = 1: one unitary Kraus matrix) is skipped with
+    the message of its own scan; so is a curve empty at k = 1."""
+    assert iumps.experiments.ENSEMBLE_CHUNK > 1
+    gapless = run_ensemble(5, "case1", 1, 1, 3, b_max_limit=12, d_s=1)
+    assert gapless.records == []
+    assert gapless.skipped == [msg for msg in _one_by_one(5, "case1", 3, b_max=12, d_s=1)]
+    assert all(msg.startswith("DegenerateSpectrum: ") for _, msg in gapless.skipped)
+    short = run_ensemble(9, "case2", 1, 1, 3, k=1)
+    _assert_matches_one_by_one(short, _one_by_one(9, "case2", 3, k=1))
+    assert 0 < len(short.skipped) < 9
+
+
+def test_run_ensemble_falls_back_when_a_stacked_step_raises(monkeypatch):
+    """A stacked eigensolve that fails for a chunk sends the chunk through the
+    one-element path, which gives the records and messages of that path."""
+    import iumps.entropy
+    import iumps.mps
+
+    reference = run_ensemble(6, "case2", 1, 1, 3, b_max_limit=20, k=1)
+    eigvals_hermitian, eig_general = iumps.entropy.eigvals_hermitian, iumps.mps.eig_general
+    raised = []
+
+    def failing_on_stacks(h, k):
+        if h.ndim == 4 and h.shape[0] > 1:
+            raised.append(h.shape[0])
+            raise NotHermitian("relative asymmetry 1.000e+00 exceeds 1e-10")
+        return eigvals_hermitian(h, k)
+
+    monkeypatch.setattr(iumps.entropy, "eigvals_hermitian", failing_on_stacks)
+    _assert_same_summary(run_ensemble(6, "case2", 1, 1, 3, b_max_limit=20, k=1), reference)
+    assert raised
+    monkeypatch.setattr(iumps.entropy, "eigvals_hermitian", eigvals_hermitian)
+
+    def nonconvergent_stacks(a):
+        if a.ndim == 3 and len(a) > 1:
+            raised.append(len(a))
+            raise NonConvergence("eigenvector residual 1.000e+00 exceeds 1.0e-11*||a|| (matrix 1)")
+        return eig_general(a)
+
+    raised.clear()
+    monkeypatch.setattr(iumps.mps, "eig_general", nonconvergent_stacks)
+    _assert_same_summary(run_ensemble(6, "case2", 1, 1, 3, b_max_limit=20, k=1), reference)
+    assert raised
+
+
+def test_stacked_failure_of_one_instance_skips_that_instance_only(monkeypatch):
+    """A stacked step that fails because of one instance skips that instance,
+    with the message of its own scan; the others of its chunk complete."""
+    import iumps.entropy
+
+    eigvals_hermitian = iumps.entropy.eigvals_hermitian
+    bad_k = build_instance("case1", 3, 4, RandomStream(8, 2)).kron_sqrt_sigma
+
+    def failing_for_instance_2(h, k):
+        if any(np.array_equal(kk, bad_k) for kk in k.reshape(-1, *bad_k.shape)):
+            raise NotHermitian("relative asymmetry 1.000e+00 exceeds 1e-10")
+        return eigvals_hermitian(h, k)
+
+    monkeypatch.setattr(iumps.entropy, "eigvals_hermitian", failing_for_instance_2)
+    summary = run_ensemble(4, "case1", 1, 1, 8, b_max_limit=12)
+    assert summary.skipped == [(2, "NotHermitian: relative asymmetry 1.000e+00 exceeds 1e-10")]
+    assert [r.instance_id for r in summary.records] == [0, 1, 3]
+
+
+def test_power_window_equals_transfer_power_bit_for_bit():
+    """The stacked chain's E^n is TransferMatrix.power(n), bit for bit, n <= 40;
+    the window keeps only the powers from its lowest n on, and ``keep``
+    selects instances."""
+    transfers = [
+        build_instance(case, 3, 4, RandomStream(12, i)).transfer
+        for case in ("case1", "case2", "case3")
+        for i in range(2)
+    ]
+    window = PowerWindow(np.stack([t.e for t in transfers]))
+    window.extend(1, 16)
+    assert sorted(window.powers) == list(range(1, 17))
+    window.extend(14, 40)
+    assert sorted(window.powers) == list(range(14, 41))
+    for n in range(14, 41):
+        for i, t in enumerate(transfers):
+            assert window[n][i].tobytes() == t.power(n).tobytes(), (n, i)
+    window.keep([4, 1])
+    window.extend(40, 41)
+    assert sorted(window.powers) == [40, 41]
+    for n in (40, 41):
+        assert window[n][0].tobytes() == transfers[4].power(n).tobytes()
+        assert window[n][1].tobytes() == transfers[1].power(n).tobytes()
+    fresh = PowerWindow(np.stack([t.e for t in transfers]))
+    fresh.extend(1, 13)
+    for n in range(1, 14):
+        for i, t in enumerate(transfers):
+            assert fresh[n][i].tobytes() == t.power(n).tobytes(), (n, i)
+
+
+def test_scan_instances_equals_scan_instance():
+    """Every curve of a chunked scan is the one-element scan of its instance,
+    whatever entropies the instances already keep."""
+    instances = [build_instance("case2", 3, 4, RandomStream(5, i)) for i in range(5)]
+    fill_entropies(instances[3], (1, 2, 7, 30))  # a kept S(n) is never solved again
+    kept = dict(instances[3].entropies)
+    curves = scan_instances(instances, 1, 2, 30, 12)
+    for i, curve in enumerate(curves):
+        alone = scan_instance(build_instance("case2", 3, 4, RandomStream(5, i)), 1, 2, 30, 12)
+        assert curve == alone
+    assert all(instances[3].entropies[n] == s for n, s in kept.items())
+
+
+@pytest.mark.parametrize("case, path", [("case1", ()), ("case2", (1,)), ("case3", (1,))])
+def test_non_canonical_draw_raises_the_same_message(monkeypatch, case, path):
+    """A sampled set is checked once, in sample_case1; a non-canonical draw
+    raises the ValueError of that check, naming its matrix of the one-stream
+    stack, through the builders and through run_ensemble alike."""
+    import iumps.mps
+
+    haar_unitaries = iumps.mps.haar_unitaries
+
+    def skewed(dim, streams):
+        u = haar_unitaries(dim, streams)
+        for row, stream in enumerate(streams):
+            if stream.stream_index == 2 and stream.path == path:
+                u[row] *= 1.5
+        return u
+
+    monkeypatch.setattr(iumps.mps, "haar_unitaries", skewed)
+    builder = {"case1": build_case1, "case2": build_case2, "case3": build_case3}[case]
+    with pytest.raises(ValueError, match="canonical-form deviation 1.250e") as direct:
+        builder(3, 4, RandomStream(77, 2))
+    assert str(direct.value).endswith(f"(matrix {len(path)})")
+    with pytest.raises(ValueError) as ensemble:
+        run_ensemble(6, case, 1, 1, 77, b_max_limit=12)
+    assert str(ensemble.value) == str(direct.value)
+    # the builders leave the check to sample_case1 and do not validate again
+    monkeypatch.setattr(iumps.mps, "haar_unitaries", haar_unitaries)
+    validated = []
+    monkeypatch.setattr(KrausSet, "validate", lambda self: validated.append(self))
+    builder(3, 4, RandomStream(77, 2))
+    assert validated == []

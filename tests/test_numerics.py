@@ -262,3 +262,47 @@ def test_preconditions_rejected():
         mat_power(np.eye(2), -1)
     with pytest.raises(ValueError):
         eig_general(np.ones((2, 3)))
+
+
+def _hermitized_reference(a):
+    """The out-of-place formula ``_hermitized`` replaced, kept as its reference."""
+    a = np.asarray(a, dtype=complex)
+    a_h = a.conj().swapaxes(-1, -2)
+    norm_a = np.linalg.norm(a, axis=(-2, -1))
+    asym = np.linalg.norm(a - a_h, axis=(-2, -1))
+    bad = (norm_a > 0) & (asym > 1e-10 * norm_a)
+    if np.any(bad):
+        worst = float((asym[bad] / norm_a[bad]).max())
+        raise NotHermitian(f"relative asymmetry {worst:.3e} exceeds 1e-10")
+    return (a + a_h) / 2
+
+
+@pytest.mark.parametrize("count", [1, 17, 136])
+def test_hermitized_in_place_matches_reference_bit_for_bit(count):
+    """In-place ``_hermitized`` gives the bits of ``(a + a†) / 2`` and the
+    guard's message of the reference, with at most two temporaries of the
+    stack's size (the reference peaks at three)."""
+    import tracemalloc
+
+    from iumps.numerics import _hermitized
+
+    rng = np.random.default_rng(count)
+    g = rng.standard_normal((count, 16, 16)) + 1j * rng.standard_normal((count, 16, 16))
+    h = g + g.conj().swapaxes(-1, -2)
+    h += 1e-13 * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+    h[0, 3, 5] = h[0, 5, 3] = -0.0  # exact zeros keep their sign handling too
+    for a in (h, h[0]):
+        assert _hermitized(a).tobytes() == _hermitized_reference(a).tobytes()
+    if count == 136:  # large enough that numpy's fixed 64 KB reduce buffer is small beside it
+        tracemalloc.start()
+        _hermitized(h)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2.5 * h.nbytes
+    skewed = h.copy()
+    skewed[-1] += 1e-6 * rng.standard_normal((16, 16))
+    with pytest.raises(NotHermitian) as ref:
+        _hermitized_reference(skewed)
+    with pytest.raises(NotHermitian, match="exceeds 1e-10") as got:
+        _hermitized(skewed)
+    assert str(got.value) == str(ref.value)
