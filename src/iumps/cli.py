@@ -98,6 +98,8 @@ class RunConfig:
                 raise ValueError(f"config: {f.name} must be {f.type}, not {value!r}")
         if self.b_max_limit % 2 != 0:
             raise ValueError("b_max_limit must be even")
+        if self.b_max_limit < 2:
+            raise ValueError("b_max_limit must be even and >= 2")
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
 

@@ -33,28 +33,28 @@ Eigenvalues below ``THRESHOLD`` times the largest are outside the support
 and carry no entropy.
 
 A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C| and E^|B|
-for the QMI.  Each instance keeps its S(n) in ``IuMps.entropies``, and
-``qcmi`` and ``qmi_chunk`` read S(n) from there.  ``fill_entropies_chunk``
-solves the lengths some instance of a chunk has not kept yet in one stack,
-from E^n the caller supplies (a scan's ``mps.PowerWindow``); ``fill_entropies``
-is its one-instance case, on ``TransferMatrix.power``, which grows E^n by one
-d_M^2 x d_M^2 multiply per new region length.  ``rho_disjoint_stack`` keeps
-the two |B|-independent contractions of rho_AC in ``IuMps.qmi_ends``, so the
-QMI of a stack of |B| costs one multiply by each E^|B| and one final
-contraction per instance, and ``qmi_chunk`` takes every instance's rho_AC
-in one stacked spectrum; ``rho_disjoint``, ``qmi_stack`` and ``qmi`` are its
-one-instance or one-|B| cases.
+for the QMI.  E^n has one chain, ``mps.PowerWindow``: a scan holds one
+window over its instances, and the one-instance functions here read
+``mps.powers``, a one-matrix window.  Each instance keeps its S(n) in
+``IuMps.entropies``, which ``qcmi`` and ``qmi_chunk`` read: a scan solves
+the lengths it finds missing in one stack (``fill_entropies_chunk``), and
+a miss outside a scan keeps ``region_entropy``'s S(n), the same bits.
+``rho_disjoint_stack`` keeps the two |B|-independent contractions of rho_AC
+in ``IuMps.qmi_ends``, so the QMI of a stack of |B| costs one multiply by
+each E^|B| and one final contraction per instance, and ``qmi_chunk`` takes
+every instance's rho_AC in one stacked spectrum; ``rho_disjoint``,
+``qmi_stack`` and ``qmi`` are its one-instance or one-|B| cases.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import TooLarge
-from .mps import IuMps, KrausSet, TransferMatrix, vec
+from .mps import IuMps, KrausSet, TransferMatrix, powers, vec
 from .numerics import eig_hermitian, eigvals_hermitian, mat_power
 
 THRESHOLD = 1e-12
@@ -114,7 +114,7 @@ def support_decomposition(transfer: TransferMatrix, n: int) -> SupportProjection
         raise ValueError("n must be >= 1")
     d2 = transfer.e.shape[0]
     d = int(round(np.sqrt(d2)))
-    h = transfer.power(n).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
+    h = powers(transfer.e, (n,))[0].reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
     dec = eig_hermitian(h)
     top = dec.values[0]
     support_dim = int(np.count_nonzero(dec.values > THRESHOLD * top)) if top > 0 else 0
@@ -189,7 +189,7 @@ def region_entropy_stack(mps: IuMps, lengths: Sequence[int]) -> list[EntropyRepo
     """
     if not lengths or min(lengths) < 1:
         raise ValueError("region lengths must be a nonempty list of n >= 1")
-    spectra = _support_spectra([mps.transfer.power(n) for n in lengths], mps.kron_sqrt_sigma)
+    spectra = _support_spectra(powers(mps.transfer.e, lengths), mps.kron_sqrt_sigma)
     clipped = -np.minimum(spectra, 0.0).sum(axis=-1)
     support = _supports(spectra)
     ranks = np.count_nonzero(support, axis=-1)
@@ -212,23 +212,19 @@ def region_entropy(mps: IuMps, n: int) -> EntropyReport:
 
 
 def fill_entropies_chunk(
-    instances: Sequence[IuMps], lengths: Iterable[int], power: Callable[[int], np.ndarray]
+    instances: Sequence[IuMps], missing: Sequence[int], power: Callable[[int], np.ndarray]
 ) -> None:
-    """Keep S(n) on every instance for every n in ``lengths``, solving in one
-    stacked eigenvalue solve each length some instance has not kept yet.
+    """Keep S(n) on every instance for every n >= 1 in ``missing``, from one
+    stacked eigenvalue solve.
 
     ``power(n)`` is the stack ``(len(instances), d_M^2, d_M^2)`` of the
     instances' E^n.  Each K = I kron sigma^(1/2) is broadcast over the
-    instance's lengths.  S(n) is the entropy ``region_entropy_stack`` gives,
-    which does not depend on the other lengths or instances of the stack; an
-    S(n) an instance already keeps is not overwritten.
+    lengths.  S(n) is the entropy ``region_entropy_stack`` gives, which does
+    not depend on the other lengths or instances of the stack; an S(n) an
+    instance already keeps is not overwritten.
     """
-    kept = set.intersection(*(set(mps.entropies) for mps in instances))
-    missing = sorted(set(lengths) - kept)
     if not missing:
         return
-    if missing[0] < 1:
-        raise ValueError("region lengths must be n >= 1")
     spectra = _support_spectra(
         [power(n) for n in missing], np.stack([mps.kron_sqrt_sigma for mps in instances])[:, None]
     )
@@ -237,16 +233,10 @@ def fill_entropies_chunk(
             mps.entropies.setdefault(n, s_n)
 
 
-def fill_entropies(mps: IuMps, lengths: Iterable[int]) -> None:
-    """Keep S(n) on ``mps`` for every n in ``lengths``: ``fill_entropies_chunk``
-    of the one instance."""
-    fill_entropies_chunk((mps,), lengths, lambda n: mps.transfer.power(n)[None])
-
-
 def _entropy(mps: IuMps, n: int) -> float:
     """S(n) of ``mps``, solved on first request and kept."""
     if n not in mps.entropies:
-        fill_entropies(mps, (n,))
+        mps.entropies[n] = region_entropy(mps, n).entropy
     return mps.entropies[n]
 
 
@@ -279,15 +269,22 @@ def _qmi_ends(mps: IuMps, la: int, lc: int) -> tuple[np.ndarray, np.ndarray]:
     return mps.qmi_ends[la, lc]
 
 
+def rho_ac_dim(d_s: int, len_a: int, len_c: int) -> int:
+    """d_s^(|A|+|C|), the dimension of rho_AC; ``TooLarge`` when it is above
+    ``BRUTE_FORCE_CAP``."""
+    if len_a < 1 or len_c < 1:
+        raise ValueError("rho_disjoint requires len_a, len_c >= 1")
+    dim = d_s ** (len_a + len_c)
+    if dim > BRUTE_FORCE_CAP:
+        raise TooLarge(f"d_s^(|A|+|C|) = {dim} exceeds {BRUTE_FORCE_CAP}")
+    return dim
+
+
 def _rho_ac(
     mps: IuMps, len_a: int, powers_b: Sequence[np.ndarray], len_c: int
 ) -> np.ndarray:
     """rho_AC across each E^|B| of ``powers_b``, stacked ``(len(powers_b), dim, dim)``."""
-    if len_a < 1 or len_c < 1:
-        raise ValueError("rho_disjoint requires len_a, len_c >= 1")
-    dim = mps.kraus.d_s ** (len_a + len_c)
-    if dim > BRUTE_FORCE_CAP:
-        raise TooLarge(f"d_s^(|A|+|C|) = {dim} exceeds {BRUTE_FORCE_CAP}")
+    dim = rho_ac_dim(mps.kraus.d_s, len_a, len_c)
     right, left = _qmi_ends(mps, len_a, len_c)
     powers_t = np.stack([p.T for p in powers_b])[:, None]
     rho = np.einsum("abv,ncdv->ncadb", left, right @ powers_t).reshape(-1, dim, dim)
@@ -304,7 +301,7 @@ def rho_disjoint_stack(
     separation; the physical dimension dim = d_s^(|A|+|C|) must stay at
     oracle scale.
     """
-    return _rho_ac(mps, len_a, [mps.transfer.power(b) for b in lens_b], len_c)
+    return _rho_ac(mps, len_a, powers(mps.transfer.e, lens_b), len_c)
 
 
 def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
@@ -336,7 +333,7 @@ def qmi_chunk(
 def qmi_stack(mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int) -> list[float]:
     """I(A:C) across each separating |B| in ``lens_b``: ``qmi_chunk`` of the
     one instance."""
-    return qmi_chunk((mps,), len_a, ([mps.transfer.power(b) for b in lens_b],), len_c)[0]
+    return qmi_chunk((mps,), len_a, (powers(mps.transfer.e, lens_b),), len_c)[0]
 
 
 def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:

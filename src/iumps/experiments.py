@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import distinct_clusters
-from .entropy import fill_entropies_chunk, qcmi, qmi_chunk, qmi_stack, rho_disjoint
+from .entropy import fill_entropies_chunk, qcmi, qmi_chunk, qmi_stack, rho_ac_dim, rho_disjoint
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -97,6 +97,15 @@ class EnsembleSummary:
     skipped: list[tuple[int, str]] = field(default_factory=list)
 
 
+def _check_scan_args(len_a: int, len_c: int, b_max_limit: int, k: int) -> None:
+    if len_a < 1 or len_c < 1:
+        raise ValueError("scan requires len_a, len_c >= 1")
+    if b_max_limit % 2 != 0 or b_max_limit < 2:
+        raise ValueError("b_max_limit must be even and >= 2")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def scan_instances(
     instances: Sequence[IuMps],
     len_a: int,
@@ -113,11 +122,11 @@ def scan_instances(
     An instance's last retained |B| (the curve's b_max) is the final even size
     at which QCMI still exceeds the numerical floor, or b_max_limit.  |B| is
     taken in blocks of ``SCAN_BLOCK`` sizes.  On entering a block the scan
-    grows E^n for every instance still scanning by one batched multiply per
-    n, keeping only the powers the block needs; solves every region length
-    the block needs and some instance has not kept in one stacked
-    ``eigvalsh``, and rho_AC for every |B| of the block and every instance in
-    another; then walks each instance's points through
+    grows E^n for every instance still scanning in its one ``PowerWindow``,
+    keeping only the powers the block needs; solves the region lengths the
+    block needs and some instance has not kept (``fill_entropies_chunk``)
+    in one stacked ``eigvalsh``, and rho_AC for every |B| of the block and
+    every instance in another; then walks each instance's points through
     ``qcmi(mps, len_a, |B|, len_c)`` and the stop.  A block's points past an
     instance's stop are solved but not kept, and an instance that has stopped
     leaves the next block.  Every instance keeps each S(n) it computes, so
@@ -126,12 +135,7 @@ def scan_instances(
     instances.  Each curve carries the bits of the scan of its instance
     alone.
     """
-    if len_a < 1 or len_c < 1:
-        raise ValueError("scan requires len_a, len_c >= 1")
-    if b_max_limit % 2 != 0 or b_max_limit < 2:
-        raise ValueError("b_max_limit must be even and >= 2")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_scan_args(len_a, len_c, b_max_limit, k)
     floor = 10.0 ** (-k)
     results: list[DecayCurve | IumpsError | None] = [None] * len(instances)
     live: list[int] = []
@@ -156,10 +160,10 @@ def scan_instances(
             *((lb, len_a + lb, lb + len_c, len_a + lb + len_c) for lb in block)
         )
         scanning = [instances[i] for i in live]
-        kept = set.intersection(*(set(mps.entropies) for mps in scanning))
-        needed = (lengths - kept) | set(block)
+        missing = lengths - set.intersection(*(set(mps.entropies) for mps in scanning))
+        needed = missing | set(block)
         window.extend(min(needed), max(needed))
-        fill_entropies_chunk(scanning, lengths, window.__getitem__)
+        fill_entropies_chunk(scanning, sorted(missing), window.__getitem__)
         qmis = qmi_chunk(
             scanning, len_a, [[window[lb][row] for lb in block] for row in range(len(live))], len_c
         )
@@ -255,34 +259,27 @@ def build_instance(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> I
     return build_iumps(build_case(case_tag, d_s, d_m, stream))
 
 
-def _scan_one(
-    case_tag: str, d_s: int, d_m: int, stream: RandomStream, *scan_args: int
-) -> DecayCurve | IumpsError:
-    """``scan_instance`` of ``build_instance`` on the one stream, or the
-    ``IumpsError`` either raised."""
-    try:
-        return scan_instance(build_instance(case_tag, d_s, d_m, stream), *scan_args)
-    except IumpsError as exc:
-        return exc
-
-
 def _scan_chunk(
     case_tag: str, d_s: int, d_m: int, streams: list[RandomStream], *scan_args: int
 ) -> list[DecayCurve | IumpsError]:
-    """``_scan_one`` of every stream, built by ``sample_iumps`` and scanned by
-    ``scan_instances`` together.
+    """The curve of every stream, or the ``IumpsError`` that ended it, from
+    one ``sample_iumps`` build and one ``scan_instances`` scan of them all.
 
-    A failing stacked step names the failing matrix by its place in the stack
-    or reports the worst of the stack, so the chunk is then done again one
-    instance at a time: each instance fails, or ends the run, with the
-    message of its own build and scan.
+    A stacked step that fails names a place in the stack or the worst of it,
+    so the chunk is then redone one stream at a time, each a chunk of its
+    own: an instance fails, or raises its ``ValueError``, with the message
+    of its own build and scan.
     """
     try:
         built = sample_iumps(case_tag, d_s, d_m, streams)
         curves = iter(scan_instances([m for m in built if isinstance(m, IuMps)], *scan_args))
         return [next(curves) if isinstance(m, IuMps) else m for m in built]
-    except (IumpsError, ValueError):
-        return [_scan_one(case_tag, d_s, d_m, stream, *scan_args) for stream in streams]
+    except (IumpsError, ValueError) as exc:
+        if len(streams) > 1:
+            return [r for s in streams for r in _scan_chunk(case_tag, d_s, d_m, [s], *scan_args)]
+        if isinstance(exc, IumpsError):
+            return [exc]
+        raise
 
 
 def run_ensemble(
@@ -300,18 +297,20 @@ def run_ensemble(
     the statistics.
 
     Instance i always draws from stream index i of ``master_seed``.  The
-    instances are built and scanned in chunks of ``ENSEMBLE_CHUNK``: per
-    chunk one stacked sample, transfer contraction and ``eig_general``
-    (``sample_iumps``), then one scan of them all (``scan_instances``), so
-    the per-call cost of the 16x16 kernels is paid once per chunk.  Every
-    instance carries the bits of ``build_instance`` + ``scan_instance`` on its
-    own stream, so the results do not depend on the chunk size.  The chunk
-    is 4 and not larger because peak memory binds it: the power window and
-    the stacked solves grow with it, and 8 bought no speed.  Per-instance
-    failures are recorded and skipped, never aborting the ensemble.
+    scan's arguments, and the cap ``rho_ac_dim`` puts on d_s^(|A|+|C|), are
+    checked once, before the first chunk.  The instances are built and
+    scanned in chunks of ``ENSEMBLE_CHUNK``: per chunk one stacked sample,
+    transfer contraction and ``eig_general`` (``sample_iumps``), then one
+    scan of them all (``scan_instances``), so the per-call cost of the 16x16
+    kernels is paid once per chunk.  Every instance carries the bits of
+    ``build_instance`` + ``scan_instance`` on its own stream, so the results
+    do not depend on the chunk size.  Per-instance failures are recorded and
+    skipped, never aborting the ensemble.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_scan_args(len_a, len_c, b_max_limit, k)
+    rho_ac_dim(d_s, len_a, len_c)
     records: list[InstanceRecord] = []
     rates: list[float] = []
     cdf_full: list[float] = []

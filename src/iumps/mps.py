@@ -144,18 +144,6 @@ class TransferMatrix:
     spectrum: EigenDecomposition
     peripheral_indices: np.ndarray
     nu_gap: float | None
-    _powers: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
-
-    def power(self, n: int) -> np.ndarray:
-        """E^n, the identity for n = 0; E^n is grown from E^(n-1) by one
-        multiply and kept, so it is the same array whatever order n is asked in."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if not self._powers:
-            self._powers.append(np.eye(self.e.shape[0], dtype=complex))
-        while len(self._powers) <= n:
-            self._powers.append(self._powers[-1] @ self.e)
-        return self._powers[n]
 
 
 @dataclass(frozen=True)
@@ -363,7 +351,8 @@ def sample_iumps(
     """``build_iumps(build_case(case_tag, d_s, d_M, s))`` for each stream s,
     from one ``sample_case`` call, one ``transfer_operators`` and one stacked
     ``eig_general``; each instance then gets a ``TransferMatrix`` from its
-    rows of the stack and its own ``fixed_point``.
+    rows of the stack and its own ``fixed_point``.  ``run_ensemble`` builds
+    every chunk, and every retried stream, here.
 
     Every instance carries the bits of the one-stream build.  An instance
     whose ``fixed_point`` raises an ``IumpsError`` is that error in the list.
@@ -391,19 +380,18 @@ def sample_iumps(
 
 class PowerWindow:
     """E^n of a stack ``(N, m, m)`` of transfer matrices, for the n a block
-    of a scan needs.
+    of a scan needs; the one place E^n is multiplied out.
 
-    E^n is grown from E^(n-1) by one batched multiply, starting from the
-    identity as ``TransferMatrix.power`` does, so each matrix of a stack
-    carries the bits of ``power(n)`` of its own ``TransferMatrix``.  Only the
-    powers from the lowest n asked for on are kept.
+    The window starts at E^0, the identity, and grows E^n from E^(n-1) by one
+    batched multiply, so E^n does not depend on the order the n are asked
+    in.  Only the powers from the lowest n asked for on are kept.
     """
 
     def __init__(self, e: np.ndarray) -> None:
         self.e = e
         self.top = np.broadcast_to(np.eye(e.shape[-1], dtype=complex), e.shape)
         self.n_top = 0
-        self.powers: dict[int, np.ndarray] = {}
+        self.powers: dict[int, np.ndarray] = {0: self.top}
 
     def extend(self, low: int, high: int) -> None:
         """Hold E^n for every n in ``low..high``; drop every power below ``low``."""
@@ -421,6 +409,17 @@ class PowerWindow:
 
     def __getitem__(self, n: int) -> np.ndarray:
         return self.powers[n]
+
+
+def powers(e: np.ndarray, ns: Sequence[int]) -> list[np.ndarray]:
+    """E^n of the one transfer matrix ``e`` for each n >= 0 of ``ns``: the
+    rows of a one-matrix ``PowerWindow``, so each carries the bits of its
+    row in any window that holds ``e``."""
+    if min(ns) < 0:
+        raise ValueError("n must be >= 0")
+    window = PowerWindow(e[None])
+    window.extend(min(ns), max(ns))
+    return [window[n][0] for n in ns]
 
 
 def channel_apply(kraus: KrausSet, x: np.ndarray) -> np.ndarray:

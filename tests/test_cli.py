@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import iumps.cli as cli
+import iumps.experiments
 from iumps import RandomStream, benchmark_kraus, build_case1
 from iumps.cli import RunConfig, main
 
@@ -239,6 +240,33 @@ def test_rejects_odd_b_max(tmp_path, capsys):
     assert run(tmp_path, "scan", "--case", "1", "--b-max", "13") == 4
     err = capsys.readouterr().err
     assert err == "invalid input: ValueError: b_max_limit must be even\n"
+
+
+@pytest.mark.parametrize("b_max", ["0", "-4"])
+def test_bound_rejects_a_scan_range_below_two(tmp_path, capsys, b_max):
+    assert run(tmp_path, "bound", "--case", "1", "--b-max", b_max) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "invalid input: ValueError: b_max_limit must be even and >= 2\n"
+    assert captured.out == ""
+
+
+def test_ensemble_rejects_oversize_regions_before_any_instance(tmp_path, capsys, monkeypatch):
+    """d_s^(|A|+|C|) = 3^7 is above the cap: the ensemble ends as the scan
+    does, with the scan's one stderr line, before building any instance, and
+    writes nothing."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"len_a": 6}))
+    assert run(tmp_path / "scan", "scan", "--config", str(config)) == 4
+    scan_err = capsys.readouterr().err
+    assert scan_err == "invalid input: TooLarge: d_s^(|A|+|C|) = 2187 exceeds 1024\n"
+    built = []
+    monkeypatch.setattr(iumps.experiments, "sample_iumps", lambda *args: built.append(args))
+    out_dir = tmp_path / "ensemble"
+    assert run(out_dir, "ensemble", "--config", str(config), "--n", "8") == 4
+    captured = capsys.readouterr()
+    assert captured.err == scan_err and captured.out == ""
+    assert built == []
+    assert not out_dir.exists()
 
 
 def test_rejects_zero_instances(tmp_path, capsys):

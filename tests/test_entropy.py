@@ -33,6 +33,7 @@ from iumps import (
     vec,
 )
 from iumps.entropy import _entropy, entropy_from_eigenvalues
+from iumps.mps import powers
 from iumps.numerics import mat_power
 
 
@@ -367,13 +368,13 @@ def test_profile_matches_region_entropy_and_brute_force(case_instances):
 
 
 def test_profile_power_and_qmi(case_instances):
-    """Kept E^n against binary powers; QMI and QCMI read through the kept
-    state against the definitions."""
+    """E^n of ``mps.powers`` against binary powers; QMI and QCMI read through
+    the kept state against the definitions."""
     ent = lambda r: entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(r), 0, None))
     for mps in case_instances:
-        assert np.array_equal(mps.transfer.power(0), np.eye(16))
-        for n in range(1, 43):
-            assert np.abs(mps.transfer.power(n) - mat_power(mps.transfer.e, n)).max() <= 1e-13, n
+        assert np.array_equal(powers(mps.transfer.e, (0,))[0], np.eye(16))
+        for n, p in zip(range(1, 43), powers(mps.transfer.e, range(1, 43)), strict=True):
+            assert np.abs(p - mat_power(mps.transfer.e, n)).max() <= 1e-13, n
         fresh = build_iumps(mps.kraus)
         s = lambda n: region_entropy(fresh, n).entropy
         for b in (1, 2, 3, 9, 26, 40):

@@ -31,7 +31,7 @@ from iumps import (
     shift_graph,
     transfer_matrix,
 )
-from iumps.entropy import fill_entropies
+from iumps.entropy import _entropy
 from iumps.experiments import (
     CurvePoint,
     DecayCurve,
@@ -39,7 +39,7 @@ from iumps.experiments import (
     scan_instances,
     second_family_coefficients,
 )
-from iumps.mps import PowerWindow
+from iumps.mps import PowerWindow, powers
 
 
 @pytest.fixture(scope="module")
@@ -388,40 +388,49 @@ def test_stacked_failure_of_one_instance_skips_that_instance_only(monkeypatch):
 
 
 def test_power_window_equals_transfer_power_bit_for_bit():
-    """The stacked chain's E^n is TransferMatrix.power(n), bit for bit, n <= 40;
-    the window keeps only the powers from its lowest n on, and ``keep``
-    selects instances."""
+    """Each ``powers(e, ns)`` entry is its matrix's window row, bit for bit,
+    whichever ``ns`` it is asked with, n <= 41; E^0 is the identity; the
+    window keeps only the powers from its lowest n on, and ``keep`` selects
+    instances."""
     transfers = [
         build_instance(case, 3, 4, RandomStream(12, i)).transfer
         for case in ("case1", "case2", "case3")
         for i in range(2)
     ]
     window = PowerWindow(np.stack([t.e for t in transfers]))
+    assert sorted(window.powers) == [0]
+    for i, t in enumerate(transfers):
+        assert np.array_equal(window[0][i], np.eye(16))
+        assert np.array_equal(powers(t.e, (0,))[0], np.eye(16))
     window.extend(1, 16)
     assert sorted(window.powers) == list(range(1, 17))
     window.extend(14, 40)
     assert sorted(window.powers) == list(range(14, 41))
-    for n in range(14, 41):
-        for i, t in enumerate(transfers):
-            assert window[n][i].tobytes() == t.power(n).tobytes(), (n, i)
+    asked = (range(14, 41), range(40, 13, -1), (40, 14, 27, 14), (0, 33))
+    for i, t in enumerate(transfers):
+        for ns in asked:
+            for n, p in zip(ns, powers(t.e, ns), strict=True):
+                if n:
+                    assert p.tobytes() == window[n][i].tobytes(), (n, i)
     window.keep([4, 1])
     window.extend(40, 41)
     assert sorted(window.powers) == [40, 41]
     for n in (40, 41):
-        assert window[n][0].tobytes() == transfers[4].power(n).tobytes()
-        assert window[n][1].tobytes() == transfers[1].power(n).tobytes()
+        assert window[n][0].tobytes() == powers(transfers[4].e, (n,))[0].tobytes()
+        assert window[n][1].tobytes() == powers(transfers[1].e, (n,))[0].tobytes()
     fresh = PowerWindow(np.stack([t.e for t in transfers]))
     fresh.extend(1, 13)
     for n in range(1, 14):
         for i, t in enumerate(transfers):
-            assert fresh[n][i].tobytes() == t.power(n).tobytes(), (n, i)
+            assert fresh[n][i].tobytes() == powers(t.e, (n,))[0].tobytes(), (n, i)
 
 
 def test_scan_instances_equals_scan_instance():
     """Every curve of a chunked scan is the one-element scan of its instance,
     whatever entropies the instances already keep."""
     instances = [build_instance("case2", 3, 4, RandomStream(5, i)) for i in range(5)]
-    fill_entropies(instances[3], (1, 2, 7, 30))  # a kept S(n) is never solved again
+    for n in (1, 2, 7, 30):  # a kept S(n) is never solved again
+        _entropy(instances[3], n)
     kept = dict(instances[3].entropies)
     curves = scan_instances(instances, 1, 2, 30, 12)
     for i, curve in enumerate(curves):

@@ -25,7 +25,14 @@ from iumps import (
     unvec,
     vec,
 )
-from iumps.mps import PERIPHERAL_TOL, TransferMatrix, build_case, check_canonical
+from iumps.mps import (
+    PERIPHERAL_TOL,
+    IuMps,
+    TransferMatrix,
+    build_case,
+    check_canonical,
+    sample_iumps,
+)
 from iumps.numerics import EigenDecomposition
 
 
@@ -244,6 +251,26 @@ def test_sample_case1_rows_equal_single_builds():
             ks = build_case1(d_s, d_m, stream)
             assert stack[i].tobytes() == ks.matrices.tobytes()
             assert e[i].tobytes() == transfer_matrix(ks).e.tobytes()
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "case3"])
+@pytest.mark.parametrize("d_s, d_M", [(3, 4), (2, 6)])
+def test_sample_iumps_rows_equal_the_one_stream_build(case, d_s, d_M):
+    """The ensemble's build (``sample_iumps``) and the CLI's
+    (``build_iumps(build_case(...))``) give every instance the same bits."""
+    streams = [RandomStream(29, i) for i in range(5)]
+    for stream, stacked in zip(streams, sample_iumps(case, d_s, d_M, streams), strict=True):
+        alone = build_iumps(build_case(case, d_s, d_M, stream))
+        assert isinstance(stacked, IuMps)
+        assert stacked.kraus.matrices.tobytes() == alone.kraus.matrices.tobytes()
+        t, u = stacked.transfer, alone.transfer
+        assert t.e.tobytes() == u.e.tobytes()
+        assert t.spectrum.values.tobytes() == u.spectrum.values.tobytes()
+        assert t.spectrum.vectors.tobytes() == u.spectrum.vectors.tobytes()
+        assert t.spectrum.residual == u.spectrum.residual
+        assert np.array_equal(t.peripheral_indices, u.peripheral_indices)
+        assert t.nu_gap == u.nu_gap
+        assert stacked.sigma.tobytes() == alone.sigma.tobytes()
 
 
 def test_canonical_check_covers_every_kraus_set_of_a_stack():
