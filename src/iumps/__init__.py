@@ -17,11 +17,8 @@ from .entropy import (
     purified_spectrum,
     qcmi,
     qmi,
-    qmi_stack,
     region_entropy,
-    region_entropy_stack,
     rho_disjoint,
-    rho_disjoint_stack,
     site_products,
     support_decomposition,
 )

@@ -20,13 +20,14 @@ equal to P† rho_n P for the isometry P = Phi conj(W) diag(w)^{-1/2}, where
 Phi stacks the row-major vectorized site products.  ``support_decomposition``,
 ``projected_density`` and ``materialize_isometry`` build this explicit route.
 
-``region_entropy_stack`` needs only the spectrum.  Since Phi† Phi = conj(H),
+``region_entropy`` needs only the spectrum.  Since Phi† Phi = conj(H),
 the density rho_n = Phi (I kron sigma) Phi† has the nonzero spectrum of
 K conj(H) K with K = I kron sigma^(1/2), so S(n) costs one d_M^2 x d_M^2
 eigenvalue-only solve; K is computed once per instance.  At d_M^2 = 16 the
-cost of one solve is mostly per-call overhead, so the solves for several
-lengths go into one stacked ``eigvalsh``, which returns, row by row, the
-eigenvalues of one call per matrix.  ``region_entropy`` is the one-length
+cost of one solve is mostly per-call overhead, so a scan puts the solves
+for several lengths and instances into one stacked ``eigvalsh``
+(``fill_entropies_chunk``), which returns, row by row, the eigenvalues of
+one call per matrix.  ``region_entropy`` is the one-length, one-instance
 case of that stack.
 
 Eigenvalues below ``THRESHOLD`` times the largest are outside the support
@@ -39,11 +40,11 @@ window over its instances, and the one-instance functions here read
 ``IuMps.entropies``, which ``qcmi`` and ``qmi_chunk`` read: a scan solves
 the lengths it finds missing in one stack (``fill_entropies_chunk``), and
 a miss outside a scan keeps ``region_entropy``'s S(n), the same bits.
-``rho_disjoint_stack`` keeps the two |B|-independent contractions of rho_AC
-in ``IuMps.qmi_ends``, so the QMI of a stack of |B| costs one multiply by
+``_rho_ac`` keeps the two |B|-independent contractions of rho_AC in
+``IuMps.qmi_ends``, so rho_AC across a stack of |B| costs one multiply by
 each E^|B| and one final contraction per instance, and ``qmi_chunk`` takes
-every instance's rho_AC in one stacked spectrum; ``rho_disjoint``,
-``qmi_stack`` and ``qmi`` are its one-instance or one-|B| cases.
+every instance's rho_AC in one stacked spectrum; ``rho_disjoint`` and
+``qmi`` are their one-instance, one-|B| cases.
 """
 
 from __future__ import annotations
@@ -173,42 +174,30 @@ def _supports(spectra: np.ndarray) -> np.ndarray:
     return spectra > THRESHOLD * spectra[..., :1]
 
 
-def region_entropy_stack(mps: IuMps, lengths: Sequence[int]) -> list[EntropyReport]:
-    """Von Neumann entropies of ``lengths`` contiguous sites from one stacked
-    d_M^2 x d_M^2 eigenvalue solve.
+def region_entropy(mps: IuMps, n: int) -> EntropyReport:
+    """Von Neumann entropy of ``n`` contiguous sites from one d_M^2 x d_M^2
+    eigenvalue solve.
 
     rho_n = Phi (I kron sigma) Phi† and Phi† Phi = conj(H) for the support
     Gram matrix H of ``support_decomposition``, so rho_n has the nonzero
     spectrum of K conj(H) K with K = I kron sigma^(1/2) (kept on ``mps``).
-    Each report's ``eigenvalues`` is the support spectrum: the eigenvalues
+    The report's ``eigenvalues`` is the support spectrum: the eigenvalues
     above ``THRESHOLD`` times the largest, descending.  ``clipped_weight`` is
     the negative weight of the full d_M^2 spectrum, which the entropy drops.
-    ``NotHermitian`` is raised when any H is not Hermitian, as in
-    ``support_decomposition``.  A report does not depend on the other lengths
-    of the stack.
+    ``NotHermitian`` is raised when H is not Hermitian, as in
+    ``support_decomposition``.  The entropy is, bit for bit, the S(n)
+    ``fill_entropies_chunk`` keeps.
     """
-    if not lengths or min(lengths) < 1:
-        raise ValueError("region lengths must be a nonempty list of n >= 1")
-    spectra = _support_spectra(powers(mps.transfer.e, lengths), mps.kron_sqrt_sigma)
-    clipped = -np.minimum(spectra, 0.0).sum(axis=-1)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    spectra = _support_spectra(powers(mps.transfer.e, (n,)), mps.kron_sqrt_sigma)
     support = _supports(spectra)
-    ranks = np.count_nonzero(support, axis=-1)
-    entropies = _support_entropies(spectra, support)
-    return [
-        EntropyReport(
-            region_len=n,
-            eigenvalues=spectra[i, : ranks[i]],
-            entropy=float(entropies[i]),
-            clipped_weight=float(clipped[i]),
-        )
-        for i, n in enumerate(lengths)
-    ]
-
-
-def region_entropy(mps: IuMps, n: int) -> EntropyReport:
-    """Von Neumann entropy of n contiguous sites: ``region_entropy_stack``
-    of the one length ``n``."""
-    return region_entropy_stack(mps, (n,))[0]
+    return EntropyReport(
+        region_len=n,
+        eigenvalues=spectra[0, : np.count_nonzero(support)],
+        entropy=float(_support_entropies(spectra, support)[0]),
+        clipped_weight=float(-np.minimum(spectra, 0.0).sum(axis=-1)[0]),
+    )
 
 
 def fill_entropies_chunk(
@@ -219,8 +208,8 @@ def fill_entropies_chunk(
 
     ``power(n)`` is the stack ``(len(instances), d_M^2, d_M^2)`` of the
     instances' E^n.  Each K = I kron sigma^(1/2) is broadcast over the
-    lengths.  S(n) is the entropy ``region_entropy_stack`` gives, which does
-    not depend on the other lengths or instances of the stack; an S(n) an
+    lengths.  S(n) is the entropy ``region_entropy`` gives, which does not
+    depend on the other lengths or instances of the stack; an S(n) an
     instance already keeps is not overwritten.
     """
     if not missing:
@@ -291,23 +280,15 @@ def _rho_ac(
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def rho_disjoint_stack(
-    mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int
-) -> np.ndarray:
-    """Joint reduced states of A and C separated by each |B| in ``lens_b``,
-    E^{|B|} contracted, as one stack of shape (len(lens_b), dim, dim).
+def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
+    """Joint reduced state of A and C separated by ``len_b`` sites, E^{|B|}
+    contracted: ``_rho_ac`` of the one separation.
 
     Basis ordering: A-site indices slow, C-site indices fast.  Exact at any
     separation; the physical dimension dim = d_s^(|A|+|C|) must stay at
     oracle scale.
     """
-    return _rho_ac(mps, len_a, powers(mps.transfer.e, lens_b), len_c)
-
-
-def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
-    """Joint reduced state of A and C separated by ``len_b`` sites:
-    ``rho_disjoint_stack`` of the one separation."""
-    return rho_disjoint_stack(mps, len_a, (len_b,), len_c)[0]
+    return _rho_ac(mps, len_a, powers(mps.transfer.e, (len_b,)), len_c)[0]
 
 
 def qmi_chunk(
@@ -330,16 +311,10 @@ def qmi_chunk(
     return (ends[:, None] - s_ac).tolist()
 
 
-def qmi_stack(mps: IuMps, len_a: int, lens_b: Sequence[int], len_c: int) -> list[float]:
-    """I(A:C) across each separating |B| in ``lens_b``: ``qmi_chunk`` of the
-    one instance."""
-    return qmi_chunk((mps,), len_a, (powers(mps.transfer.e, lens_b),), len_c)[0]
-
-
 def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
-    """I(A:C) across a separating region B of ``len_b`` sites: ``qmi_stack``
-    of the one separation."""
-    return qmi_stack(mps, len_a, (len_b,), len_c)[0]
+    """I(A:C) across a separating region B of ``len_b`` sites: ``qmi_chunk``
+    of the one instance and the one separation."""
+    return qmi_chunk((mps,), len_a, (powers(mps.transfer.e, (len_b,)),), len_c)[0][0]
 
 
 def brute_force_density(mps: IuMps, n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import distinct_clusters
-from .entropy import fill_entropies_chunk, qcmi, qmi_chunk, qmi_stack, rho_ac_dim, rho_disjoint
+from .entropy import fill_entropies_chunk, qcmi, qmi_chunk, rho_ac_dim, rho_disjoint
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -26,6 +26,8 @@ from .mps import (
     PowerWindow,
     build_case,
     build_iumps,
+    check_case,
+    powers,
     sample_case1,
     sample_iumps,
     spectral_gap,
@@ -297,8 +299,9 @@ def run_ensemble(
     the statistics.
 
     Instance i always draws from stream index i of ``master_seed``.  The
-    scan's arguments, and the cap ``rho_ac_dim`` puts on d_s^(|A|+|C|), are
-    checked once, before the first chunk.  The instances are built and
+    scan's arguments, the cap ``rho_ac_dim`` puts on d_s^(|A|+|C|), and the
+    case and its dimensions (``check_case``) are checked once, in that
+    order, before the first chunk.  The instances are built and
     scanned in chunks of ``ENSEMBLE_CHUNK``: per chunk one stacked sample,
     transfer contraction and ``eig_general`` (``sample_iumps``), then one
     scan of them all (``scan_instances``), so the per-call cost of the 16x16
@@ -311,6 +314,7 @@ def run_ensemble(
         raise ValueError("n must be >= 1")
     _check_scan_args(len_a, len_c, b_max_limit, k)
     rho_ac_dim(d_s, len_a, len_c)
+    check_case(case_tag, d_s, d_m)
     records: list[InstanceRecord] = []
     rates: list[float] = []
     cdf_full: list[float] = []
@@ -421,6 +425,8 @@ def golden_benchmark(k: int = 12) -> BenchmarkReport:
     The mutual information is checked at |B| = 26 against I_TH; the joint
     limiting marginal is checked entrywise at |B| = 40, where the residual
     in-block coherence corrections (decaying as 2^-|B|) are below tolerance.
+    ln QCMI must strictly decrease over the last 10 points of the scan
+    stopped at 10^-k, so a ``k`` that leaves fewer than 10 points fails.
     """
     tolerances = {"canonical": 1e-12, "sigma": 1e-10, "qmi": QMI_TOL, "rho": RHO_TOL}
     kraus = benchmark_kraus()
@@ -433,7 +439,7 @@ def golden_benchmark(k: int = 12) -> BenchmarkReport:
         raise BenchmarkFailed(f"fixed point deviates from I/4 by {sigma_dev:.3e}")
 
     sizes = range(2, 27, 2)
-    qmi_curve = list(zip(sizes, qmi_stack(mps, 1, sizes, 1)))
+    qmi_curve = list(zip(sizes, qmi_chunk((mps,), 1, (powers(mps.transfer.e, sizes),), 1)[0]))
     qmi_at_26 = qmi_curve[-1][1]
     qmi_dev = abs(qmi_at_26 - I_TH)
     if qmi_dev > QMI_TOL:
@@ -452,6 +458,8 @@ def golden_benchmark(k: int = 12) -> BenchmarkReport:
 
     curve = scan_instance(mps, 1, 1, 40, k)
     qcmi_curve = [(p.b_len, p.qcmi) for p in curve.points]
+    if len(qcmi_curve) < 10:
+        raise BenchmarkFailed(f"QCMI curve has {len(qcmi_curve)} points; the tail check needs 10")
     tail = np.log([q for _, q in qcmi_curve[-10:]])
     if not np.all(np.diff(tail) < 0):
         raise BenchmarkFailed("ln QCMI is not strictly decreasing over the last 10 points")

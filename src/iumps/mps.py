@@ -207,13 +207,22 @@ def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndar
     return matrices
 
 
-def _unknown_case(case_tag: str) -> ValueError:
-    return ValueError(f"unknown case {case_tag!r}; expected one of {sorted(BUILDERS)}")
+def check_case(case_tag: str, d_s: int, d_m: int) -> None:
+    """Raise ``ValueError`` unless ``case_tag`` is a sampled case that can be
+    drawn at d_s x d_M: an unknown case first, then an odd d_M for a
+    two-block case, then dimensions below 1."""
+    if case_tag != CASE1 and case_tag not in _BLOCK_LAYOUT:
+        cases = sorted((CASE1, *_BLOCK_LAYOUT))
+        raise ValueError(f"unknown case {case_tag!r}; expected one of {cases}")
+    if case_tag in _BLOCK_LAYOUT and d_m % 2 != 0:
+        raise ValueError("d_M must be even")
+    _check_dims(d_s, d_m)
 
 
 def sample_case(case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndarray:
     """Kraus matrices of a sampled case, one set per stream, stacked
-    ``(len(streams), d_s, d_M, d_M)``, from one ``sample_case1`` call.
+    ``(len(streams), d_s, d_M, d_M)``, from one ``sample_case1`` call; the
+    one place a case tag is dispatched on, after ``check_case``.
 
     Case 1 is ``sample_case1`` itself.  A two-block case draws two independent
     half-dimension Case-1 sets per stream, on its substreams 0 and 1, and
@@ -224,12 +233,9 @@ def sample_case(case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStrea
     row i what a call on ``streams[i]`` alone gives.  A set that fails the
     canonical check raises ``ValueError`` naming its matrix of the stack.
     """
+    check_case(case_tag, d_s, d_m)
     if case_tag == CASE1:
         return sample_case1(d_s, d_m, streams)
-    if case_tag not in _BLOCK_LAYOUT:
-        raise _unknown_case(case_tag)
-    if d_m % 2 != 0:
-        raise ValueError("d_M must be even")
     halves = sample_case1(d_s, d_m // 2, [s.substream(j) for s in streams for j in (0, 1)])
     mats = np.zeros((len(streams), d_s, d_m, d_m), dtype=complex)
     for j, (row, col) in enumerate(_BLOCK_LAYOUT[case_tag]):
@@ -237,37 +243,27 @@ def sample_case(case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStrea
     return mats
 
 
-def _sampled(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
-    """The Kraus set ``sample_case`` draws from the one stream.  It is not
-    validated again: ``sample_case`` builds it in shape and layout and checks
-    it canonical, and a second ``validate`` would repeat that check."""
+def build_case(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
+    """Kraus set of a sampled case (``case1``, ``case2`` or ``case3``):
+    ``sample_case`` of the one stream.  It is not validated again:
+    ``sample_case`` builds it in shape and layout and checks it canonical."""
     matrices = sample_case(case_tag, d_s, d_m, (stream,))[0]
     return KrausSet(d_s=d_s, d_M=d_m, matrices=matrices, case_tag=case_tag)
 
 
 def build_case1(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Single-fixed-point instance: ``sample_case1`` of the one stream."""
-    return _sampled(CASE1, d_s, d_m, stream)
+    return build_case(CASE1, d_s, d_m, stream)
 
 
 def build_case2(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Two independent half-dimension instances on the diagonal blocks."""
-    return _sampled(CASE2, d_s, d_m, stream)
+    return build_case(CASE2, d_s, d_m, stream)
 
 
 def build_case3(d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
     """Two independent half-dimension instances on the anti-diagonal blocks."""
-    return _sampled(CASE3, d_s, d_m, stream)
-
-
-BUILDERS = {CASE1: build_case1, CASE2: build_case2, CASE3: build_case3}
-
-
-def build_case(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> KrausSet:
-    """Kraus set of a sampled case (``case1``, ``case2`` or ``case3``) drawn from ``stream``."""
-    if case_tag not in BUILDERS:
-        raise _unknown_case(case_tag)
-    return BUILDERS[case_tag](d_s, d_m, stream)
+    return build_case(CASE3, d_s, d_m, stream)
 
 
 def transfer_operators(matrices: np.ndarray) -> np.ndarray:
@@ -278,19 +274,37 @@ def transfer_operators(matrices: np.ndarray) -> np.ndarray:
     return e.reshape(*matrices.shape[:-3], d2, d2)
 
 
-def _classified(e: np.ndarray, spectrum: EigenDecomposition) -> TransferMatrix:
-    """E with its spectrum, the peripheral set and the gap read off it."""
-    mags = np.abs(spectrum.values)
-    peripheral = np.flatnonzero(mags > 1 - PERIPHERAL_TOL)
-    bulk = mags[mags <= 1 - PERIPHERAL_TOL]
-    nu_gap = float(bulk.max()) if bulk.size else None
-    return TransferMatrix(e=e, spectrum=spectrum, peripheral_indices=peripheral, nu_gap=nu_gap)
+def transfer_matrices(matrices: np.ndarray) -> list[TransferMatrix]:
+    """The ``TransferMatrix`` of each Kraus set of a stack ``(N, d_s, d_M,
+    d_M)``, from one ``transfer_operators`` and one stacked ``eig_general``;
+    the one place a ``TransferMatrix`` is assembled.  Entry i carries, bit
+    for bit, ``transfer_matrix`` of set i alone.  A failing ``eig_general``
+    raises for the whole stack, naming the failing matrix by its place in it."""
+    e = transfer_operators(matrices)
+    spectrum = eig_general(e)
+    out = []
+    for i, values in enumerate(spectrum.values):
+        mags = np.abs(values)
+        bulk = mags[mags <= 1 - PERIPHERAL_TOL]
+        out.append(
+            TransferMatrix(
+                e=e[i],
+                spectrum=EigenDecomposition(
+                    values=values,
+                    vectors=spectrum.vectors[i],
+                    residual=float(spectrum.residual[i]),
+                ),
+                peripheral_indices=np.flatnonzero(mags > 1 - PERIPHERAL_TOL),
+                nu_gap=float(bulk.max()) if bulk.size else None,
+            )
+        )
+    return out
 
 
 def transfer_matrix(kraus: KrausSet) -> TransferMatrix:
-    """Assemble E, compute its full spectrum, and classify the peripheral set."""
-    e = transfer_operators(kraus.matrices)
-    return _classified(e, eig_general(e))
+    """Assemble E, compute its full spectrum, and classify the peripheral
+    set: ``transfer_matrices`` of the one Kraus set."""
+    return transfer_matrices(kraus.matrices[None])[0]
 
 
 def spectral_gap(transfer: TransferMatrix) -> float:
@@ -349,9 +363,8 @@ def sample_iumps(
     case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStream]
 ) -> list[IuMps | IumpsError]:
     """``build_iumps(build_case(case_tag, d_s, d_M, s))`` for each stream s,
-    from one ``sample_case`` call, one ``transfer_operators`` and one stacked
-    ``eig_general``; each instance then gets a ``TransferMatrix`` from its
-    rows of the stack and its own ``fixed_point``.  ``run_ensemble`` builds
+    from one ``sample_case`` call and one ``transfer_matrices`` stack; each
+    instance then gets its own ``fixed_point``.  ``run_ensemble`` builds
     every chunk, and every retried stream, here.
 
     Every instance carries the bits of the one-stream build.  An instance
@@ -360,17 +373,9 @@ def sample_iumps(
     the whole stack, naming the failing matrix by its place in the stack.
     """
     matrices = sample_case(case_tag, d_s, d_m, streams)
-    e = transfer_operators(matrices)
-    spectrum = eig_general(e)
     out: list[IuMps | IumpsError] = []
-    for i in range(len(streams)):
-        kraus = KrausSet(d_s=d_s, d_M=d_m, matrices=matrices[i], case_tag=case_tag)
-        rows = EigenDecomposition(
-            values=spectrum.values[i],
-            vectors=spectrum.vectors[i],
-            residual=float(spectrum.residual[i]),
-        )
-        transfer = _classified(e[i], rows)
+    for kraus_matrices, transfer in zip(matrices, transfer_matrices(matrices)):
+        kraus = KrausSet(d_s=d_s, d_M=d_m, matrices=kraus_matrices, case_tag=case_tag)
         try:
             out.append(IuMps(kraus=kraus, sigma=fixed_point(transfer), transfer=transfer))
         except IumpsError as exc:

@@ -225,6 +225,18 @@ def test_benchmark_family_negative_control_exit_one(tmp_path, monkeypatch, capsy
     assert sum("benchmark " in line for line in lines) == 1
 
 
+def test_benchmark_short_golden_curve_exit_one(tmp_path, capsys):
+    """k = 8 leaves the golden QCMI curve 9 points, one short of the tail
+    check; k = 9 leaves 10."""
+    assert run(tmp_path / "k8", "benchmark", "--k", "8") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "benchmark FAILED: QCMI curve has 9 points; the tail check needs 10"
+    assert run(tmp_path / "k9", "benchmark", "--k", "9") == 0
+    out = capsys.readouterr().out
+    assert "QCMI curve               10 points" in out
+    assert out.splitlines()[-1] == "benchmark PASSED"
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_instances": 4, "master_seed": 77, "b_max_limit": 12}))

@@ -21,19 +21,22 @@ from iumps import (
     purified_spectrum,
     qcmi,
     qmi,
-    qmi_stack,
     region_entropy,
-    region_entropy_stack,
     rho_disjoint,
-    rho_disjoint_stack,
     scan_instance,
     site_products,
     support_decomposition,
     unvec,
     vec,
 )
-from iumps.entropy import _entropy, entropy_from_eigenvalues
-from iumps.mps import powers
+from iumps.entropy import (
+    _entropy,
+    _rho_ac,
+    entropy_from_eigenvalues,
+    fill_entropies_chunk,
+    qmi_chunk,
+)
+from iumps.mps import PowerWindow, powers
 from iumps.numerics import mat_power
 
 
@@ -303,25 +306,30 @@ def reference_rho_disjoint(mps, b, la=1, lc=1):
 
 def test_region_entropy_matches_support_projection(case_instances, golden_mps):
     """The one-solve S(n) against the explicit route: support_decomposition,
-    projected_density, eigvalsh; and stacked S(n), in either order, equal to
-    one length at a time."""
+    projected_density, eigvalsh; and the S(n) a chunk of fresh instances
+    keeps, with its lengths in either order, equal to one length at a time."""
     first = build_iumps(analytic_family("first", 0.1))
-    for mps in (*case_instances, golden_mps, first):
-        lengths = list(range(1, 43))
-        stacked = region_entropy_stack(mps, lengths) + region_entropy_stack(mps, lengths[::-1])
+    instances = (*case_instances, golden_mps, first)
+    lengths = list(range(1, 43))
+    chunks = []
+    for order in (lengths, lengths[::-1]):
+        fresh = [build_iumps(mps.kraus) for mps in instances]
+        window = PowerWindow(np.stack([m.transfer.e for m in fresh]))
+        window.extend(1, max(lengths))
+        fill_entropies_chunk(fresh, order, window.__getitem__)
+        chunks.append(fresh)
+    for i, mps in enumerate(instances):
         for n in lengths:
             report = region_entropy(mps, n)
             sp = support_decomposition(mps.transfer, n)
             lam = np.clip(np.linalg.eigvalsh(projected_density(sp, mps.sigma))[::-1], 0.0, None)
+            assert report.region_len == n
             assert report.eigenvalues.size == sp.support_dim, n
             assert np.abs(report.eigenvalues - lam).max(initial=0.0) <= 1e-13, n
             assert abs(report.entropy - entropy_from_eigenvalues(lam)) <= 1e-13, n
             assert report.entropy == entropy_from_eigenvalues(report.eigenvalues), n
-            for other in (stacked[n - 1], stacked[-n]):
-                assert other.region_len == n
-                assert other.entropy == report.entropy, n
-                assert other.clipped_weight == report.clipped_weight, n
-                assert np.array_equal(other.eigenvalues, report.eigenvalues), n
+            for fresh in chunks:
+                assert fresh[i].entropies[n] == report.entropy, n
 
 
 def test_qmi_ends_kept_per_region_pair(case1_instance):
@@ -343,7 +351,8 @@ def test_qmi_ends_kept_per_region_pair(case1_instance):
             assert np.abs(rho_disjoint(mps, la, b, lc) - ref).max() <= 1e-13, (b, la)
             assert abs(qmi(mps, la, b, lc) - ref_qmi) <= 1e-13, (b, la)
     for la, lc in pairs:
-        rhos, qmis = rho_disjoint_stack(mps, la, sizes, lc), qmi_stack(mps, la, sizes, lc)
+        powers_b = powers(mps.transfer.e, sizes)
+        rhos, (qmis,) = _rho_ac(mps, la, powers_b, lc), qmi_chunk((mps,), la, (powers_b,), lc)
         for b, rho, q in zip(sizes, rhos, qmis, strict=True):
             ref, ref_qmi = refs[la, b]
             assert np.abs(rho - ref).max() <= 1e-13, (b, la)

@@ -210,6 +210,15 @@ def test_benchmark_negative_control(monkeypatch):
         iumps.experiments.golden_benchmark()
 
 
+def test_golden_benchmark_needs_ten_tail_points():
+    """The ln-monotone check reads the last 10 QCMI points: k = 8 leaves 9 and
+    fails, k = 9 leaves 10 and passes."""
+    message = r"^QCMI curve has 9 points; the tail check needs 10$"
+    with pytest.raises(BenchmarkFailed, match=message):
+        golden_benchmark(k=8)
+    assert len(golden_benchmark(k=9).qcmi_curve) == 10
+
+
 def test_gap_statistics_small_sample():
     stats = gap_statistics(60, 2024)
     assert stats.one_minus_nu1[-1] <= 1e-12
@@ -469,3 +478,26 @@ def test_non_canonical_draw_raises_the_same_message(monkeypatch, case, path):
     monkeypatch.setattr(KrausSet, "validate", lambda self: validated.append(self))
     builder(3, 4, RandomStream(77, 2))
     assert validated == []
+
+
+@pytest.mark.parametrize(
+    "case, d_s, d_m, message",
+    [
+        ("case2", 3, 3, "d_M must be even"),
+        ("case3", 0, 3, "d_M must be even"),
+        ("case2", 0, 4, "d_s and d_M must be >= 1"),
+        ("case4", 3, 4, "unknown case 'case4'; expected one of ['case1', 'case2', 'case3']"),
+        ("case1", 0, 4, "d_s and d_M must be >= 1"),
+    ],
+)
+def test_run_ensemble_rejects_a_bad_case_before_any_build(monkeypatch, case, d_s, d_m, message):
+    """A case or dimensions the builders reject end the ensemble with the
+    one-stream build's ValueError, before any chunk is built."""
+    with pytest.raises(ValueError) as direct:
+        build_instance(case, d_s, d_m, RandomStream(5, 0))
+    built = []
+    monkeypatch.setattr(iumps.experiments, "sample_iumps", lambda *args: built.append(args))
+    with pytest.raises(ValueError) as ensemble:
+        run_ensemble(8, case, 1, 1, 5, d_s=d_s, d_m=d_m)
+    assert str(ensemble.value) == str(direct.value) == message
+    assert built == []

@@ -32,6 +32,7 @@ from iumps.mps import (
     build_case,
     check_canonical,
     sample_iumps,
+    transfer_matrices,
 )
 from iumps.numerics import EigenDecomposition
 
@@ -271,6 +272,27 @@ def test_sample_iumps_rows_equal_the_one_stream_build(case, d_s, d_M):
         assert np.array_equal(t.peripheral_indices, u.peripheral_indices)
         assert t.nu_gap == u.nu_gap
         assert stacked.sigma.tobytes() == alone.sigma.tobytes()
+
+
+def test_transfer_matrices_rows_equal_one_set_builds():
+    """Every row of one mixed stack (a Case-1 draw, a Case-2 draw, and
+    {I/sqrt(3)} x 3, whose E = I leaves no gap) is the one-set
+    ``transfer_matrix``, bit for bit."""
+    sets = [
+        build_case1(3, 4, RandomStream(31, 0)).matrices,
+        build_case2(3, 4, RandomStream(31, 1)).matrices,
+        np.stack([np.eye(4, dtype=complex) / np.sqrt(3)] * 3),
+    ]
+    rows = transfer_matrices(np.stack(sets))
+    assert rows[2].nu_gap is None
+    for matrices, t in zip(sets, rows, strict=True):
+        u = transfer_matrix(KrausSet(d_s=3, d_M=4, matrices=matrices, case_tag="explicit"))
+        assert t.e.tobytes() == u.e.tobytes()
+        assert t.spectrum.values.tobytes() == u.spectrum.values.tobytes()
+        assert t.spectrum.vectors.tobytes() == u.spectrum.vectors.tobytes()
+        assert t.spectrum.residual == u.spectrum.residual
+        assert np.array_equal(t.peripheral_indices, u.peripheral_indices)
+        assert t.nu_gap == u.nu_gap
 
 
 def test_canonical_check_covers_every_kraus_set_of_a_stack():
