@@ -57,7 +57,8 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
 
     Raises NearDegenerate when two distinct eigenvalues at magnitude nu_gap
     lie within 1e-8 of each other: a nontrivial Jordan block is then
-    suspected and the constants cannot be computed reliably.
+    suspected and the constants cannot be computed reliably.  Raises
+    Unsupported when sigma_min^3, which Q divides by, is not positive.
     """
     transfer = mps.transfer
     nu_gap = spectral_gap(transfer)
@@ -99,6 +100,8 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
 
     d_m = mps.kraus.d_M
     sigma_min = float(np.linalg.eigvalsh(mps.sigma).min())
+    if not sigma_min**3 > 0:
+        raise Unsupported(f"sigma_min = {sigma_min:.3e}: the fixed point is not full rank")
     big_q = 16.0 * d_m**3 * c2**2 / sigma_min**3
     rate_q = 2.0 * np.log(1.0 / nu_gap)
     return BoundConstants(

@@ -219,7 +219,7 @@ def cmd_scan(config: RunConfig) -> int:
     try:
         constants = jordan_constants(mps)
         bound_values = {p.b_len: decay_bound(constants, p.b_len) for p in curve.points}
-    except (NearDegenerate, DegenerateSpectrum):
+    except (NearDegenerate, DegenerateSpectrum, Unsupported):
         pass
     rows = ["b_len,qmi,qcmi,f,bound"]
     for p in curve.points:

@@ -34,22 +34,23 @@ Eigenvalues below ``THRESHOLD`` times the largest are outside the support
 and carry no entropy.
 
 A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C| and E^|B|
-for the QMI.  E^n has one chain, ``mps.PowerWindow``: a scan holds one
-window over its instances, and the one-instance functions here read
-``mps.powers``, a one-matrix window.  Each instance keeps its S(n) in
-``IuMps.entropies``, which ``qcmi`` and ``qmi_chunk`` read: a scan solves
-the lengths it finds missing in one stack (``fill_entropies_chunk``), and
-a miss outside a scan keeps ``region_entropy``'s S(n), the same bits.
-``_rho_ac`` keeps the two |B|-independent contractions of rho_AC in
-``IuMps.qmi_ends``, so rho_AC across a stack of |B| costs one multiply by
-each E^|B| and one final contraction per instance, and ``qmi_chunk`` takes
-every instance's rho_AC in one stacked spectrum; ``rho_disjoint`` and
-``qmi`` are their one-instance, one-|B| cases.
+for the QMI.  E^n has one chain, ``mps.PowerWindow``, and every kernel here
+reads it as a list of ``(N, d_M^2, d_M^2)`` stacks over N instances, one per
+length or |B|: a scan passes its window's stacks, the one-instance functions
+stacks of one from ``mps.powers``.  Each instance keeps its S(n) in
+``IuMps.entropies``, which ``qcmi`` and ``qmi_chunk`` read: a scan solves the
+lengths it finds missing in one stack (``fill_entropies_chunk``), and a miss
+outside a scan keeps ``region_entropy``'s S(n), the same bits.  ``_rho_ac``
+keeps the two |B|-independent contractions of rho_AC in ``IuMps.qmi_ends``, so
+a chunk's rho_AC across a block of |B| costs one multiply by the E^|B| stacks
+and one final contraction, and ``qmi_chunk`` takes its spectrum in one stacked
+``eigvalsh``; ``rho_disjoint`` and ``qmi`` are their one-instance, one-|B|
+cases.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,21 +135,20 @@ def projected_density(sp: SupportProjection, sigma: np.ndarray) -> np.ndarray:
 
 def _support_spectra(powers: Sequence[np.ndarray], k: np.ndarray) -> np.ndarray:
     """Spectra, descending, of K conj(H) K for the support Gram matrix H of
-    each E^n of ``powers``, shape ``(..., len(powers), d_M^2)``.
+    each E^n of ``powers``, shape ``(N, len(powers), d_M^2)``.
 
-    Every entry of ``powers`` is one E^n or a stack ``(..., d_M^2, d_M^2)`` of
-    them, one per instance; ``k`` holds each instance's K = I kron
-    sigma^(1/2), broadcast against ``(..., len(powers), d_M^2, d_M^2)``.
+    Every entry of ``powers`` is the stack ``(N, d_M^2, d_M^2)`` of N
+    instances' E^n; ``k`` holds each instance's K = I kron sigma^(1/2),
+    shape ``(N, 1, d_M^2, d_M^2)``.
     """
-    lead = powers[0].shape[:-2]
-    d = int(round(np.sqrt(powers[0].shape[-1])))
+    n, m = powers[0].shape[:2]
+    d = int(round(np.sqrt(m)))
     # conj(H) = H^T, read off E^n by a transpose of its four indices, copied
     # once; no name holds the copy, so it is freed once it is Hermitized
-    order = (*range(len(lead)), *(len(lead) + a for a in (1, 3, 0, 2)))
     return eigvals_hermitian(
         np.stack(
-            [p.reshape(*lead, d, d, d, d).transpose(order) for p in powers], axis=len(lead)
-        ).reshape(*lead, len(powers), d * d, d * d),
+            [p.reshape(n, d, d, d, d).transpose(0, 2, 4, 1, 3) for p in powers], axis=1
+        ).reshape(n, len(powers), m, m),
         k,
     )
 
@@ -190,7 +190,8 @@ def region_entropy(mps: IuMps, n: int) -> EntropyReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    spectra = _support_spectra(powers(mps.transfer.e, (n,)), mps.kron_sqrt_sigma)
+    e_n = powers(mps.transfer.e, (n,))[0]
+    spectra = _support_spectra([e_n[None]], mps.kron_sqrt_sigma[None, None])[0]
     support = _supports(spectra)
     return EntropyReport(
         region_len=n,
@@ -201,21 +202,22 @@ def region_entropy(mps: IuMps, n: int) -> EntropyReport:
 
 
 def fill_entropies_chunk(
-    instances: Sequence[IuMps], missing: Sequence[int], power: Callable[[int], np.ndarray]
+    instances: Sequence[IuMps], missing: Sequence[int], powers_n: Sequence[np.ndarray]
 ) -> None:
     """Keep S(n) on every instance for every n >= 1 in ``missing``, from one
     stacked eigenvalue solve.
 
-    ``power(n)`` is the stack ``(len(instances), d_M^2, d_M^2)`` of the
-    instances' E^n.  Each K = I kron sigma^(1/2) is broadcast over the
-    lengths.  S(n) is the entropy ``region_entropy`` gives, which does not
-    depend on the other lengths or instances of the stack; an S(n) an
-    instance already keeps is not overwritten.
+    ``powers_n`` holds, for each n of ``missing``, the stack
+    ``(len(instances), d_M^2, d_M^2)`` of the instances' E^n.  Each
+    K = I kron sigma^(1/2) is broadcast over the lengths.  S(n) is the
+    entropy ``region_entropy`` gives, which does not depend on the other
+    lengths or instances of the stack; an S(n) an instance already keeps is
+    not overwritten.
     """
     if not missing:
         return
     spectra = _support_spectra(
-        [power(n) for n in missing], np.stack([mps.kron_sqrt_sigma for mps in instances])[:, None]
+        powers_n, np.stack([mps.kron_sqrt_sigma for mps in instances])[:, None]
     )
     for mps, row in zip(instances, _support_entropies(spectra, _supports(spectra)).tolist()):
         for n, s_n in zip(missing, row):
@@ -270,43 +272,42 @@ def rho_ac_dim(d_s: int, len_a: int, len_c: int) -> int:
 
 
 def _rho_ac(
-    mps: IuMps, len_a: int, powers_b: Sequence[np.ndarray], len_c: int
+    instances: Sequence[IuMps], len_a: int, powers_b: Sequence[np.ndarray], len_c: int
 ) -> np.ndarray:
-    """rho_AC across each E^|B| of ``powers_b``, stacked ``(len(powers_b), dim, dim)``."""
-    dim = rho_ac_dim(mps.kraus.d_s, len_a, len_c)
-    right, left = _qmi_ends(mps, len_a, len_c)
-    powers_t = np.stack([p.T for p in powers_b])[:, None]
-    rho = np.einsum("abv,ncdv->ncadb", left, right @ powers_t).reshape(-1, dim, dim)
+    """rho_AC of each instance across each |B| of ``powers_b``, a list of
+    ``(N, d_M^2, d_M^2)`` stacks of E^|B|, stacked ``(N, len(powers_b), dim,
+    dim)``: one multiply of the kept ends by E^|B| and one contraction."""
+    dim = rho_ac_dim(instances[0].kraus.d_s, len_a, len_c)
+    right, left = map(np.stack, zip(*(_qmi_ends(m, len_a, len_c) for m in instances)))
+    powers_t = np.stack([p.swapaxes(-1, -2) for p in powers_b], axis=1)[:, :, None]
+    rho = np.einsum("nabv,nkcdv->nkcadb", left, right[:, None] @ powers_t).reshape(
+        len(instances), len(powers_b), dim, dim
+    )
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
     """Joint reduced state of A and C separated by ``len_b`` sites, E^{|B|}
-    contracted: ``_rho_ac`` of the one separation.
+    contracted: ``_rho_ac`` of the one instance and the one separation.
 
     Basis ordering: A-site indices slow, C-site indices fast.  Exact at any
     separation; the physical dimension dim = d_s^(|A|+|C|) must stay at
     oracle scale.
     """
-    return _rho_ac(mps, len_a, powers(mps.transfer.e, (len_b,)), len_c)[0]
+    return _rho_ac((mps,), len_a, [powers(mps.transfer.e, (len_b,))[0][None]], len_c)[0, 0]
 
 
 def qmi_chunk(
-    instances: Sequence[IuMps],
-    len_a: int,
-    powers_b: Sequence[Sequence[np.ndarray]],
-    len_c: int,
+    instances: Sequence[IuMps], len_a: int, powers_b: Sequence[np.ndarray], len_c: int
 ) -> list[list[float]]:
     """I(A:C) = S(A) + S(C) - S(AC) of each instance across each separating
-    region whose E^|B| the instance's entry of ``powers_b`` lists, from one
-    stacked ``eigvalsh`` of every instance's rho_AC.
+    region of ``powers_b``, a stack ``(len(instances), d_M^2, d_M^2)`` of
+    E^|B| per region, from one ``_rho_ac`` and one stacked ``eigvalsh``.
 
-    The contraction of rho_AC stays per instance.  S(A) and S(C) are the
-    instance's S(|A|) and S(|C|), shared with ``qcmi``.
+    S(A) and S(C) are the instance's S(|A|) and S(|C|), shared with ``qcmi``.
     """
-    rho = np.concatenate([_rho_ac(m, len_a, p, len_c) for m, p in zip(instances, powers_b)])
-    lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
-    s_ac = _support_entropies(lam, lam > 0).reshape(len(instances), -1)
+    lam = np.clip(np.linalg.eigvalsh(_rho_ac(instances, len_a, powers_b, len_c)), 0, None)
+    s_ac = _support_entropies(lam, lam > 0)
     ends = np.array([_entropy(m, len_a) + _entropy(m, len_c) for m in instances])
     return (ends[:, None] - s_ac).tolist()
 
@@ -314,7 +315,7 @@ def qmi_chunk(
 def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
     """I(A:C) across a separating region B of ``len_b`` sites: ``qmi_chunk``
     of the one instance and the one separation."""
-    return qmi_chunk((mps,), len_a, (powers(mps.transfer.e, (len_b,)),), len_c)[0][0]
+    return qmi_chunk((mps,), len_a, [powers(mps.transfer.e, (len_b,))[0][None]], len_c)[0][0]
 
 
 def brute_force_density(mps: IuMps, n: int) -> np.ndarray:

@@ -14,7 +14,8 @@ class NotHermitian(IumpsError):
 
 
 class DegenerateSpectrum(IumpsError):
-    """Every transfer-matrix eigenvalue is peripheral; no gap exists."""
+    """Every transfer-matrix eigenvalue is peripheral, or every other one is
+    zero; no gap, or no finite decay rate, exists."""
 
 
 class NoFixedPoint(IumpsError):

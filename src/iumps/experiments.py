@@ -162,13 +162,11 @@ def scan_instances(
             *((lb, len_a + lb, lb + len_c, len_a + lb + len_c) for lb in block)
         )
         scanning = [instances[i] for i in live]
-        missing = lengths - set.intersection(*(set(mps.entropies) for mps in scanning))
-        needed = missing | set(block)
+        missing = sorted(lengths - set.intersection(*(set(mps.entropies) for mps in scanning)))
+        needed = [*missing, *block]
         window.extend(min(needed), max(needed))
-        fill_entropies_chunk(scanning, sorted(missing), window.__getitem__)
-        qmis = qmi_chunk(
-            scanning, len_a, [[window[lb][row] for lb in block] for row in range(len(live))], len_c
-        )
+        fill_entropies_chunk(scanning, missing, [window[n] for n in missing])
+        qmis = qmi_chunk(scanning, len_a, [window[lb] for lb in block], len_c)
         still: list[int] = []
         for row, (i, mps) in enumerate(zip(live, scanning)):
             for lb, qm in zip(block, qmis[row]):
@@ -439,7 +437,8 @@ def golden_benchmark(k: int = 12) -> BenchmarkReport:
         raise BenchmarkFailed(f"fixed point deviates from I/4 by {sigma_dev:.3e}")
 
     sizes = range(2, 27, 2)
-    qmi_curve = list(zip(sizes, qmi_chunk((mps,), 1, (powers(mps.transfer.e, sizes),), 1)[0]))
+    powers_b = [p[None] for p in powers(mps.transfer.e, sizes)]
+    qmi_curve = list(zip(sizes, qmi_chunk((mps,), 1, powers_b, 1)[0]))
     qmi_at_26 = qmi_curve[-1][1]
     qmi_dev = abs(qmi_at_26 - I_TH)
     if qmi_dev > QMI_TOL:

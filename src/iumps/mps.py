@@ -173,20 +173,12 @@ class IuMps:
         return np.kron(np.eye(self.kraus.d_M), root)
 
 
-@functools.cache
-def _psi(d_s: int, d_m: int) -> np.ndarray:
-    """The fixed isometry Psi = (1/sqrt(d_s)) * ones(d_s) kron I, built once
-    per shape and read-only."""
-    psi = np.kron(np.ones((d_s, 1)) / np.sqrt(d_s), np.eye(d_m))
-    psi.flags.writeable = False
-    return psi
-
-
 def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:
     """M^s from a Haar unitary on dimension d_s*d_M applied to the fixed
-    isometry ``_psi(d_s, d_M)``; a stack ``(..., d_s*d_M, d_s*d_M)`` of
-    unitaries gives a stack ``(..., d_s, d_M, d_M)`` of Kraus sets."""
-    mu = u @ _psi(d_s, d_m)  # rows indexed by the composite (s, i)
+    isometry Psi = (1/sqrt(d_s)) * ones(d_s) kron I; a stack
+    ``(..., d_s*d_M, d_s*d_M)`` of unitaries gives a stack
+    ``(..., d_s, d_M, d_M)`` of Kraus sets."""
+    mu = u @ (np.tile(np.eye(d_m), (d_s, 1)) / np.sqrt(d_s))  # rows: composite (s, i)
     return mu.reshape(*u.shape[:-2], d_s, d_m, d_m)
 
 
@@ -308,9 +300,12 @@ def transfer_matrix(kraus: KrausSet) -> TransferMatrix:
 
 
 def spectral_gap(transfer: TransferMatrix) -> float:
-    """Largest non-peripheral eigenvalue magnitude, in (0, 1)."""
+    """Largest non-peripheral eigenvalue magnitude, in (0, 1); none, or 0 (a
+    nilpotent bulk, with no decay rate 2 ln(1/nu_gap)), is DegenerateSpectrum."""
     if transfer.nu_gap is None:
         raise DegenerateSpectrum("every eigenvalue is peripheral; the gap is undefined")
+    if transfer.nu_gap == 0:
+        raise DegenerateSpectrum("the bulk is nilpotent: every non-peripheral eigenvalue is 0")
     return transfer.nu_gap
 
 

@@ -315,6 +315,69 @@ def test_bound_exit_code_on_near_degenerate_gap(tmp_path, monkeypatch, capsys):
     )
 
 
+# Canonical Kraus sets on d_s = d_M = 2, entries as [re, im] in row-major order.
+# The first has transfer spectrum {1, 0, 0, 0}: nu_gap is 0, a nilpotent bulk.
+# The second is amplitude damping, whose fixed point |0><0| has sigma_min = 0.
+NILPOTENT_BULK = {
+    "d_s": 2,
+    "d_M": 2,
+    "case_tag": "explicit",
+    "matrices": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]]],
+}
+AMPLITUDE_DAMPING = {
+    "d_s": 2,
+    "d_M": 2,
+    "case_tag": "explicit",
+    "matrices": [[[1, 0], [0, 0], [0, 0], [0.8, 0]], [[0, 0], [0.6, 0], [0, 0], [0, 0]]],
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "bound"])
+def test_nilpotent_bulk_exits_3_with_one_stderr_line(tmp_path, capsys, command):
+    kraus_file = tmp_path / "kraus.json"
+    kraus_file.write_text(json.dumps(NILPOTENT_BULK))
+    assert run(tmp_path / "out", command, "--kraus", str(kraus_file)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "degenerate input: DegenerateSpectrum: "
+        "the bulk is nilpotent: every non-peripheral eigenvalue is 0\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_bound_of_a_fixed_point_not_full_rank_exits_4(tmp_path, capsys):
+    kraus_file = tmp_path / "kraus.json"
+    kraus_file.write_text(json.dumps(AMPLITUDE_DAMPING))
+    assert run(tmp_path, "bound", "--kraus", str(kraus_file)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: Unsupported: sigma_min = ")
+    assert captured.err.endswith(": the fixed point is not full rank\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_scan_leaves_the_bound_column_empty_when_the_bound_is_unsupported(
+    tmp_path, monkeypatch
+):
+    # amplitude damping's own curve is empty (QCMI at the floor at |B| = 2),
+    # so the unsupported bound is forced on an instance with a curve
+    from iumps import Unsupported
+
+    def not_full_rank(mps):
+        raise Unsupported("sigma_min = 0.000e+00: the fixed point is not full rank")
+
+    assert run(tmp_path / "ref", "scan", "--case", "2", "--seed", "5") == 0
+    monkeypatch.setattr(cli, "jordan_constants", not_full_rank)
+    assert run(tmp_path / "out", "scan", "--case", "2", "--seed", "5") == 0
+    ref = read(tmp_path / "ref" / "curve_0.csv").splitlines()
+    rows = read(tmp_path / "out" / "curve_0.csv").splitlines()
+    assert len(rows) == len(ref) > 1 and rows[0] == ref[0]
+    for row, ref_row in zip(rows[1:], ref[1:], strict=True):
+        assert ref_row.rsplit(",", 1)[1] != ""
+        assert row == ref_row.rsplit(",", 1)[0] + ","
+
+
 def test_parser_is_reused_without_leaking_state(tmp_path, capsys):
     from iumps.cli import build_parser
 

@@ -316,7 +316,7 @@ def test_region_entropy_matches_support_projection(case_instances, golden_mps):
         fresh = [build_iumps(mps.kraus) for mps in instances]
         window = PowerWindow(np.stack([m.transfer.e for m in fresh]))
         window.extend(1, max(lengths))
-        fill_entropies_chunk(fresh, order, window.__getitem__)
+        fill_entropies_chunk(fresh, order, [window[n] for n in order])
         chunks.append(fresh)
     for i, mps in enumerate(instances):
         for n in lengths:
@@ -351,14 +351,38 @@ def test_qmi_ends_kept_per_region_pair(case1_instance):
             assert np.abs(rho_disjoint(mps, la, b, lc) - ref).max() <= 1e-13, (b, la)
             assert abs(qmi(mps, la, b, lc) - ref_qmi) <= 1e-13, (b, la)
     for la, lc in pairs:
-        powers_b = powers(mps.transfer.e, sizes)
-        rhos, (qmis,) = _rho_ac(mps, la, powers_b, lc), qmi_chunk((mps,), la, (powers_b,), lc)
+        powers_b = [p[None] for p in powers(mps.transfer.e, sizes)]
+        (rhos,), (qmis,) = _rho_ac((mps,), la, powers_b, lc), qmi_chunk((mps,), la, powers_b, lc)
         for b, rho, q in zip(sizes, rhos, qmis, strict=True):
             ref, ref_qmi = refs[la, b]
             assert np.abs(rho - ref).max() <= 1e-13, (b, la)
             assert abs(q - ref_qmi) <= 1e-13, (b, la)
             assert q == qmi(mps, la, b, lc), (b, la)
     assert sorted(mps.qmi_ends) == [(1, 1), (2, 1)]
+
+
+def test_stacked_rho_ac_rows_equal_one_instance_calls(case_instances, golden_mps):
+    """Every row of a chunk's ``_rho_ac`` and ``qmi_chunk`` over the |B| of one
+    scan block equals, bit for bit, that instance's own ``rho_disjoint`` and
+    ``qmi``, in either instance order."""
+    from iumps.experiments import SCAN_BLOCK
+
+    block = range(2, 2 + 2 * SCAN_BLOCK, 2)
+    krauses = [mps.kraus for mps in (*case_instances, golden_mps)]
+    for order in (krauses, krauses[::-1]):
+        chunk = [build_iumps(kraus) for kraus in order]
+        window = PowerWindow(np.stack([mps.transfer.e for mps in chunk]))
+        window.extend(min(block), max(block))
+        for la, lc in ((1, 1), (2, 1)):
+            powers_b = [window[b] for b in block]
+            rhos, qmis = _rho_ac(chunk, la, powers_b, lc), qmi_chunk(chunk, la, powers_b, lc)
+            assert rhos.shape == (len(chunk), len(block), 3 ** (la + lc), 3 ** (la + lc))
+            for kraus, rho_row, qmi_row in zip(order, rhos, qmis, strict=True):
+                alone = build_iumps(kraus)
+                for b, rho in zip(block, rho_row, strict=True):
+                    assert rho.tobytes() == rho_disjoint(alone, la, b, lc).tobytes(), (b, la)
+                alone_qmis = [qmi(alone, la, b, lc) for b in block]
+                assert np.array(qmi_row).tobytes() == np.array(alone_qmis).tobytes(), la
 
 
 def test_profile_matches_region_entropy_and_brute_force(case_instances):
