@@ -20,6 +20,7 @@ from .exceptions import NearDegenerate, Unsupported
 from .mps import PERIPHERAL_TOL, IuMps, spectral_gap
 
 DEGENERACY_TOL = 1e-8
+SIGMA_RANK_TOL = 1e-12  # sigma_min up to this fraction of sigma_max is roundoff
 SUFFICIENT_B_CAP = 1_000_000
 
 
@@ -58,7 +59,8 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
     Raises NearDegenerate when two distinct eigenvalues at magnitude nu_gap
     lie within 1e-8 of each other: a nontrivial Jordan block is then
     suspected and the constants cannot be computed reliably.  Raises
-    Unsupported when sigma_min^3, which Q divides by, is not positive.
+    Unsupported when sigma is not full rank: sigma_min, which Q divides by,
+    is not above ``SIGMA_RANK_TOL`` times sigma's largest eigenvalue.
     """
     transfer = mps.transfer
     nu_gap = spectral_gap(transfer)
@@ -99,8 +101,8 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
     )
 
     d_m = mps.kraus.d_M
-    sigma_min = float(np.linalg.eigvalsh(mps.sigma).min())
-    if not sigma_min**3 > 0:
+    sigma_min, sigma_max = map(float, np.linalg.eigvalsh(mps.sigma)[[0, -1]])
+    if not sigma_min > SIGMA_RANK_TOL * sigma_max:
         raise Unsupported(f"sigma_min = {sigma_min:.3e}: the fixed point is not full rank")
     big_q = 16.0 * d_m**3 * c2**2 / sigma_min**3
     rate_q = 2.0 * np.log(1.0 / nu_gap)

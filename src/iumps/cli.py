@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import jordan_constants, sufficient_b, decay_bound
+from .entropy import qmi_curve, rho_ac_dim
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -33,6 +34,7 @@ from .exceptions import (
 from .experiments import (
     analytic_family,
     benchmark_kraus,
+    check_scan_args,
     golden_benchmark,
     distinct_magnitudes,
     gap_statistics,
@@ -46,6 +48,7 @@ from .mps import (
     KrausSet,
     build_case,
     build_iumps,
+    spectral_gap,
     transfer_matrix,
 )
 from .numerics import RandomStream
@@ -187,45 +190,43 @@ def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
 
 def cmd_spectrum(config: RunConfig) -> int:
     out = Path(config.output_dir)
+    transfers = [transfer_matrix(_kraus(config, i)) for i in range(config.n_instances)]
     rows = ["instance_id,eig_index,re,im,abs,is_peripheral"]
-    gap_payload: dict = {}
-    for i in range(config.n_instances):
-        transfer = transfer_matrix(_kraus(config, i))
+    for i, transfer in enumerate(transfers):
         peripheral = set(transfer.peripheral_indices.tolist())
-        for idx, v in enumerate(transfer.spectrum.values):
-            rows.append(
-                f"{i},{idx},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))},"
-                f"{int(idx in peripheral)}"
-            )
-        if i == 0:
-            gap_payload = {
-                "nu_gap": transfer.nu_gap,
-                "peripheral_count": int(len(peripheral)),
-            }
-            if transfer.nu_gap is None:
-                gap_payload["error"] = "degenerate spectrum: every eigenvalue is peripheral"
+        rows += [
+            f"{i},{idx},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))},{int(idx in peripheral)}"
+            for idx, v in enumerate(transfer.spectrum.values)
+        ]
     _write(out / "spectrum.csv", rows)
-    (out / "gap.json").write_text(json.dumps(gap_payload, sort_keys=True) + "\n")
-    if "error" in gap_payload:
-        raise DegenerateSpectrum("instance 0: every eigenvalue is peripheral; the gap is undefined")
+    first = transfers[0]
+    gap_payload = {"nu_gap": first.nu_gap, "peripheral_count": len(first.peripheral_indices)}
+    try:  # instance 0's gap, by the rule of scan and bound
+        spectral_gap(first)
+    except DegenerateSpectrum as exc:
+        # the reason, without what it implies: "...; the gap is undefined"
+        gap_payload["error"] = f"degenerate spectrum: {str(exc).partition(';')[0]}"
+        raise DegenerateSpectrum(f"instance 0: {exc}") from exc
+    finally:
+        (out / "gap.json").write_text(json.dumps(gap_payload, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_scan(config: RunConfig) -> int:
-    out = Path(config.output_dir)
     mps = build_iumps(_kraus(config, 0))
+    check_scan_args(config.len_a, config.len_c, config.b_max_limit, config.k)
+    rho_ac_dim(mps.kraus.d_s, config.len_a, config.len_c)  # the QMI column's cap, before the scan
     curve = scan_instance(mps, config.len_a, config.len_c, config.b_max_limit, config.k)
-    bound_values: dict[int, float] = {}
+    qmis = qmi_curve(mps, config.len_a, [p.b_len for p in curve.points], config.len_c)
     try:
         constants = jordan_constants(mps)
-        bound_values = {p.b_len: decay_bound(constants, p.b_len) for p in curve.points}
+        bounds = [_fmt(decay_bound(constants, p.b_len)) for p in curve.points]
     except (NearDegenerate, DegenerateSpectrum, Unsupported):
-        pass
+        bounds = [""] * len(curve.points)
     rows = ["b_len,qmi,qcmi,f,bound"]
-    for p in curve.points:
-        bound = _fmt(bound_values[p.b_len]) if p.b_len in bound_values else ""
-        rows.append(f"{p.b_len},{_fmt(p.qmi)},{_fmt(p.qcmi)},{_fmt(p.f)},{bound}")
-    _write(out / "curve_0.csv", rows)
+    for p, qmi, bound in zip(curve.points, qmis, bounds):
+        rows.append(f"{p.b_len},{_fmt(qmi)},{_fmt(p.qcmi)},{_fmt(p.f)},{bound}")
+    _write(Path(config.output_dir) / "curve_0.csv", rows)
     return EXIT_OK
 
 

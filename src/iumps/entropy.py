@@ -33,19 +33,18 @@ case of that stack.
 Eigenvalues below ``THRESHOLD`` times the largest are outside the support
 and carry no entropy.
 
-A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C| and E^|B|
-for the QMI.  E^n has one chain, ``mps.PowerWindow``, and every kernel here
-reads it as a list of ``(N, d_M^2, d_M^2)`` stacks over N instances, one per
-length or |B|: a scan passes its window's stacks, the one-instance functions
-stacks of one from ``mps.powers``.  Each instance keeps its S(n) in
-``IuMps.entropies``, which ``qcmi`` and ``qmi_chunk`` read: a scan solves the
-lengths it finds missing in one stack (``fill_entropies_chunk``), and a miss
-outside a scan keeps ``region_entropy``'s S(n), the same bits.  ``_rho_ac``
-keeps the two |B|-independent contractions of rho_AC in ``IuMps.qmi_ends``, so
-a chunk's rho_AC across a block of |B| costs one multiply by the E^|B| stacks
-and one final contraction, and ``qmi_chunk`` takes its spectrum in one stacked
-``eigvalsh``; ``rho_disjoint`` and ``qmi`` are their one-instance, one-|B|
-cases.
+A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C|, and no
+rho_AC.  E^n has one chain, ``mps.PowerWindow``, and every kernel here reads
+it as a list of ``(N, d_M^2, d_M^2)`` stacks over N instances, one per length
+or |B|: a scan passes its window's stacks, the one-instance functions stacks
+of one from ``mps.powers``.  Each instance keeps its S(n) in
+``IuMps.entropies``: a scan solves the lengths it finds missing in one stack
+(``fill_entropies_chunk``), and a miss outside a scan keeps
+``region_entropy``'s S(n), the same bits.  ``_rho_ac`` keeps rho_AC's two
+|B|-independent contractions in ``IuMps.qmi_ends``, so ``qmi_chunk`` takes
+rho_AC over many |B| from one multiply, one contraction and one stacked
+``eigvalsh``; ``qmi_curve`` (the QMI column of ``iumps scan``), ``qmi`` and
+``rho_disjoint`` are its one-instance cases.
 """
 
 from __future__ import annotations
@@ -312,10 +311,14 @@ def qmi_chunk(
     return (ends[:, None] - s_ac).tolist()
 
 
+def qmi_curve(mps: IuMps, len_a: int, sizes: Sequence[int], len_c: int) -> list[float]:
+    """I(A:C) across B of each length in ``sizes``: the one-instance ``qmi_chunk``."""
+    return qmi_chunk((mps,), len_a, [p[None] for p in powers(mps.transfer.e, sizes)], len_c)[0]
+
+
 def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
-    """I(A:C) across a separating region B of ``len_b`` sites: ``qmi_chunk``
-    of the one instance and the one separation."""
-    return qmi_chunk((mps,), len_a, [powers(mps.transfer.e, (len_b,))[0][None]], len_c)[0][0]
+    """I(A:C) across a separating region B of ``len_b`` sites: one-|B| ``qmi_curve``."""
+    return qmi_curve(mps, len_a, (len_b,), len_c)[0]
 
 
 def brute_force_density(mps: IuMps, n: int) -> np.ndarray:

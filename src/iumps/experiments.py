@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import distinct_clusters
-from .entropy import fill_entropies_chunk, qcmi, qmi_chunk, rho_ac_dim, rho_disjoint
+from .entropy import fill_entropies_chunk, qcmi, qmi_curve, rho_ac_dim, rho_disjoint
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -27,7 +27,6 @@ from .mps import (
     build_case,
     build_iumps,
     check_case,
-    powers,
     sample_case1,
     sample_iumps,
     spectral_gap,
@@ -37,10 +36,10 @@ from .numerics import RandomStream, eig_general
 
 HISTOGRAM_BINS = 20
 BURN_IN = 3
-# |B| values a scan solves together: one stacked eigvalsh for their S(n), one
-# for their QMI.  Of 4, 6, 8 and the whole range, 8 gave the most Case-1 and
-# Case-2 scans per second: smaller blocks pay more per-call overhead, larger
-# ones solve more points past the stop.
+# |B| values a scan solves together: one stacked eigvalsh for their S(n).  Of
+# 4, 6, 8 and the whole range, 8 gave the most Case-1 and Case-2 scans per
+# second: smaller blocks pay more per-call overhead, larger ones solve more
+# points past the stop.
 SCAN_BLOCK = 8
 # Instances gap_statistics samples and eigensolves together.  16 is the
 # fastest size at flat peak memory: 8 ran about 3% slower, and 32 ran 1-2%
@@ -63,13 +62,12 @@ RHO_TOL = 1e-10
 class CurvePoint(NamedTuple):
     b_len: int
     qcmi: float
-    qmi: float
     f: float
 
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """One instance's QCMI/QMI values over even |B|, with normalized log-QCMI
+    """One instance's QCMI values over even |B|, with normalized log-QCMI
     f, its spectral gap and its last retained |B|.  It holds no instance
     label: the caller knows which instance it scanned."""
 
@@ -99,7 +97,7 @@ class EnsembleSummary:
     skipped: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _check_scan_args(len_a: int, len_c: int, b_max_limit: int, k: int) -> None:
+def check_scan_args(len_a: int, len_c: int, b_max_limit: int, k: int) -> None:
     if len_a < 1 or len_c < 1:
         raise ValueError("scan requires len_a, len_c >= 1")
     if b_max_limit % 2 != 0 or b_max_limit < 2:
@@ -115,8 +113,8 @@ def scan_instances(
     b_max_limit: int = 40,
     k: int = 12,
 ) -> list[DecayCurve | IumpsError]:
-    """QCMI/QMI of regions A, C of ``len_a``, ``len_c`` sites over
-    |B| = 2, 4, ..., stopping once QCMI falls to 10^-k, for every instance
+    """QCMI of regions A, C of ``len_a``, ``len_c`` sites over
+    |B| = 2, 4, ..., stopping once it falls to 10^-k, for every instance
     together: each instance's curve, or the ``IumpsError`` that ended its scan
     (``DegenerateSpectrum`` when it has no gap, ``EmptyCurve`` when it stops
     at |B| = 2).
@@ -127,17 +125,16 @@ def scan_instances(
     grows E^n for every instance still scanning in its one ``PowerWindow``,
     keeping only the powers the block needs; solves the region lengths the
     block needs and some instance has not kept (``fill_entropies_chunk``)
-    in one stacked ``eigvalsh``, and rho_AC for every |B| of the block and
-    every instance in another; then walks each instance's points through
-    ``qcmi(mps, len_a, |B|, len_c)`` and the stop.  A block's points past an
+    in one stacked ``eigvalsh``; then walks each instance's points through
+    ``qcmi(mps, len_a, |B|, len_c)`` and the stop; it builds no rho_AC
+    (``qmi_curve`` gives the kept points' QMI).  A block's points past an
     instance's stop are solved but not kept, and an instance that has stopped
     leaves the next block.  Every instance keeps each S(n) it computes, so
     each is computed once, however many scans and QMI/QCMI calls read it.
-    A failing stacked step (``NotHermitian``, ``TooLarge``) raises for all
-    instances.  Each curve carries the bits of the scan of its instance
-    alone.
+    A failing stacked step (``NotHermitian``) raises for all instances.
+    Each curve carries the bits of the scan of its instance alone.
     """
-    _check_scan_args(len_a, len_c, b_max_limit, k)
+    check_scan_args(len_a, len_c, b_max_limit, k)
     floor = 10.0 ** (-k)
     results: list[DecayCurve | IumpsError | None] = [None] * len(instances)
     live: list[int] = []
@@ -158,22 +155,22 @@ def scan_instances(
         if not live:
             break
         block = range(b, min(b + 2 * SCAN_BLOCK, b_max_limit + 2), 2)
+        # S(|A|) and S(|C|), for a caller's QMI, and the S(n) the block's QCMI reads
         lengths = {len_a, len_c}.union(
             *((lb, len_a + lb, lb + len_c, len_a + lb + len_c) for lb in block)
         )
         scanning = [instances[i] for i in live]
         missing = sorted(lengths - set.intersection(*(set(mps.entropies) for mps in scanning)))
-        needed = [*missing, *block]
-        window.extend(min(needed), max(needed))
+        if missing:
+            window.extend(missing[0], missing[-1])
         fill_entropies_chunk(scanning, missing, [window[n] for n in missing])
-        qmis = qmi_chunk(scanning, len_a, [window[lb] for lb in block], len_c)
         still: list[int] = []
         for row, (i, mps) in enumerate(zip(live, scanning)):
-            for lb, qm in zip(block, qmis[row]):
+            for lb in block:
                 qc = qcmi(mps, len_a, lb, len_c)
                 if qc <= floor:
                     break
-                points[i].append(CurvePoint(b_len=lb, qcmi=qc, qmi=qm, f=math.log(qc) / q[i]))
+                points[i].append(CurvePoint(b_len=lb, qcmi=qc, f=math.log(qc) / q[i]))
             else:
                 still.append(row)
         if len(still) < len(live):
@@ -181,8 +178,7 @@ def scan_instances(
             live = [live[row] for row in still]
     for i, pts in points.items():
         if pts:
-            nu_gap = instances[i].transfer.nu_gap
-            results[i] = DecayCurve(nu_gap=nu_gap, points=pts, b_max=pts[-1].b_len)
+            results[i] = DecayCurve(instances[i].transfer.nu_gap, pts, b_max=pts[-1].b_len)
         else:
             results[i] = EmptyCurve(f"QCMI <= 1e-{k} already at |B| = 2")
     return results
@@ -195,13 +191,12 @@ def scan_instance(
     b_max_limit: int = 40,
     k: int = 12,
 ) -> DecayCurve:
-    """QCMI/QMI of regions A, C of ``len_a``, ``len_c`` sites over
-    |B| = 2, 4, ..., stopping once QCMI falls to 10^-k: ``scan_instances`` of
+    """QCMI of regions A, C of ``len_a``, ``len_c`` sites over
+    |B| = 2, 4, ..., stopping once it falls to 10^-k: ``scan_instances`` of
     the one instance, raising the error it records.
 
     Each block of ``SCAN_BLOCK`` sizes of |B| then costs one stacked
-    ``eigvalsh`` for the S(n) it needs and one for its rho_AC; the instance
-    keeps every S(n) it computes, so a second scan solves nothing.
+    ``eigvalsh``; the instance keeps its S(n), so a second scan solves nothing.
     """
     (curve,) = scan_instances((mps,), len_a, len_c, b_max_limit, k)
     if isinstance(curve, IumpsError):
@@ -297,20 +292,20 @@ def run_ensemble(
     the statistics.
 
     Instance i always draws from stream index i of ``master_seed``.  The
-    scan's arguments, the cap ``rho_ac_dim`` puts on d_s^(|A|+|C|), and the
-    case and its dimensions (``check_case``) are checked once, in that
-    order, before the first chunk.  The instances are built and
-    scanned in chunks of ``ENSEMBLE_CHUNK``: per chunk one stacked sample,
-    transfer contraction and ``eig_general`` (``sample_iumps``), then one
-    scan of them all (``scan_instances``), so the per-call cost of the 16x16
-    kernels is paid once per chunk.  Every instance carries the bits of
-    ``build_instance`` + ``scan_instance`` on its own stream, so the results
-    do not depend on the chunk size.  Per-instance failures are recorded and
-    skipped, never aborting the ensemble.
+    scan's arguments, the cap ``rho_ac_dim`` puts on d_s^(|A|+|C|) (that of
+    ``iumps scan``; no rho_AC is built here), and the case and its dimensions
+    (``check_case``) are checked once, in that order, before the first chunk.
+    The instances are built and scanned in chunks of ``ENSEMBLE_CHUNK``: per
+    chunk one stacked sample, transfer contraction and ``eig_general``
+    (``sample_iumps``), then one scan of them all (``scan_instances``), so the
+    per-call cost of the 16x16 kernels is paid once per chunk.  Every instance
+    carries the bits of ``build_instance`` + ``scan_instance`` on its own
+    stream, so the results do not depend on the chunk size.  Per-instance
+    failures are recorded and skipped, never aborting the ensemble.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_scan_args(len_a, len_c, b_max_limit, k)
+    check_scan_args(len_a, len_c, b_max_limit, k)
     rho_ac_dim(d_s, len_a, len_c)
     check_case(case_tag, d_s, d_m)
     records: list[InstanceRecord] = []
@@ -437,9 +432,8 @@ def golden_benchmark(k: int = 12) -> BenchmarkReport:
         raise BenchmarkFailed(f"fixed point deviates from I/4 by {sigma_dev:.3e}")
 
     sizes = range(2, 27, 2)
-    powers_b = [p[None] for p in powers(mps.transfer.e, sizes)]
-    qmi_curve = list(zip(sizes, qmi_chunk((mps,), 1, powers_b, 1)[0]))
-    qmi_at_26 = qmi_curve[-1][1]
+    qmis = list(zip(sizes, qmi_curve(mps, 1, sizes, 1)))
+    qmi_at_26 = qmis[-1][1]
     qmi_dev = abs(qmi_at_26 - I_TH)
     if qmi_dev > QMI_TOL:
         raise BenchmarkFailed(f"QMI(26) differs from reference plateau by {qmi_dev:.3e}")
@@ -473,7 +467,7 @@ def golden_benchmark(k: int = 12) -> BenchmarkReport:
         rho_a_dev=rho_a_dev,
         rho_c_dev=rho_c_dev,
         rho_ac_dev=rho_ac_dev,
-        qmi_curve=qmi_curve,
+        qmi_curve=qmis,
         qcmi_curve=qcmi_curve,
         notes=(
             "reference fixed-point vector has trace 2 under the stated "

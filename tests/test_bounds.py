@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,43 @@ def test_decay_bound_rejects_nonpositive_b():
     )
     with pytest.raises(ValueError):
         decay_bound(constants, 0)
+
+
+def transient_level_mps(seed):
+    """A canonical d_s = 2, d_M = 3 set whose isometry keeps its first two
+    columns on levels 0-1: the channel leaves that block invariant, so the
+    fixed point has rank 2 and its least eigenvalue is roundoff."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    a[[2, 5], :2] = 0
+    mats = np.linalg.qr(a)[0].reshape(2, 3, 3)
+    ks = KrausSet(d_s=2, d_M=3, matrices=mats, case_tag="explicit")
+    ks.validate()
+    return build_iumps(ks)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_two_fixed_point_is_unsupported(seed):
+    mps = transient_level_mps(seed)
+    lam = np.linalg.eigvalsh(mps.sigma)
+    assert abs(lam[0]) <= 1e-40 and lam[1] > 1e-3
+    with pytest.raises(Unsupported, match="the fixed point is not full rank"):
+        jordan_constants(mps)
+
+
+@pytest.mark.parametrize("sigma_min", [-2.0e-51, 0.0, 2.0e-50, 1e-13])
+def test_sigma_min_at_roundoff_of_either_sign_is_unsupported(sigma_min):
+    """The decision reads sigma_min against sigma's largest eigenvalue, not
+    its sign: a positive roundoff would otherwise give Q near 1e150."""
+    mps = transient_level_mps(0)
+    forced = IuMps(kraus=mps.kraus, sigma=np.diag([sigma_min, 0.3, 0.7]), transfer=mps.transfer)
+    with pytest.raises(Unsupported, match=re.escape(f"sigma_min = {sigma_min:.3e}: ")):
+        jordan_constants(forced)
+
+
+def test_sigma_min_above_the_rank_threshold_keeps_the_bound():
+    mps = transient_level_mps(0)
+    kept = IuMps(kraus=mps.kraus, sigma=np.diag([1e-9, 0.3, 0.7]), transfer=mps.transfer)
+    constants = jordan_constants(kept)
+    assert constants.sigma_min == 1e-9
+    assert constants.big_q == 16.0 * 3**3 * constants.c2**2 / 1e-9**3

@@ -8,7 +8,7 @@ import pytest
 
 import iumps.cli as cli
 import iumps.experiments
-from iumps import RandomStream, benchmark_kraus, build_case1
+from iumps import RandomStream, benchmark_kraus, build_case1, build_iumps
 from iumps.cli import RunConfig, main
 
 
@@ -281,6 +281,43 @@ def test_ensemble_rejects_oversize_regions_before_any_instance(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+def test_scan_rejects_oversize_regions_before_scanning(tmp_path, capsys, monkeypatch):
+    """The QMI column's cap on d_s^(|A|+|C|) is checked before the scan, which
+    builds no rho_AC itself."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"len_a": 6}))
+    scanned = []
+    monkeypatch.setattr(iumps.experiments, "scan_instances", lambda *args: scanned.append(args))
+    assert run(tmp_path / "out", "scan", "--config", str(config)) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "invalid input: TooLarge: d_s^(|A|+|C|) = 2187 exceeds 1024\n"
+    assert captured.out == ""
+    assert scanned == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "case, seed, len_a, len_c",
+    [("1", 3, 1, 1), ("2", 5, 1, 1), ("3", 2, 1, 1), ("2", 5, 2, 1)],
+)
+def test_scan_qmi_column_is_qmi_at_each_kept_point(tmp_path, case, seed, len_a, len_c):
+    """The QMI column, solved once for the kept |B|, carries the bits of a
+    one-|B| ``qmi`` on a fresh instance at every point."""
+    from iumps import qmi
+    from iumps.mps import build_case
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"len_a": len_a, "len_c": len_c}))
+    assert run(tmp_path, "scan", "--case", case, "--seed", str(seed), "--config", str(config)) == 0
+    rows = read(tmp_path / "curve_0.csv").splitlines()[1:]
+    assert len(rows) >= 5
+    kraus = build_case(cli._CASES[case], 3, 4, RandomStream(seed, 0))
+    for row in rows:
+        b_len, qmi_column = row.split(",")[:2]
+        mps = build_iumps(kraus)
+        assert float(qmi_column) == qmi(mps, len_a, int(b_len), len_c), b_len
+
+
 def test_rejects_zero_instances(tmp_path, capsys):
     assert run(tmp_path, "ensemble", "--n", "0") == 4
     err = capsys.readouterr().err
@@ -344,6 +381,26 @@ def test_nilpotent_bulk_exits_3_with_one_stderr_line(tmp_path, capsys, command):
         "the bulk is nilpotent: every non-peripheral eigenvalue is 0\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_of_a_nilpotent_bulk_exits_3_with_one_stderr_line(tmp_path, capsys):
+    # the rule of scan and bound: a zero bulk has no decay rate
+    kraus_file = tmp_path / "kraus.json"
+    kraus_file.write_text(json.dumps(NILPOTENT_BULK))
+    out_dir = tmp_path / "out"
+    assert run(out_dir, "spectrum", "--kraus", str(kraus_file)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "degenerate input: DegenerateSpectrum: instance 0: "
+        "the bulk is nilpotent: every non-peripheral eigenvalue is 0\n"
+    )
+    assert json.loads(read(out_dir / "gap.json")) == {
+        "error": "degenerate spectrum: the bulk is nilpotent: every non-peripheral eigenvalue is 0",
+        "nu_gap": 0.0,
+        "peripheral_count": 1,
+    }
+    assert len(read(out_dir / "spectrum.csv").splitlines()) == 5
 
 
 def test_bound_of_a_fixed_point_not_full_rank_exits_4(tmp_path, capsys):

@@ -53,7 +53,7 @@ def synthetic_curve(nu_gap, rate_per_site, n_points=12, prefactor=0.3):
     points = []
     for b in range(2, 2 * n_points + 1, 2):
         q = prefactor * math.exp(-rate_per_site * b)
-        points.append(CurvePoint(b_len=b, qcmi=q, qmi=0.0, f=math.log(q) / norm))
+        points.append(CurvePoint(b_len=b, qcmi=q, f=math.log(q) / norm))
     return DecayCurve(nu_gap=nu_gap, points=points, b_max=points[-1].b_len)
 
 
@@ -329,6 +329,23 @@ def test_run_ensemble_does_not_depend_on_the_chunk_size(monkeypatch, case, seed,
     if k == 1:
         assert summaries[0].skipped
         assert all("EmptyCurve" in msg for _, msg in summaries[0].skipped)
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_run_ensemble_builds_no_rho_ac(monkeypatch, case):
+    """Nothing an ensemble reports reads the QMI, so its scan contracts no
+    rho_AC: with the contraction made to raise, every record, skip and
+    histogram count is the same."""
+    import iumps.entropy
+
+    reference = run_ensemble(9, case, 1, 1, 7, b_max_limit=20)
+
+    def no_rho_ac(*args):
+        raise AssertionError("the ensemble built a rho_AC")
+
+    monkeypatch.setattr(iumps.entropy, "_rho_ac", no_rho_ac)
+    _assert_same_summary(reference, run_ensemble(9, case, 1, 1, 7, b_max_limit=20))
+    assert reference.records
 
 
 def test_run_ensemble_per_instance_failures_stay_per_instance():
