@@ -12,9 +12,7 @@ from .entropy import (
     SupportProjection,
     brute_force_density,
     brute_force_entropy,
-    materialize_isometry,
     projected_density,
-    purified_spectrum,
     qcmi,
     qmi,
     region_entropy,
@@ -67,7 +65,6 @@ from .mps import (
     build_case2,
     build_case3,
     build_iumps,
-    channel_apply,
     fixed_point,
     sample_case1,
     spectral_gap,

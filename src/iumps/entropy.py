@@ -17,8 +17,8 @@ and with H = W diag(w) W† the projected density is
     rho_support = sqrt(w) W^T (I kron sigma) conj(W) sqrt(w),
 
 equal to P† rho_n P for the isometry P = Phi conj(W) diag(w)^{-1/2}, where
-Phi stacks the row-major vectorized site products.  ``support_decomposition``,
-``projected_density`` and ``materialize_isometry`` build this explicit route.
+Phi stacks the row-major vectorized site products.  ``support_decomposition``
+and ``projected_density`` build this explicit route.
 
 ``region_entropy`` needs only the spectrum.  Since Phi† Phi = conj(H),
 the density rho_n = Phi (I kron sigma) Phi† has the nonzero spectrum of
@@ -33,18 +33,22 @@ case of that stack.
 Eigenvalues below ``THRESHOLD`` times the largest are outside the support
 and carry no entropy.
 
-A QCMI scan over |B| needs S(n) for every n up to |A| + |B| + |C|, and no
-rho_AC.  E^n has one chain, ``mps.PowerWindow``, and every kernel here reads
-it as a list of ``(N, d_M^2, d_M^2)`` stacks over N instances, one per length
-or |B|: a scan passes its window's stacks, the one-instance functions stacks
-of one from ``mps.powers``.  Each instance keeps its S(n) in
-``IuMps.entropies``: a scan solves the lengths it finds missing in one stack
-(``fill_entropies_chunk``), and a miss outside a scan keeps
-``region_entropy``'s S(n), the same bits.  ``_rho_ac`` keeps rho_AC's two
-|B|-independent contractions in ``IuMps.qmi_ends``, so ``qmi_chunk`` takes
-rho_AC over many |B| from one multiply, one contraction and one stacked
-``eigvalsh``; ``qmi_curve`` (the QMI column of ``iumps scan``), ``qmi`` and
-``rho_disjoint`` are its one-instance cases.
+A QCMI scan over |B| needs S(|B|), S(|A|+|B|), S(|B|+|C|) and
+S(|A|+|B|+|C|), and no rho_AC.  E^n has one chain, ``mps.PowerWindow``, and
+the entropy kernels read it as a list of ``(N, d_M^2, d_M^2)`` stacks over N
+instances, one per length: a scan passes its window's stacks,
+``region_entropy`` a stack of one from ``mps.powers``.  Each instance keeps
+its S(n) in ``IuMps.entropies``: a scan solves the lengths it finds missing
+in one stack (``fill_entropies_chunk``), and a miss outside a scan keeps
+``region_entropy``'s S(n), the same bits.
+
+The QMI is one instance at a time: only ``iumps scan``'s QMI column and the
+golden benchmark read it.  ``_rho_ac`` builds rho_AC's two |B|-independent
+ends from the site products and sigma and contracts them with every E^|B|
+asked for at once, so ``qmi_curve`` takes rho_AC over many |B| from one
+multiply, one contraction and one stacked ``eigvalsh``, and reads S(|A|) and
+S(|C|) from the instance's kept S(n).  ``qmi`` and ``rho_disjoint`` are its
+one-|B| cases.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import TooLarge
-from .mps import IuMps, KrausSet, TransferMatrix, powers, vec
-from .numerics import eig_hermitian, eigvals_hermitian, mat_power
+from .mps import IuMps, KrausSet, TransferMatrix, powers
+from .numerics import eig_hermitian, eigvals_hermitian
 
 THRESHOLD = 1e-12
 BRUTE_FORCE_CAP = 1024
@@ -242,23 +246,6 @@ def qcmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
     return s(len_a + len_b) + s(len_b + len_c) - s(len_a + len_b + len_c) - s(len_b)
 
 
-def _qmi_ends(mps: IuMps, la: int, lc: int) -> tuple[np.ndarray, np.ndarray]:
-    """The |B|-independent ends of rho_AC, computed once per ``(|A|, |C|)``."""
-    if (la, lc) not in mps.qmi_ends:
-        d = mps.kraus.d_M
-        phi_a = site_products(mps.kraus, la)
-        phi_c = site_products(mps.kraus, lc)
-        # right[s, s'] = vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
-        right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(
-            len(phi_a), len(phi_a), d * d
-        )
-        left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(
-            len(phi_c), len(phi_c), d * d
-        )
-        mps.qmi_ends[la, lc] = (right, left)
-    return mps.qmi_ends[la, lc]
-
-
 def rho_ac_dim(d_s: int, len_a: int, len_c: int) -> int:
     """d_s^(|A|+|C|), the dimension of rho_AC; ``TooLarge`` when it is above
     ``BRUTE_FORCE_CAP``."""
@@ -270,50 +257,45 @@ def rho_ac_dim(d_s: int, len_a: int, len_c: int) -> int:
     return dim
 
 
-def _rho_ac(
-    instances: Sequence[IuMps], len_a: int, powers_b: Sequence[np.ndarray], len_c: int
-) -> np.ndarray:
-    """rho_AC of each instance across each |B| of ``powers_b``, a list of
-    ``(N, d_M^2, d_M^2)`` stacks of E^|B|, stacked ``(N, len(powers_b), dim,
-    dim)``: one multiply of the kept ends by E^|B| and one contraction."""
-    dim = rho_ac_dim(instances[0].kraus.d_s, len_a, len_c)
-    right, left = map(np.stack, zip(*(_qmi_ends(m, len_a, len_c) for m in instances)))
-    powers_t = np.stack([p.swapaxes(-1, -2) for p in powers_b], axis=1)[:, :, None]
-    rho = np.einsum("nabv,nkcdv->nkcadb", left, right[:, None] @ powers_t).reshape(
-        len(instances), len(powers_b), dim, dim
+def _rho_ac(mps: IuMps, len_a: int, powers_b: Sequence[np.ndarray], len_c: int) -> np.ndarray:
+    """rho_AC across each |B| of ``powers_b``, a list of ``(d_M^2, d_M^2)``
+    E^|B|, stacked ``(len(powers_b), dim, dim)``: the two |B|-independent
+    ends, one multiply of one end by every E^|B| and one contraction."""
+    dim = rho_ac_dim(mps.kraus.d_s, len_a, len_c)
+    d = mps.kraus.d_M
+    phi_a = site_products(mps.kraus, len_a)
+    phi_c = site_products(mps.kraus, len_c)
+    # right[s, s'] = vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
+    right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(
+        len(phi_a), len(phi_a), d * d
     )
+    left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(len(phi_c), len(phi_c), d * d)
+    powers_t = np.stack([p.T for p in powers_b])[:, None]
+    rho = np.einsum("abv,kcdv->kcadb", left, right @ powers_t).reshape(len(powers_b), dim, dim)
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
     """Joint reduced state of A and C separated by ``len_b`` sites, E^{|B|}
-    contracted: ``_rho_ac`` of the one instance and the one separation.
+    contracted: ``_rho_ac`` of the one separation.
 
     Basis ordering: A-site indices slow, C-site indices fast.  Exact at any
     separation; the physical dimension dim = d_s^(|A|+|C|) must stay at
     oracle scale.
     """
-    return _rho_ac((mps,), len_a, [powers(mps.transfer.e, (len_b,))[0][None]], len_c)[0, 0]
-
-
-def qmi_chunk(
-    instances: Sequence[IuMps], len_a: int, powers_b: Sequence[np.ndarray], len_c: int
-) -> list[list[float]]:
-    """I(A:C) = S(A) + S(C) - S(AC) of each instance across each separating
-    region of ``powers_b``, a stack ``(len(instances), d_M^2, d_M^2)`` of
-    E^|B| per region, from one ``_rho_ac`` and one stacked ``eigvalsh``.
-
-    S(A) and S(C) are the instance's S(|A|) and S(|C|), shared with ``qcmi``.
-    """
-    lam = np.clip(np.linalg.eigvalsh(_rho_ac(instances, len_a, powers_b, len_c)), 0, None)
-    s_ac = _support_entropies(lam, lam > 0)
-    ends = np.array([_entropy(m, len_a) + _entropy(m, len_c) for m in instances])
-    return (ends[:, None] - s_ac).tolist()
+    return _rho_ac(mps, len_a, powers(mps.transfer.e, (len_b,)), len_c)[0]
 
 
 def qmi_curve(mps: IuMps, len_a: int, sizes: Sequence[int], len_c: int) -> list[float]:
-    """I(A:C) across B of each length in ``sizes``: the one-instance ``qmi_chunk``."""
-    return qmi_chunk((mps,), len_a, [p[None] for p in powers(mps.transfer.e, sizes)], len_c)[0]
+    """I(A:C) = S(A) + S(C) - S(AC) across B of each length in ``sizes``, from
+    one ``_rho_ac`` and one stacked ``eigvalsh``.
+
+    S(A) and S(C) are the instance's kept S(|A|) and S(|C|), shared with ``qcmi``.
+    """
+    rho = _rho_ac(mps, len_a, powers(mps.transfer.e, sizes), len_c)
+    lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
+    s_ac = _support_entropies(lam, lam > 0)
+    return (_entropy(mps, len_a) + _entropy(mps, len_c) - s_ac).tolist()
 
 
 def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
@@ -335,32 +317,3 @@ def brute_force_entropy(mps: IuMps, n: int) -> float:
     """Entropy by full diagonalization of the explicit reduced density."""
     lam = np.clip(np.linalg.eigvalsh(brute_force_density(mps, n)), 0.0, None)
     return entropy_from_eigenvalues(lam)
-
-
-def materialize_isometry(sp: SupportProjection, kraus: KrausSet, n: int) -> np.ndarray:
-    """Explicit isometry P with range supp(rho_n); P†P = I on the support.
-
-    Exponentially large in n; intended for oracle-scale verification only.
-    """
-    if kraus.d_s**n > BRUTE_FORCE_CAP:
-        raise TooLarge(f"d_s^n = {kraus.d_s ** n} exceeds {BRUTE_FORCE_CAP}")
-    phi = site_products(kraus, n).reshape(kraus.d_s**n, kraus.d_M**2)
-    w_r = sp.w[:, : sp.support_dim]
-    return phi @ w_r.conj() / np.sqrt(sp.sigma_diag[: sp.support_dim])[None, :]
-
-
-def purified_spectrum(mps: IuMps, n: int) -> np.ndarray:
-    """Spectrum of (E^n kron id) applied to the purification of sigma.
-
-    Equals the spectrum of rho_n; exercised as an independent route to the
-    region entropy.  Returned descending.
-    """
-    d = mps.kraus.d_M
-    lam, u = np.linalg.eigh(mps.sigma)
-    sqrt_sigma = (u * np.sqrt(np.clip(lam, 0, None))) @ u.conj().T
-    v = vec(sqrt_sigma)
-    rho0 = np.outer(v, v.conj()).reshape(d, d, d, d)
-    g4 = mat_power(mps.transfer.e, n).reshape(d, d, d, d)
-    omega = np.einsum("aceg,ebgd->abcd", g4, rho0).reshape(d * d, d * d)
-    omega = (omega + omega.conj().T) / 2
-    return np.linalg.eigvalsh(omega)[::-1]

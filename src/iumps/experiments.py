@@ -124,13 +124,15 @@ def scan_instances(
     taken in blocks of ``SCAN_BLOCK`` sizes.  On entering a block the scan
     grows E^n for every instance still scanning in its one ``PowerWindow``,
     keeping only the powers the block needs; solves the region lengths the
-    block needs and some instance has not kept (``fill_entropies_chunk``)
-    in one stacked ``eigvalsh``; then walks each instance's points through
-    ``qcmi(mps, len_a, |B|, len_c)`` and the stop; it builds no rho_AC
-    (``qmi_curve`` gives the kept points' QMI).  A block's points past an
-    instance's stop are solved but not kept, and an instance that has stopped
-    leaves the next block.  Every instance keeps each S(n) it computes, so
-    each is computed once, however many scans and QMI/QCMI calls read it.
+    block's QCMI reads and some instance has not kept
+    (``fill_entropies_chunk``) in one stacked ``eigvalsh``; then walks each
+    instance's points through ``qcmi(mps, len_a, |B|, len_c)`` and the stop.
+    It builds no rho_AC and solves no S(|A|) or S(|C|) unless the QCMI reads
+    it: ``qmi_curve`` gives the kept points' QMI, solving what it lacks.  A
+    block's points past an instance's stop are solved but not kept, and an
+    instance that has stopped leaves the next block.  Every instance keeps
+    each S(n) it computes, so each is computed once, however many scans and
+    QMI/QCMI calls read it.
     A failing stacked step (``NotHermitian``) raises for all instances.
     Each curve carries the bits of the scan of its instance alone.
     """
@@ -155,10 +157,8 @@ def scan_instances(
         if not live:
             break
         block = range(b, min(b + 2 * SCAN_BLOCK, b_max_limit + 2), 2)
-        # S(|A|) and S(|C|), for a caller's QMI, and the S(n) the block's QCMI reads
-        lengths = {len_a, len_c}.union(
-            *((lb, len_a + lb, lb + len_c, len_a + lb + len_c) for lb in block)
-        )
+        # the S(n) the block's QCMI reads
+        lengths = set().union(*((lb, len_a + lb, lb + len_c, len_a + lb + len_c) for lb in block))
         scanning = [instances[i] for i in live]
         missing = sorted(lengths - set.intersection(*(set(mps.entropies) for mps in scanning)))
         if missing:
@@ -295,10 +295,12 @@ def run_ensemble(
     scan's arguments, the cap ``rho_ac_dim`` puts on d_s^(|A|+|C|) (that of
     ``iumps scan``; no rho_AC is built here), and the case and its dimensions
     (``check_case``) are checked once, in that order, before the first chunk.
-    The instances are built and scanned in chunks of ``ENSEMBLE_CHUNK``: per
-    chunk one stacked sample, transfer contraction and ``eig_general``
-    (``sample_iumps``), then one scan of them all (``scan_instances``), so the
-    per-call cost of the 16x16 kernels is paid once per chunk.  Every instance
+    Nothing here reads a QMI, so each instance solves only the S(n) its QCMI
+    reads.  The instances are built and scanned in chunks of
+    ``ENSEMBLE_CHUNK``: per chunk one stacked sample, transfer contraction and
+    ``eig_general`` (``sample_iumps``), then one scan of them all
+    (``scan_instances``), so the per-call cost of the 16x16 kernels is paid
+    once per chunk.  Every instance
     carries the bits of ``build_instance`` + ``scan_instance`` on its own
     stream, so the results do not depend on the chunk size.  Per-instance
     failures are recorded and skipped, never aborting the ensemble.

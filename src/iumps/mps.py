@@ -151,17 +151,13 @@ class IuMps:
     """A Kraus set together with its fixed-point density operator.
 
     ``entropies`` holds each region entropy S(n) once computed, keyed by
-    ``n``, and ``qmi_ends`` the two |B|-independent contractions
-    of rho_AC, keyed by ``(|A|, |C|)``; ``iumps.entropy`` fills both.
+    ``n``; ``iumps.entropy`` fills it.
     """
 
     kraus: KrausSet
     sigma: np.ndarray
     transfer: TransferMatrix
     entropies: dict[int, float] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    qmi_ends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -421,7 +417,3 @@ def powers(e: np.ndarray, ns: Sequence[int]) -> list[np.ndarray]:
     window.extend(min(ns), max(ns))
     return [window[n][0] for n in ns]
 
-
-def channel_apply(kraus: KrausSet, x: np.ndarray) -> np.ndarray:
-    """One application of the quantum channel sum_s M^s X M^s†."""
-    return np.einsum("sab,bc,sdc->ad", kraus.matrices, x, kraus.matrices.conj())

@@ -1,0 +1,46 @@
+"""Independent constructions the tests check the library against.
+
+Each one rebuilds an object the library computes by another route, at
+oracle scale only; none is called by the library itself.
+"""
+
+import numpy as np
+
+from iumps import IuMps, KrausSet, SupportProjection, TooLarge, site_products, vec
+from iumps.entropy import BRUTE_FORCE_CAP
+from iumps.numerics import mat_power
+
+
+def channel_apply(kraus: KrausSet, x: np.ndarray) -> np.ndarray:
+    """One application of the quantum channel sum_s M^s X M^s†."""
+    return np.einsum("sab,bc,sdc->ad", kraus.matrices, x, kraus.matrices.conj())
+
+
+def materialize_isometry(sp: SupportProjection, kraus: KrausSet, n: int) -> np.ndarray:
+    """Explicit isometry P = Phi conj(W) diag(w)^{-1/2} with range supp(rho_n);
+    P†P = I on the support.
+
+    Exponentially large in n; ``TooLarge`` above ``BRUTE_FORCE_CAP``.
+    """
+    if kraus.d_s**n > BRUTE_FORCE_CAP:
+        raise TooLarge(f"d_s^n = {kraus.d_s ** n} exceeds {BRUTE_FORCE_CAP}")
+    phi = site_products(kraus, n).reshape(kraus.d_s**n, kraus.d_M**2)
+    w_r = sp.w[:, : sp.support_dim]
+    return phi @ w_r.conj() / np.sqrt(sp.sigma_diag[: sp.support_dim])[None, :]
+
+
+def purified_spectrum(mps: IuMps, n: int) -> np.ndarray:
+    """Spectrum of (E^n kron id) applied to the purification of sigma.
+
+    Equals the spectrum of rho_n; an independent route to the region
+    entropy.  Returned descending.
+    """
+    d = mps.kraus.d_M
+    lam, u = np.linalg.eigh(mps.sigma)
+    sqrt_sigma = (u * np.sqrt(np.clip(lam, 0, None))) @ u.conj().T
+    v = vec(sqrt_sigma)
+    rho0 = np.outer(v, v.conj()).reshape(d, d, d, d)
+    g4 = mat_power(mps.transfer.e, n).reshape(d, d, d, d)
+    omega = np.einsum("aceg,ebgd->abcd", g4, rho0).reshape(d * d, d * d)
+    omega = (omega + omega.conj().T) / 2
+    return np.linalg.eigvalsh(omega)[::-1]

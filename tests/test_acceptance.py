@@ -24,7 +24,6 @@ from iumps import (
     distinct_magnitudes,
     gap_statistics,
     jordan_constants,
-    materialize_isometry,
     qcmi,
     qcmi_error_estimate,
     region_entropy,
@@ -35,6 +34,7 @@ from iumps import (
     analytic_family,
 )
 from iumps.cli import main as cli_main
+from oracles import materialize_isometry
 
 ACCEPT_SEED = 20250809
 ENSEMBLE_N = 500

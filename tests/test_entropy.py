@@ -16,9 +16,7 @@ from iumps import (
     brute_force_entropy,
     build_instance,
     build_iumps,
-    materialize_isometry,
     projected_density,
-    purified_spectrum,
     qcmi,
     qmi,
     region_entropy,
@@ -29,15 +27,10 @@ from iumps import (
     unvec,
     vec,
 )
-from iumps.entropy import (
-    _entropy,
-    _rho_ac,
-    entropy_from_eigenvalues,
-    fill_entropies_chunk,
-    qmi_chunk,
-)
+from iumps.entropy import _entropy, entropy_from_eigenvalues, fill_entropies_chunk, qmi_curve
 from iumps.mps import PowerWindow, powers
 from iumps.numerics import mat_power
+from oracles import materialize_isometry, purified_spectrum
 
 
 def product_state_mps(d_s=3):
@@ -332,57 +325,36 @@ def test_region_entropy_matches_support_projection(case_instances, golden_mps):
                 assert fresh[i].entropies[n] == report.entropy, n
 
 
-def test_qmi_ends_kept_per_region_pair(case1_instance):
-    """rho_AC and QMI from the kept ends against the entry-by-entry reference,
-    for two (|A|, |C|) keys on one instance, asked for in alternation, one
-    |B| at a time and as one stack."""
+def test_qmi_curve_is_qmi_at_each_size(case_instances, golden_mps):
+    """One ``qmi_curve`` over several |B| equals ``qmi`` at each |B|;
+    ``rho_disjoint`` and the QMI match the entry-by-entry reference; and the
+    instance keeps no rho_AC contraction."""
     ent = lambda r: entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(r), 0, None))
-    mps = build_iumps(case1_instance.kraus)
-    pairs, sizes = ((1, 1), (2, 1)), (1, 4, 17)
-    refs = {}
-    for la, lc in pairs:
-        for b in sizes:
-            ref = reference_rho_disjoint(mps, b, la, lc)
-            t = ref.reshape(3**la, 3**lc, 3**la, 3**lc)
-            refs[la, b] = ref, ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(ref)
-    for b in (1, 4, 17, 4):
-        for la, lc in pairs:
-            ref, ref_qmi = refs[la, b]
-            assert np.abs(rho_disjoint(mps, la, b, lc) - ref).max() <= 1e-13, (b, la)
-            assert abs(qmi(mps, la, b, lc) - ref_qmi) <= 1e-13, (b, la)
-    for la, lc in pairs:
-        powers_b = [p[None] for p in powers(mps.transfer.e, sizes)]
-        (rhos,), (qmis,) = _rho_ac((mps,), la, powers_b, lc), qmi_chunk((mps,), la, powers_b, lc)
-        for b, rho, q in zip(sizes, rhos, qmis, strict=True):
-            ref, ref_qmi = refs[la, b]
-            assert np.abs(rho - ref).max() <= 1e-13, (b, la)
-            assert abs(q - ref_qmi) <= 1e-13, (b, la)
-            assert q == qmi(mps, la, b, lc), (b, la)
-    assert sorted(mps.qmi_ends) == [(1, 1), (2, 1)]
+    sizes = (1, 2, 4, 9, 17)
+    for mps in (*case_instances, golden_mps):
+        fresh = build_iumps(mps.kraus)
+        for la, lc in ((1, 1), (2, 1), (1, 2)):
+            curve = qmi_curve(fresh, la, sizes, lc)
+            assert curve == [qmi(fresh, la, b, lc) for b in sizes], (la, lc)
+            for b in (4, 17):
+                ref = reference_rho_disjoint(mps, b, la, lc)
+                assert np.abs(rho_disjoint(fresh, la, b, lc) - ref).max() <= 1e-13, (b, la, lc)
+                t = ref.reshape(3**la, 3**lc, 3**la, 3**lc)
+                ref_qmi = ent(np.einsum("acbc->ab", t)) + ent(np.einsum("acad->cd", t)) - ent(ref)
+                assert abs(curve[sizes.index(b)] - ref_qmi) <= 1e-13, (b, la, lc)
+        assert not hasattr(fresh, "qmi_ends")
 
 
-def test_stacked_rho_ac_rows_equal_one_instance_calls(case_instances, golden_mps):
-    """Every row of a chunk's ``_rho_ac`` and ``qmi_chunk`` over the |B| of one
-    scan block equals, bit for bit, that instance's own ``rho_disjoint`` and
-    ``qmi``, in either instance order."""
-    from iumps.experiments import SCAN_BLOCK
-
-    block = range(2, 2 + 2 * SCAN_BLOCK, 2)
-    krauses = [mps.kraus for mps in (*case_instances, golden_mps)]
-    for order in (krauses, krauses[::-1]):
-        chunk = [build_iumps(kraus) for kraus in order]
-        window = PowerWindow(np.stack([mps.transfer.e for mps in chunk]))
-        window.extend(min(block), max(block))
-        for la, lc in ((1, 1), (2, 1)):
-            powers_b = [window[b] for b in block]
-            rhos, qmis = _rho_ac(chunk, la, powers_b, lc), qmi_chunk(chunk, la, powers_b, lc)
-            assert rhos.shape == (len(chunk), len(block), 3 ** (la + lc), 3 ** (la + lc))
-            for kraus, rho_row, qmi_row in zip(order, rhos, qmis, strict=True):
-                alone = build_iumps(kraus)
-                for b, rho in zip(block, rho_row, strict=True):
-                    assert rho.tobytes() == rho_disjoint(alone, la, b, lc).tobytes(), (b, la)
-                alone_qmis = [qmi(alone, la, b, lc) for b in block]
-                assert np.array(qmi_row).tobytes() == np.array(alone_qmis).tobytes(), la
+def test_scan_leaves_region_a_entropy_to_the_qmi(case_instances):
+    """A scan solves only the S(n) its QCMI reads, so S(1) stays unsolved;
+    the QMI after it solves S(1) itself, with the bits of a fresh instance."""
+    for mps in case_instances:
+        scanned = build_iumps(mps.kraus)
+        curve = scan_instance(scanned, 1, 1)
+        assert 1 not in scanned.entropies
+        sizes = [p.b_len for p in curve.points]
+        fresh = qmi_curve(build_iumps(mps.kraus), 1, sizes, 1)
+        assert np.array(qmi_curve(scanned, 1, sizes, 1)).tobytes() == np.array(fresh).tobytes()
 
 
 def test_profile_matches_region_entropy_and_brute_force(case_instances):
@@ -461,9 +433,9 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     # blocks of |B| start at 2 and span 2 * SCAN_BLOCK; the scan stops at |B| = 40
     width = 2 * exp.SCAN_BLOCK
     block_end = min(40, ((b_stop - 2) // width + 1) * width)
-    # |A| = |C| = 1 needs S(n) for n = 2 .. block_end + 2 (QCMI) and S(1) (QMI)
-    assert sorted(mps.entropies) == list(range(1, block_end + 3))
-    assert sum(solved) == block_end + 2
+    # |A| = |C| = 1: the QCMI reads S(n) for n = 2 .. block_end + 2, and nothing else
+    assert sorted(mps.entropies) == list(range(2, block_end + 3))
+    assert sum(solved) == block_end + 1
     solved.clear()
     assert scan_instance(mps, 1, 1) == curve
     assert solved == []

@@ -14,7 +14,6 @@ from iumps import (
     build_case2,
     build_case3,
     build_iumps,
-    channel_apply,
     distinct_magnitudes,
     eig_general,
     fixed_point,
@@ -35,6 +34,7 @@ from iumps.mps import (
     transfer_matrices,
 )
 from iumps.numerics import EigenDecomposition
+from oracles import channel_apply
 
 
 def unitary_kraus(u):
