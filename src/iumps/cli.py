@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import jordan_constants, sufficient_b, decay_bound
-from .entropy import qmi_curve, rho_ac_dim
+from .entropy import qmi_curve
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -34,7 +34,6 @@ from .exceptions import (
 from .experiments import (
     analytic_family,
     benchmark_kraus,
-    check_scan_args,
     golden_benchmark,
     distinct_magnitudes,
     gap_statistics,
@@ -214,8 +213,6 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def cmd_scan(config: RunConfig) -> int:
     mps = build_iumps(_kraus(config, 0))
-    check_scan_args(config.len_a, config.len_c, config.b_max_limit, config.k)
-    rho_ac_dim(mps.kraus.d_s, config.len_a, config.len_c)  # the QMI column's cap, before the scan
     curve = scan_instance(mps, config.len_a, config.len_c, config.b_max_limit, config.k)
     qmis = qmi_curve(mps, config.len_a, [p.b_len for p in curve.points], config.len_c)
     try:

@@ -34,21 +34,20 @@ Eigenvalues below ``THRESHOLD`` times the largest are outside the support
 and carry no entropy.
 
 A QCMI scan over |B| needs S(|B|), S(|A|+|B|), S(|B|+|C|) and
-S(|A|+|B|+|C|), and no rho_AC.  E^n has one chain, ``mps.PowerWindow``, and
-the entropy kernels read it as a list of ``(N, d_M^2, d_M^2)`` stacks over N
-instances, one per length: a scan passes its window's stacks,
-``region_entropy`` a stack of one from ``mps.powers``.  Each instance keeps
-its S(n) in ``IuMps.entropies``: a scan solves the lengths it finds missing
-in one stack (``fill_entropies_chunk``), and a miss outside a scan keeps
-``region_entropy``'s S(n), the same bits.
+S(|A|+|B|+|C|), and no rho_AC.  E^n has one chain, ``mps.PowerWindow``, read
+as a list of ``(N, d_M^2, d_M^2)`` stacks over N instances, one per length:
+a scan passes its window's stacks, ``region_entropy`` a stack of one from
+``mps.powers``.  Each instance keeps its S(n) in ``IuMps.entropies``, with
+the same bits whichever of the two solved it.
 
 The QMI is one instance at a time: only ``iumps scan``'s QMI column and the
-golden benchmark read it.  ``_rho_ac`` builds rho_AC's two |B|-independent
-ends from the site products and sigma and contracts them with every E^|B|
-asked for at once, so ``qmi_curve`` takes rho_AC over many |B| from one
-multiply, one contraction and one stacked ``eigvalsh``, and reads S(|A|) and
-S(|C|) from the instance's kept S(n).  ``qmi`` and ``rho_disjoint`` are its
-one-|B| cases.
+golden benchmark read it.  ``qmi_curve`` takes rho_AC over many |B| from
+``_rho_ac``'s one multiply and one contraction of its two |B|-independent
+ends with every E^|B|, then one stacked ``eigvalsh``; ``qmi`` is its one-|B|
+case.  The ends are bilinear in the rows vec(M_s) of the site products Phi,
+so a factor R with R† R = Phi† Phi (``_region_factor``, at most d_M^2 rows)
+changes rho_AC by an isometry only and keeps its nonzero spectrum.
+``rho_disjoint`` is the explicit site-basis rho_AC, kept as an oracle.
 """
 
 from __future__ import annotations
@@ -95,16 +94,33 @@ def entropy_from_eigenvalues(lam: np.ndarray) -> float:
     return float(-(lam * np.log(lam)).sum()) if lam.size else 0.0
 
 
-def site_products(kraus: KrausSet, n: int) -> np.ndarray:
-    """All n-fold products M^{s_n} ... M^{s_1}, shape (d_s^n, d_M, d_M).
+def _site_step(kraus: KrausSet, prods: np.ndarray) -> np.ndarray:
+    # M^s P for every Kraus matrix M^s and every P of prods, s slowest
+    return np.einsum("sab,pbc->spac", kraus.matrices, prods).reshape(-1, *prods.shape[1:])
 
-    The composite index orders s_n slowest, matching the basis ordering
-    |s_n> x ... x |s_1> of the reduced density operator.
-    """
-    d = kraus.d_M
-    prods = np.eye(d, dtype=complex)[None, :, :]
+
+def site_products(kraus: KrausSet, n: int) -> np.ndarray:
+    """All n-fold products M^{s_n} ... M^{s_1}, shape (d_s^n, d_M, d_M), with
+    s_n slowest, matching the basis ordering |s_n> x ... x |s_1> of the reduced
+    density operator; ``TooLarge`` when d_s^n is above ``BRUTE_FORCE_CAP``."""
+    if kraus.d_s**n > BRUTE_FORCE_CAP:
+        raise TooLarge(f"d_s^n = {kraus.d_s ** n} exceeds {BRUTE_FORCE_CAP}")
+    prods = np.eye(kraus.d_M, dtype=complex)[None, :, :]
     for _ in range(n):
-        prods = np.einsum("sab,pbc->spac", kraus.matrices, prods).reshape(-1, d, d)
+        prods = _site_step(kraus, prods)
+    return prods
+
+
+def _region_factor(kraus: KrausSet, n: int) -> np.ndarray:
+    """At most d_M^2 matrices with the Gram matrix of ``site_products``: each
+    step reads the products only through it, so whenever they outnumber d_M^2
+    they fold to the R of their QR.  No fold, the same bits, while d_s^n <= d_M^2."""
+    d = kraus.d_M
+    prods = site_products(kraus, 0)
+    for _ in range(n):
+        prods = _site_step(kraus, prods)
+        if len(prods) > d * d:
+            prods = np.linalg.qr(prods.reshape(-1, d * d), mode="r").reshape(-1, d, d)
     return prods
 
 
@@ -246,53 +262,44 @@ def qcmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
     return s(len_a + len_b) + s(len_b + len_c) - s(len_a + len_b + len_c) - s(len_b)
 
 
-def rho_ac_dim(d_s: int, len_a: int, len_c: int) -> int:
-    """d_s^(|A|+|C|), the dimension of rho_AC; ``TooLarge`` when it is above
-    ``BRUTE_FORCE_CAP``."""
-    if len_a < 1 or len_c < 1:
-        raise ValueError("rho_disjoint requires len_a, len_c >= 1")
-    dim = d_s ** (len_a + len_c)
-    if dim > BRUTE_FORCE_CAP:
-        raise TooLarge(f"d_s^(|A|+|C|) = {dim} exceeds {BRUTE_FORCE_CAP}")
-    return dim
-
-
-def _rho_ac(mps: IuMps, len_a: int, powers_b: Sequence[np.ndarray], len_c: int) -> np.ndarray:
-    """rho_AC across each |B| of ``powers_b``, a list of ``(d_M^2, d_M^2)``
-    E^|B|, stacked ``(len(powers_b), dim, dim)``: the two |B|-independent
-    ends, one multiply of one end by every E^|B| and one contraction."""
-    dim = rho_ac_dim(mps.kraus.d_s, len_a, len_c)
-    d = mps.kraus.d_M
-    phi_a = site_products(mps.kraus, len_a)
-    phi_c = site_products(mps.kraus, len_c)
+def _rho_ac(
+    mps: IuMps, phi_a: np.ndarray, powers_b: Sequence[np.ndarray], phi_c: np.ndarray
+) -> np.ndarray:
+    """rho_AC on the region factors ``phi_a``, ``phi_c`` across each |B| of
+    ``powers_b``, a list of ``(d_M^2, d_M^2)`` E^|B|, stacked ``(len(powers_b),
+    dim, dim)`` with dim = len(phi_a) len(phi_c): the two |B|-independent ends,
+    one multiply of one end by every E^|B| and one contraction.  ``TooLarge``
+    when dim is above ``BRUTE_FORCE_CAP``, the one cap on rho_AC."""
+    na, nc = len(phi_a), len(phi_c)
+    if na * nc > BRUTE_FORCE_CAP:
+        raise TooLarge(f"rho_AC dimension {na * nc} exceeds {BRUTE_FORCE_CAP}")
     # right[s, s'] = vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
-    right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(
-        len(phi_a), len(phi_a), d * d
-    )
-    left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(len(phi_c), len(phi_c), d * d)
+    right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(na, na, -1)
+    left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(nc, nc, -1)
     powers_t = np.stack([p.T for p in powers_b])[:, None]
-    rho = np.einsum("abv,kcdv->kcadb", left, right @ powers_t).reshape(len(powers_b), dim, dim)
+    rho = np.einsum("abv,kcdv->kcadb", left, right @ powers_t).reshape(-1, na * nc, na * nc)
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
     """Joint reduced state of A and C separated by ``len_b`` sites, E^{|B|}
-    contracted: ``_rho_ac`` of the one separation.
-
-    Basis ordering: A-site indices slow, C-site indices fast.  Exact at any
-    separation; the physical dimension dim = d_s^(|A|+|C|) must stay at
-    oracle scale.
-    """
-    return _rho_ac(mps, len_a, powers(mps.transfer.e, (len_b,)), len_c)[0]
+    contracted, in the site basis (A-site indices slow, C-site indices fast):
+    ``_rho_ac`` of the one separation on the site products.  Exact at any
+    separation; d_s^(|A|+|C|) must stay at oracle scale."""
+    if len_a < 1 or len_c < 1:
+        raise ValueError("rho_disjoint requires len_a, len_c >= 1")
+    phi_a, phi_c = site_products(mps.kraus, len_a), site_products(mps.kraus, len_c)
+    return _rho_ac(mps, phi_a, powers(mps.transfer.e, (len_b,)), phi_c)[0]
 
 
 def qmi_curve(mps: IuMps, len_a: int, sizes: Sequence[int], len_c: int) -> list[float]:
     """I(A:C) = S(A) + S(C) - S(AC) across B of each length in ``sizes``, from
-    one ``_rho_ac`` and one stacked ``eigvalsh``.
+    one ``_rho_ac`` on the ``_region_factor``s and one stacked ``eigvalsh``.
 
     S(A) and S(C) are the instance's kept S(|A|) and S(|C|), shared with ``qcmi``.
     """
-    rho = _rho_ac(mps, len_a, powers(mps.transfer.e, sizes), len_c)
+    phi_a, phi_c = _region_factor(mps.kraus, len_a), _region_factor(mps.kraus, len_c)
+    rho = _rho_ac(mps, phi_a, powers(mps.transfer.e, sizes), phi_c)
     lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
     s_ac = _support_entropies(lam, lam > 0)
     return (_entropy(mps, len_a) + _entropy(mps, len_c) - s_ac).tolist()
@@ -306,8 +313,6 @@ def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
 def brute_force_density(mps: IuMps, n: int) -> np.ndarray:
     """Explicit d_s^n x d_s^n reduced density operator (oracle scale only)."""
     ds, d = mps.kraus.d_s, mps.kraus.d_M
-    if ds**n > BRUTE_FORCE_CAP:
-        raise TooLarge(f"d_s^n = {ds ** n} exceeds {BRUTE_FORCE_CAP}")
     phi = site_products(mps.kraus, n).reshape(ds**n, d * d)
     rho = phi @ np.kron(np.eye(d), mps.sigma) @ phi.conj().T
     return (rho + rho.conj().T) / 2

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import distinct_clusters
-from .entropy import fill_entropies_chunk, qcmi, qmi_curve, rho_ac_dim, rho_disjoint
+from .entropy import fill_entropies_chunk, qcmi, qmi_curve, rho_disjoint
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -292,15 +292,14 @@ def run_ensemble(
     the statistics.
 
     Instance i always draws from stream index i of ``master_seed``.  The
-    scan's arguments, the cap ``rho_ac_dim`` puts on d_s^(|A|+|C|) (that of
-    ``iumps scan``; no rho_AC is built here), and the case and its dimensions
-    (``check_case``) are checked once, in that order, before the first chunk.
-    Nothing here reads a QMI, so each instance solves only the S(n) its QCMI
-    reads.  The instances are built and scanned in chunks of
-    ``ENSEMBLE_CHUNK``: per chunk one stacked sample, transfer contraction and
-    ``eig_general`` (``sample_iumps``), then one scan of them all
-    (``scan_instances``), so the per-call cost of the 16x16 kernels is paid
-    once per chunk.  Every instance
+    scan's arguments and the case and its dimensions (``check_case``) are
+    checked once, in that order, before the first chunk.  Nothing here reads
+    a QMI or builds a rho_AC, so no region length is too large, and each
+    instance solves only the S(n) its QCMI reads.  The instances are built
+    and scanned in chunks of ``ENSEMBLE_CHUNK``: per chunk one stacked
+    sample, transfer contraction and ``eig_general`` (``sample_iumps``), then
+    one scan of them all (``scan_instances``), so the per-call cost of the
+    16x16 kernels is paid once per chunk.  Every instance
     carries the bits of ``build_instance`` + ``scan_instance`` on its own
     stream, so the results do not depend on the chunk size.  Per-instance
     failures are recorded and skipped, never aborting the ensemble.
@@ -308,7 +307,6 @@ def run_ensemble(
     if n < 1:
         raise ValueError("n must be >= 1")
     check_scan_args(len_a, len_c, b_max_limit, k)
-    rho_ac_dim(d_s, len_a, len_c)
     check_case(case_tag, d_s, d_m)
     records: list[InstanceRecord] = []
     rates: list[float] = []

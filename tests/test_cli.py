@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import iumps.cli as cli
-import iumps.experiments
 from iumps import RandomStream, benchmark_kraus, build_case1, build_iumps
 from iumps.cli import RunConfig, main
 
@@ -262,38 +261,30 @@ def test_bound_rejects_a_scan_range_below_two(tmp_path, capsys, b_max):
     assert captured.out == ""
 
 
-def test_ensemble_rejects_oversize_regions_before_any_instance(tmp_path, capsys, monkeypatch):
-    """d_s^(|A|+|C|) = 3^7 is above the cap: the ensemble ends as the scan
-    does, with the scan's one stderr line, before building any instance, and
-    writes nothing."""
+def test_scan_and_ensemble_take_regions_past_the_old_cap(tmp_path, capsys):
+    """d_s^(|A|+|C|) = 3^7: the ensemble builds no rho_AC, and the scan's QMI
+    column folds each region to at most d_M^2 = 16 matrices."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"len_a": 6}))
-    assert run(tmp_path / "scan", "scan", "--config", str(config)) == 4
-    scan_err = capsys.readouterr().err
-    assert scan_err == "invalid input: TooLarge: d_s^(|A|+|C|) = 2187 exceeds 1024\n"
-    built = []
-    monkeypatch.setattr(iumps.experiments, "sample_iumps", lambda *args: built.append(args))
-    out_dir = tmp_path / "ensemble"
-    assert run(out_dir, "ensemble", "--config", str(config), "--n", "8") == 4
-    captured = capsys.readouterr()
-    assert captured.err == scan_err and captured.out == ""
-    assert built == []
-    assert not out_dir.exists()
+    assert run(tmp_path / "scan", "scan", "--config", str(config)) == 0
+    rows = read(tmp_path / "scan" / "curve_0.csv").strip().splitlines()
+    assert rows[0] == "b_len,qmi,qcmi,f,bound" and len(rows) > 1
+    assert run(tmp_path / "ensemble", "ensemble", "--config", str(config), "--n", "8") == 0
+    summary = json.loads(read(tmp_path / "ensemble" / "summary.json"))
+    assert summary["config"]["len_a"] == 6
+    assert capsys.readouterr().err == ""
 
 
-def test_scan_rejects_oversize_regions_before_scanning(tmp_path, capsys, monkeypatch):
-    """The QMI column's cap on d_s^(|A|+|C|) is checked before the scan, which
-    builds no rho_AC itself."""
+def test_scan_rejects_a_folded_rho_ac_above_the_cap(tmp_path, capsys):
+    """At d_M = 8 each region of 4 sites folds to d_M^2 = 64 matrices, so
+    rho_AC would be 4096 x 4096: exit 4 and no curve written."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"len_a": 6}))
-    scanned = []
-    monkeypatch.setattr(iumps.experiments, "scan_instances", lambda *args: scanned.append(args))
+    config.write_text(json.dumps({"d_M": 8, "len_a": 4, "len_c": 4}))
     assert run(tmp_path / "out", "scan", "--config", str(config)) == 4
     captured = capsys.readouterr()
-    assert captured.err == "invalid input: TooLarge: d_s^(|A|+|C|) = 2187 exceeds 1024\n"
+    assert captured.err == "invalid input: TooLarge: rho_AC dimension 4096 exceeds 1024\n"
     assert captured.out == ""
-    assert scanned == []
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out" / "curve_0.csv").exists()
 
 
 @pytest.mark.parametrize(
