@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import jordan_constants, sufficient_b, decay_bound
-from .entropy import qmi_curve
+from .entropy import qmi_curve, region_factors
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -213,8 +213,11 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def cmd_scan(config: RunConfig) -> int:
     mps = build_iumps(_kraus(config, 0))
+    # rho_AC's cap is checked here, before the scan, not after it
+    factors = region_factors(mps.kraus, config.len_a, config.len_c)
     curve = scan_instance(mps, config.len_a, config.len_c, config.b_max_limit, config.k)
-    qmis = qmi_curve(mps, config.len_a, [p.b_len for p in curve.points], config.len_c)
+    sizes = [p.b_len for p in curve.points]
+    qmis = qmi_curve(mps, config.len_a, sizes, config.len_c, factors)
     try:
         constants = jordan_constants(mps)
         bounds = [_fmt(decay_bound(constants, p.b_len)) for p in curve.points]

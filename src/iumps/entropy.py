@@ -47,6 +47,8 @@ ends with every E^|B|, then one stacked ``eigvalsh``; ``qmi`` is its one-|B|
 case.  The ends are bilinear in the rows vec(M_s) of the site products Phi,
 so a factor R with R† R = Phi† Phi (``_region_factor``, at most d_M^2 rows)
 changes rho_AC by an isometry only and keeps its nonzero spectrum.
+``region_factors`` builds both and holds rho_AC's one cap, so ``iumps scan``
+fails on an oversized rho_AC before it scans.
 ``rho_disjoint`` is the explicit site-basis rho_AC, kept as an oracle.
 """
 
@@ -262,17 +264,32 @@ def qcmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
     return s(len_a + len_b) + s(len_b + len_c) - s(len_a + len_b + len_c) - s(len_b)
 
 
+def _capped(phi_a: np.ndarray, phi_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The region factors of A and C, once their rho_AC, of dimension
+    len(phi_a) len(phi_c), is known to fit: ``TooLarge`` when that is above
+    ``BRUTE_FORCE_CAP``, the one cap on rho_AC."""
+    dim = len(phi_a) * len(phi_c)
+    if dim > BRUTE_FORCE_CAP:
+        raise TooLarge(f"rho_AC dimension {dim} exceeds {BRUTE_FORCE_CAP}")
+    return phi_a, phi_c
+
+
+def region_factors(kraus: KrausSet, len_a: int, len_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_region_factor`` of A and of C that ``qmi_curve`` contracts,
+    checked against rho_AC's cap, so a caller can build them, and fail,
+    before any other work."""
+    return _capped(_region_factor(kraus, len_a), _region_factor(kraus, len_c))
+
+
 def _rho_ac(
     mps: IuMps, phi_a: np.ndarray, powers_b: Sequence[np.ndarray], phi_c: np.ndarray
 ) -> np.ndarray:
-    """rho_AC on the region factors ``phi_a``, ``phi_c`` across each |B| of
-    ``powers_b``, a list of ``(d_M^2, d_M^2)`` E^|B|, stacked ``(len(powers_b),
-    dim, dim)`` with dim = len(phi_a) len(phi_c): the two |B|-independent ends,
-    one multiply of one end by every E^|B| and one contraction.  ``TooLarge``
-    when dim is above ``BRUTE_FORCE_CAP``, the one cap on rho_AC."""
+    """rho_AC on the region factors ``phi_a``, ``phi_c`` (checked by
+    ``_capped``) across each |B| of ``powers_b``, a list of ``(d_M^2,
+    d_M^2)`` E^|B|, stacked ``(len(powers_b), dim, dim)`` with dim =
+    len(phi_a) len(phi_c): the two |B|-independent ends, one multiply of one
+    end by every E^|B| and one contraction."""
     na, nc = len(phi_a), len(phi_c)
-    if na * nc > BRUTE_FORCE_CAP:
-        raise TooLarge(f"rho_AC dimension {na * nc} exceeds {BRUTE_FORCE_CAP}")
     # right[s, s'] = vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
     right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(na, na, -1)
     left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(nc, nc, -1)
@@ -288,17 +305,25 @@ def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
     separation; d_s^(|A|+|C|) must stay at oracle scale."""
     if len_a < 1 or len_c < 1:
         raise ValueError("rho_disjoint requires len_a, len_c >= 1")
-    phi_a, phi_c = site_products(mps.kraus, len_a), site_products(mps.kraus, len_c)
+    phi_a, phi_c = _capped(site_products(mps.kraus, len_a), site_products(mps.kraus, len_c))
     return _rho_ac(mps, phi_a, powers(mps.transfer.e, (len_b,)), phi_c)[0]
 
 
-def qmi_curve(mps: IuMps, len_a: int, sizes: Sequence[int], len_c: int) -> list[float]:
+def qmi_curve(
+    mps: IuMps,
+    len_a: int,
+    sizes: Sequence[int],
+    len_c: int,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[float]:
     """I(A:C) = S(A) + S(C) - S(AC) across B of each length in ``sizes``, from
-    one ``_rho_ac`` on the ``_region_factor``s and one stacked ``eigvalsh``.
+    one ``_rho_ac`` on the ``region_factors`` and one stacked ``eigvalsh``.
+    ``factors`` are those of ``len_a`` and ``len_c`` when the caller has
+    built them already, as ``iumps scan`` does before its scan.
 
     S(A) and S(C) are the instance's kept S(|A|) and S(|C|), shared with ``qcmi``.
     """
-    phi_a, phi_c = _region_factor(mps.kraus, len_a), _region_factor(mps.kraus, len_c)
+    phi_a, phi_c = factors or region_factors(mps.kraus, len_a, len_c)
     rho = _rho_ac(mps, phi_a, powers(mps.transfer.e, sizes), phi_c)
     lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
     s_ac = _support_entropies(lam, lam > 0)

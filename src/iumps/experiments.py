@@ -31,8 +31,9 @@ from .mps import (
     sample_iumps,
     spectral_gap,
     transfer_operators,
+    transfer_spectrum,
 )
-from .numerics import RandomStream, eig_general
+from .numerics import RandomStream
 
 HISTOGRAM_BINS = 20
 BURN_IN = 3
@@ -297,9 +298,9 @@ def run_ensemble(
     a QMI or builds a rho_AC, so no region length is too large, and each
     instance solves only the S(n) its QCMI reads.  The instances are built
     and scanned in chunks of ``ENSEMBLE_CHUNK``: per chunk one stacked
-    sample, transfer contraction and ``eig_general`` (``sample_iumps``), then
-    one scan of them all (``scan_instances``), so the per-call cost of the
-    16x16 kernels is paid once per chunk.  Every instance
+    sample, transfer contraction and ``transfer_spectrum``
+    (``sample_iumps``), then one scan of them all (``scan_instances``), so
+    the per-call cost of the 16x16 kernels is paid once per chunk.  Every instance
     carries the bits of ``build_instance`` + ``scan_instance`` on its own
     stream, so the results do not depend on the chunk size.  Per-instance
     failures are recorded and skipped, never aborting the ensemble.
@@ -503,7 +504,7 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     Instance i draws from ``RandomStream(master_seed, i)``.  The instances go
     in chunks of ``GAP_CHUNK``: per chunk, one stacked Haar draw and QR
     (``sample_case1``), one stacked transfer contraction and one stacked
-    ``eig_general``.  Every row carries the bits of ``build_case1`` +
+    ``transfer_spectrum``.  Every row carries the bits of ``build_case1`` +
     ``transfer_matrix`` on its own, so the samples do not depend on the chunk
     size.  d_M must be at least 2, for E to have the three eigenvalues the
     gaps need.
@@ -516,7 +517,7 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     for start in range(0, n, GAP_CHUNK):
         stop = min(start + GAP_CHUNK, n)
         streams = [RandomStream(master_seed, i) for i in range(start, stop)]
-        spectrum = eig_general(transfer_operators(sample_case1(d_s, d_m, streams)))
+        spectrum = transfer_spectrum(transfer_operators(sample_case1(d_s, d_m, streams)))
         mags[start:stop] = np.abs(spectrum.values[:, :3])
     return GapStatistics(
         one_minus_nu1=np.sort(np.abs(1.0 - mags[:, 0])),

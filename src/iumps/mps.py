@@ -4,12 +4,20 @@ Index convention used throughout the package: ``vec`` is row-major, so
 ``vec(X)[i*d + j] = X[i, j]`` and ``vec(A X B^) = (A kron conj(B)) vec(X)``.
 Under this convention ``vec(I)`` is a left fixed point of every canonical
 transfer matrix.
+
+E maps vec(X) to vec(sum_s M^s X M^s†), a map that keeps Hermitian X
+Hermitian.  In the orthonormal Hermitian basis of ``hermitian_basis``
+(columns vec(G_k) of a unitary U) it is therefore the real matrix
+R = U† E U (``real_form``), and every transfer spectrum is solved from R in
+real arithmetic (``transfer_spectrum``), with eigenvectors U V_R.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -20,6 +28,7 @@ from .exceptions import (
     IumpsError,
     NoFixedPoint,
     NonConvergence,
+    NotHermitian,
     NotPositive,
 )
 from .numerics import (
@@ -39,6 +48,13 @@ CANONICAL_TOL = 1e-10
 FIXED_POINT_TOL = 1e-8
 PERIPHERAL_TOL = 1e-8
 CLIP_BUDGET = 1e-6
+# Smallest diagonal entry of the QR of the eigenvector matrix, relative to
+# the largest, that fixed_point accepts: about 16 ulp, matrix_rank's default
+# for a 16 x 16 matrix.
+SINGULAR_TOL = 4e-15
+# Largest imaginary entry of a real form, relative to its largest entry;
+# rounding leaves about 1e-16.
+REAL_FORM_TOL = 1e-12
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -262,14 +278,63 @@ def transfer_operators(matrices: np.ndarray) -> np.ndarray:
     return e.reshape(*matrices.shape[:-3], d2, d2)
 
 
+@functools.cache
+def hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """U and U†, where U's columns are vec(G_k) for the orthonormal basis of
+    Hermitian d x d matrices E_ii, then (E_ij + E_ji)/sqrt(2) and
+    i(E_ij - E_ji)/sqrt(2) for each i < j.  Built on first use, once per d,
+    and read-only."""
+    g = np.zeros((d * d, d, d), dtype=complex)  # g[k] = G_k
+    g[np.arange(d), np.arange(d), np.arange(d)] = 1
+    for k, (i, j) in enumerate(itertools.combinations(range(d), 2)):
+        sym, anti = g[d + 2 * k], g[d + 2 * k + 1]
+        sym[i, j] = sym[j, i] = 1 / np.sqrt(2.0)
+        anti[i, j], anti[j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+    u = g.reshape(d * d, d * d).T.copy()
+    u_h = u.conj().T.copy()
+    u.flags.writeable = u_h.flags.writeable = False
+    return u, u_h
+
+
+def real_form(e: np.ndarray) -> np.ndarray:
+    """R = U† E U of each transfer matrix of a stack ``(..., d_M^2, d_M^2)``,
+    U from ``hermitian_basis``: E maps Hermitian matrices to Hermitian ones,
+    so R is real.  An imaginary part above ``REAL_FORM_TOL`` times the
+    largest entry of R raises ``NotHermitian`` naming the first such matrix."""
+    u, u_h = hermitian_basis(math.isqrt(e.shape[-1]))
+    r = u_h @ e @ u
+    im = np.abs(r.imag).max(axis=(-2, -1))
+    bad = im > REAL_FORM_TOL * np.abs(r).max(axis=(-2, -1))
+    if bad.any():
+        worst = float(np.max(im, where=bad, initial=0.0))
+        raise NotHermitian(
+            f"transfer matrix does not preserve Hermiticity: imaginary entry {worst:.3e} of its "
+            f"real form exceeds {REAL_FORM_TOL:.1e} times its largest entry{flagged_at(bad)}"
+        )
+    return r.real
+
+
+def transfer_spectrum(e: np.ndarray) -> EigenDecomposition:
+    """``eig_general`` of each transfer matrix of a stack ``(..., d_M^2,
+    d_M^2)``, solved in real arithmetic: one real ``eig_general`` of
+    ``real_form(e)``, whose eigenvectors V_R map back as U V_R.  The values,
+    and the residual, are R's; U is unitary, so they are E's.  Every
+    transfer spectrum, from ``transfer_matrices`` and ``gap_statistics``,
+    is solved here."""
+    spectrum = eig_general(real_form(e))
+    u, _ = hermitian_basis(math.isqrt(e.shape[-1]))
+    return EigenDecomposition(spectrum.values, u @ spectrum.vectors, spectrum.residual)
+
+
 def transfer_matrices(matrices: np.ndarray) -> list[TransferMatrix]:
     """The ``TransferMatrix`` of each Kraus set of a stack ``(N, d_s, d_M,
-    d_M)``, from one ``transfer_operators`` and one stacked ``eig_general``;
-    the one place a ``TransferMatrix`` is assembled.  Entry i carries, bit
-    for bit, ``transfer_matrix`` of set i alone.  A failing ``eig_general``
-    raises for the whole stack, naming the failing matrix by its place in it."""
+    d_M)``, from one ``transfer_operators`` and one stacked
+    ``transfer_spectrum``; the one place a ``TransferMatrix`` is assembled.
+    Entry i carries, bit for bit, ``transfer_matrix`` of set i alone.  A
+    failing spectrum raises for the whole stack, naming the failing matrix
+    by its place in it."""
     e = transfer_operators(matrices)
-    spectrum = eig_general(e)
+    spectrum = transfer_spectrum(e)
     out = []
     for i, values in enumerate(spectrum.values):
         mags = np.abs(values)
@@ -316,21 +381,37 @@ def fixed_point(transfer: TransferMatrix) -> np.ndarray:
     combination of the extremal fixed points regardless of the eigenbasis
     returned by the solver.  The result is then Hermitized, clipped to be
     positive semidefinite, and normalized to unit trace.
+
+    The cluster's coordinates x_c of b = vec(I/d), (V^{-1} b)_c, come from
+    the QR of V with the cluster's k columns last: the last k rows of
+    R x = Q† b hold x_c alone, a k x k triangular system.  One R-only QR of
+    [V | b] gives R and, as its last column, Q† b.  A diagonal entry of R
+    at or below ``SINGULAR_TOL`` times the largest makes V numerically
+    singular, ``NonConvergence``.
     """
     d2 = transfer.e.shape[0]
     d = int(round(np.sqrt(d2)))
     values = transfer.spectrum.values
-    cluster = np.flatnonzero(np.abs(values - 1.0) <= FIXED_POINT_TOL)
-    if cluster.size == 0:
+    near_one = np.abs(values - 1.0) <= FIXED_POINT_TOL
+    k = int(near_one.sum())
+    if k == 0:
         raise NoFixedPoint("no eigenvalue within 1e-8 of 1")
 
-    vectors = transfer.spectrum.vectors
-    try:
-        # rows of V^{-1} are the left eigenvectors dual to the columns of V
-        coeff = np.linalg.solve(vectors, vec(np.eye(d) / d))[cluster]
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence("eigenvector matrix is numerically singular") from exc
-    sigma = unvec(vectors[:, cluster] @ coeff, d)
+    # [V | vec(I/d)], with the cluster's k columns of V last
+    a = np.zeros((d2, d2 + 1), dtype=complex)
+    a[:, :-1] = transfer.spectrum.vectors[:, np.argsort(near_one, kind="stable")]
+    a[:: d + 1, -1] = 1 / d
+    r = np.linalg.qr(a, mode="r")
+    pivots = np.abs(np.diagonal(r))
+    if pivots.min() <= SINGULAR_TOL * pivots.max():
+        raise NonConvergence("eigenvector matrix is numerically singular")
+    # back substitution on the k x k system, in Python scalars: k is 1 or 2
+    # for the sampled cases
+    r_c, y = r[-k:, -k - 1 : -1].tolist(), r[-k:, -1].tolist()
+    coeff = [0j] * k
+    for i in reversed(range(k)):
+        coeff[i] = (y[i] - sum(r_c[i][j] * coeff[j] for j in range(i + 1, k))) / r_c[i][i]
+    sigma = unvec(a[:, d2 - k : d2] @ np.array(coeff), d)
 
     sigma = (sigma + sigma.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(sigma)
@@ -360,7 +441,7 @@ def sample_iumps(
 
     Every instance carries the bits of the one-stream build.  An instance
     whose ``fixed_point`` raises an ``IumpsError`` is that error in the list.
-    A failing stacked step (the canonical check, ``eig_general``) raises for
+    A failing stacked step (the canonical check, the spectrum) raises for
     the whole stack, naming the failing matrix by its place in the stack.
     """
     matrices = sample_case(case_tag, d_s, d_m, streams)

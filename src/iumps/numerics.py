@@ -1,8 +1,11 @@
-"""Dense complex linear-algebra kernels and deterministic random streams.
+"""Dense linear-algebra kernels and deterministic random streams.
 
 Everything here operates on plain ``numpy`` arrays at desk scale (matrices up
 to 64x64).  The eigensolvers wrap LAPACK but pin down the ordering, residual,
-and error contracts the rest of the package relies on.
+and error contracts the rest of the package relies on.  ``eig_general``
+follows its input's dtype: the transfer spectra reach it as real matrices
+(``mps.real_form``) and take real LAPACK; it returns complex fields either
+way.
 
 The Haar sampler, ``eig_general`` and ``eigvals_hermitian`` also take
 stacks: at these sizes much of a single call is per-call numpy overhead
@@ -120,8 +123,13 @@ def flagged_at(bad: np.ndarray) -> str:
 
 
 def eig_general(a: np.ndarray) -> EigenDecomposition:
-    """Full spectrum of a square complex matrix (dimension <= 64), or of each
-    matrix of a stack ``(..., m, m)``.
+    """Full spectrum of a square matrix (dimension <= 64), or of each matrix
+    of a stack ``(..., m, m)``.
+
+    The arithmetic follows the input's dtype: a real matrix goes to real
+    LAPACK (``dgeev``), a complex one to complex LAPACK (``zgeev``).
+    ``values`` and ``vectors`` come back complex either way, also when every
+    eigenvalue is real.
 
     A stack gives ``values`` of shape ``(..., m)``, ``vectors`` of shape
     ``(..., m, m)`` and ``residual`` of shape ``(...)``, row by row the bits of
@@ -130,7 +138,7 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
     above ``EIG_RESIDUAL_TOL`` times the matrix's Frobenius norm raises
     ``NonConvergence`` naming the first failing matrix.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     n = a.shape[-1]
     if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError("matrix must be square")
@@ -140,6 +148,8 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver failed: {exc}") from exc
+    # numpy hands back real arrays when a real stack has only real eigenvalues
+    values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
     order = _sort_spectrum(values)
     index = (*(i[..., None] for i in np.indices(order.shape[:-1], sparse=True)), order)
     values = values[index]

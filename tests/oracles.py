@@ -44,3 +44,9 @@ def purified_spectrum(mps: IuMps, n: int) -> np.ndarray:
     omega = np.einsum("aceg,ebgd->abcd", g4, rho0).reshape(d * d, d * d)
     omega = (omega + omega.conj().T) / 2
     return np.linalg.eigvalsh(omega)[::-1]
+
+
+def complex_eigenvalues(e: np.ndarray) -> np.ndarray:
+    """Eigenvalues of E itself by complex LAPACK (``zgeev``), the route
+    ``mps.transfer_spectrum`` replaced by the real form; unsorted."""
+    return np.linalg.eigvals(np.asarray(e, dtype=complex))

@@ -275,9 +275,16 @@ def test_scan_and_ensemble_take_regions_past_the_old_cap(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_scan_rejects_a_folded_rho_ac_above_the_cap(tmp_path, capsys):
+def test_scan_rejects_a_folded_rho_ac_above_the_cap(tmp_path, capsys, monkeypatch):
     """At d_M = 8 each region of 4 sites folds to d_M^2 = 64 matrices, so
-    rho_AC would be 4096 x 4096: exit 4 and no curve written."""
+    rho_AC would be 4096 x 4096: exit 4 and no curve written, before the
+    scan is entered."""
+    import iumps.experiments
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the rho_AC cap was checked")
+
+    monkeypatch.setattr(iumps.experiments, "scan_instances", no_scan)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"d_M": 8, "len_a": 4, "len_c": 4}))
     assert run(tmp_path / "out", "scan", "--config", str(config)) == 4

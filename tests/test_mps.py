@@ -7,6 +7,7 @@ from iumps import (
     KrausSet,
     NoFixedPoint,
     NonConvergence,
+    NotHermitian,
     RandomStream,
     analytic_family,
     benchmark_kraus,
@@ -30,11 +31,14 @@ from iumps.mps import (
     TransferMatrix,
     build_case,
     check_canonical,
+    hermitian_basis,
+    real_form,
     sample_iumps,
     transfer_matrices,
+    transfer_spectrum,
 )
 from iumps.numerics import EigenDecomposition
-from oracles import channel_apply
+from oracles import channel_apply, complex_eigenvalues
 
 
 def unitary_kraus(u):
@@ -193,6 +197,14 @@ def test_fixed_point_matches_two_eig_oracle():
         assert dev <= 1e-13, (ks.case_tag, dev)
 
 
+def test_fixed_point_of_a_fully_degenerate_cluster():
+    """The identity channel on d_M = 4: all 16 eigenvalues sit in the fixed
+    cluster, so the back substitution runs over the whole of R."""
+    identity = np.stack([np.eye(4, dtype=complex) / np.sqrt(3)] * 3)
+    transfer = transfer_matrix(KrausSet(d_s=3, d_M=4, matrices=identity, case_tag="explicit"))
+    assert np.abs(fixed_point(transfer) - np.eye(4) / 4).max() <= 1e-15
+
+
 def test_fixed_point_singular_eigenvectors():
     # a defective fixed cluster leaves V singular; the projector is undefined
     e = np.diag([1.0, 1.0, 0.5, 0.25]).astype(complex)
@@ -345,3 +357,58 @@ def test_nondefault_dimensions(d_s, d_M, case):
     assert mps.kraus.canonical_deviation() <= 1e-12
     for n in (1, 2):
         assert abs(region_entropy(mps, n).entropy - brute_force_entropy(mps, n)) <= 1e-9
+
+
+def real_form_kraus_sets():
+    """Cases 1-3, the golden instance, both analytic families and amplitude
+    damping (d_M = 2, fixed point |0><0|)."""
+    sets = [
+        build_case(case, 3, 4, RandomStream(20231, i))
+        for case in ("case1", "case2", "case3")
+        for i in range(3)
+    ]
+    sets += [benchmark_kraus(), analytic_family("first", 0.1), analytic_family("second", 0.3)]
+    damping = np.array([[[1, 0], [0, 0.8]], [[0, 0.6], [0, 0]]], dtype=complex)
+    return sets + [KrausSet(d_s=2, d_M=2, matrices=damping, case_tag="explicit")]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_hermitian_basis_is_orthonormal_and_hermitian(d):
+    u, u_h = hermitian_basis(d)
+    assert u.shape == (d * d, d * d) and np.array_equal(u_h, u.conj().T)
+    assert np.abs(u_h @ u - np.eye(d * d)).max() <= 1e-15
+    g = u.T.reshape(d * d, d, d)  # column k of U is vec(G_k)
+    assert np.array_equal(g, g.conj().swapaxes(-1, -2))
+    assert hermitian_basis(d)[0] is u and not u.flags.writeable
+
+
+@pytest.mark.parametrize("ks", real_form_kraus_sets(), ids=lambda ks: ks.case_tag)
+def test_real_form_spectrum_matches_the_complex_route(ks):
+    transfer = transfer_matrix(ks)
+    e, spectrum = transfer.e, transfer.spectrum
+    u, u_h = hermitian_basis(ks.d_M)
+    assert np.abs((u_h @ e @ u).imag).max() <= 1e-15 * np.linalg.norm(e)
+    assert real_form(e).dtype == np.float64
+    # each eigenvalue against its nearest zgeev eigenvalue of E, both ways
+    oracle = complex_eigenvalues(e)
+    gaps = np.abs(spectrum.values[:, None] - oracle[None, :])
+    assert gaps.min(axis=1).max() <= 1e-13 and gaps.min(axis=0).max() <= 1e-13
+    # E v = nu v in the E basis, and the reported residual is E's
+    vectors, values = spectrum.vectors, spectrum.values
+    residual = np.linalg.norm(e @ vectors - vectors * values, axis=0).max()
+    assert residual <= 1e-13
+    assert abs(residual - spectrum.residual) <= 1e-14
+    # every non-real eigenvalue's conjugate is there, bit for bit
+    for nu in values[values.imag != 0]:
+        assert np.any(values == nu.conjugate())
+
+
+def test_real_form_rejects_a_map_that_breaks_hermiticity():
+    e = transfer_operators(sample_case1(3, 4, [RandomStream(5, i) for i in range(3)]))
+    transfer_spectrum(e)
+    broken = e.copy()
+    broken[1, 1, 0] += 1e-6  # E_00 -> Phi(E_00) + 1e-6 E_01, which is not Hermitian
+    with pytest.raises(NotHermitian, match=r"\(matrix 1\)"):
+        transfer_spectrum(broken)
+    with pytest.raises(NotHermitian):
+        real_form(1j * np.eye(4))

@@ -158,6 +158,52 @@ def test_eig_general_checks_the_residual_of_every_matrix(monkeypatch):
         eig_general(stack)
 
 
+def test_eig_general_real_input_returns_complex_fields():
+    rng = np.random.default_rng(12)
+    real_only = np.diag([0.25, 1.0, -0.5, 0.0])
+    symmetric = rng.standard_normal((6, 6))
+    for a in (real_only, symmetric + symmetric.T, rng.standard_normal((6, 6))):
+        dec = eig_general(a)
+        assert dec.values.dtype == complex and dec.vectors.dtype == complex
+        assert dec.residual <= 1e-13 * np.linalg.norm(a)
+    assert np.array_equal(eig_general(real_only).values, [1.0, -0.5, 0.25, 0.0])
+
+
+def test_eig_general_real_stack_equals_one_call_per_matrix():
+    """A real stack mixing matrices with only real eigenvalues and matrices
+    with conjugate pairs: every row is the one-call bits, and each pair is
+    exact, +Im first."""
+    rng = np.random.default_rng(9)
+    sym = rng.standard_normal((2, 16, 16))
+    stack = np.concatenate([sym + sym.swapaxes(-1, -2), rng.standard_normal((3, 16, 16))])
+    dec = eig_general(stack)
+    assert dec.values.dtype == complex and dec.residual.shape == (5,)
+    for i, a in enumerate(stack):
+        one = eig_general(a)
+        assert one.values.tobytes() == dec.values[i].tobytes()
+        assert one.vectors.tobytes() == np.ascontiguousarray(dec.vectors[i]).tobytes()
+        assert one.residual == dec.residual[i]
+    for row in dec.values[2:]:
+        upper = np.flatnonzero(row.imag > 0)
+        assert upper.size and np.array_equal(row[upper + 1], row[upper].conjugate())
+
+
+def test_eig_general_checks_the_residual_of_every_real_matrix(monkeypatch):
+    real_eig = np.linalg.eig
+    stack = np.random.default_rng(10).standard_normal((3, 8, 8))
+
+    def middle_vectors_off(a):
+        assert a.dtype == np.float64  # the real stack reaches real LAPACK
+        values, vectors = real_eig(a)
+        vectors = vectors.copy()
+        vectors[1, :, 0] += 1e-3
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eig", middle_vectors_off)
+    with pytest.raises(NonConvergence, match=r"\(matrix 1\)"):
+        eig_general(stack)
+
+
 def test_eig_general_rejects_large_matrix():
     with pytest.raises(ValueError):
         eig_general(np.eye(65))
