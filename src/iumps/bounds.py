@@ -42,13 +42,13 @@ class BoundConstants:
     d_M: int
 
 
-def distinct_clusters(values: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Representatives of ``values`` clustered at absolute tolerance ``tol``,
-    in order: a value within ``tol`` of an earlier representative joins it,
-    any other starts a cluster.  The result has the dtype of ``values``."""
+def distinct_clusters(values: np.ndarray) -> np.ndarray:
+    """Representatives of ``values`` clustered at absolute tolerance
+    ``DEGENERACY_TOL``, in order: a value within it of an earlier representative
+    joins it, any other starts a cluster.  The result has the dtype of ``values``."""
     reps: list = []
     for v in values:
-        if not any(abs(v - r) <= tol for r in reps):
+        if not any(abs(v - r) <= DEGENERACY_TOL for r in reps):
             reps.append(v)
     return np.array(reps)
 

@@ -1,5 +1,7 @@
 """Command-line entry point with deterministic, reproducible file outputs.
 
+Usage: ``iumps <command> [options]``, the options before or after the command.
+
 All CSV files use '.' as the decimal separator and 17 significant digits for
 reals, so 64-bit floats round-trip exactly; repeated runs with identical
 config and seed produce byte-identical files.
@@ -48,6 +50,7 @@ from .mps import (
     build_case,
     build_iumps,
     spectral_gap,
+    transfer_matrices,
     transfer_matrix,
 )
 from .numerics import RandomStream
@@ -189,7 +192,8 @@ def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
 
 def cmd_spectrum(config: RunConfig) -> int:
     out = Path(config.output_dir)
-    transfers = [transfer_matrix(_kraus(config, i)) for i in range(config.n_instances)]
+    matrices = np.stack([_kraus(config, i).matrices for i in range(config.n_instances)])
+    transfers = transfer_matrices(matrices)
     rows = ["instance_id,eig_index,re,im,abs,is_peripheral"]
     for i, transfer in enumerate(transfers):
         peripheral = set(transfer.peripheral_indices.tolist())
@@ -359,32 +363,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: ``parse_args`` keeps no state
-    between calls, and every subcommand takes the same options."""
-    options = argparse.ArgumentParser(add_help=False)
-    options.add_argument("--config", type=str, default=None, help="flat JSON config file")
-    options.add_argument("--seed", type=int, default=None, help="master seed")
-    options.add_argument("--case", type=str, choices=sorted(_CASES), default=None)
-    options.add_argument("--n", type=int, default=None, help="number of instances")
-    options.add_argument("--b-max", type=int, default=None, help="largest even |B|")
-    options.add_argument("--k", type=int, default=None, help="QCMI floor exponent")
-    options.add_argument("--out", type=str, default=None, help="output directory")
-    options.add_argument("--kraus", type=str, default=None,
-                         help="load the instance from a KrausSet JSON file")
-    options.add_argument("--save-kraus", action="store_true", default=None,
-                         help="persist the constructed instance as kraus_<id>.json")
-    parser = _Parser(
-        prog="iumps",
-        description="Random infinite uniform MPS: spectra, entropies, and QCMI decay",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "scan", "ensemble", "benchmark", "bound", "gapstats"):
-        sub.add_parser(name, parents=[options])
-    return parser
-
-
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "scan": cmd_scan,
@@ -395,27 +373,44 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``parse_args`` keeps no state
+    between calls.  A positional command, one of ``_COMMANDS``, and one
+    option set for all of them; each option but ``--config`` has as ``dest``
+    the ``RunConfig`` field it sets, and is None when not given."""
+    parser = _Parser(
+        prog="iumps",
+        description="Random infinite uniform MPS: spectra, entropies, and QCMI decay",
+    )
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="flat JSON config file")
+    parser.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+    parser.add_argument("--case", choices=sorted(_CASES), dest="case_tag")
+    parser.add_argument("--n", type=int, dest="n_instances", help="number of instances")
+    parser.add_argument("--b-max", type=int, dest="b_max_limit", help="largest even |B|")
+    parser.add_argument("--k", type=int, help="QCMI floor exponent")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
+    parser.add_argument("--kraus", dest="kraus_path",
+                        help="load the instance from a KrausSet JSON file")
+    parser.add_argument("--save-kraus", action="store_true", default=None,
+                        help="persist the constructed instance as kraus_<id>.json")
+    return parser
+
+
 def _fail(code: int, label: str, exc: Exception) -> int:
     print(f"{label}: {type(exc).__name__}: {exc}", file=sys.stderr)
     return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        "master_seed": args.seed,
-        "case_tag": _CASES[args.case] if args.case is not None else None,
-        "n_instances": args.n,
-        "b_max_limit": args.b_max,
-        "k": args.k,
-        "output_dir": args.out,
-        "kraus_path": args.kraus,
-        "save_kraus": args.save_kraus,
-    }
+    overrides = vars(build_parser().parse_args(argv))
+    command, config_path = overrides.pop("command"), overrides.pop("config")
+    overrides["case_tag"] = _CASES.get(overrides["case_tag"])
     try:
-        config = load_config(args.config, overrides)
-        _check_reads(args.command, config)
-        return _COMMANDS[args.command](config)
+        config = load_config(config_path, overrides)
+        _check_reads(command, config)
+        return _COMMANDS[command](config)
     except (DegenerateSpectrum, EmptyCurve, NearDegenerate) as exc:
         return _fail(EXIT_DEGENERATE, "degenerate input", exc)
     except (ValueError, OSError, TooLarge, Unsupported) as exc:

@@ -526,10 +526,10 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     )
 
 
-def distinct_magnitudes(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def distinct_magnitudes(values: np.ndarray) -> np.ndarray:
     """Descending distinct eigenvalue magnitudes: ``distinct_clusters`` of the
     sorted magnitudes, so each cluster is represented by its largest."""
-    return distinct_clusters(np.sort(np.abs(np.asarray(values)))[::-1], tol)
+    return distinct_clusters(np.sort(np.abs(np.asarray(values)))[::-1])
 
 
 def analytic_family(which: str, beta: float) -> KrausSet:

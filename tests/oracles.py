@@ -1,13 +1,13 @@
 """Independent constructions the tests check the library against.
 
 Each one rebuilds an object the library computes by another route, at
-oracle scale only; none is called by the library itself.
+oracle scale only, or builds an instance whose spectrum is known in closed
+form; none is called by the library itself.
 """
 
 import numpy as np
 
-from iumps import IuMps, KrausSet, SupportProjection, TooLarge, site_products, vec
-from iumps.entropy import BRUTE_FORCE_CAP
+from iumps import IuMps, KrausSet, SupportProjection, site_products, vec
 from iumps.numerics import mat_power
 
 
@@ -20,10 +20,9 @@ def materialize_isometry(sp: SupportProjection, kraus: KrausSet, n: int) -> np.n
     """Explicit isometry P = Phi conj(W) diag(w)^{-1/2} with range supp(rho_n);
     P†P = I on the support.
 
-    Exponentially large in n; ``TooLarge`` above ``BRUTE_FORCE_CAP``.
+    Exponentially large in n; ``site_products`` raises ``TooLarge`` above
+    ``BRUTE_FORCE_CAP``.
     """
-    if kraus.d_s**n > BRUTE_FORCE_CAP:
-        raise TooLarge(f"d_s^n = {kraus.d_s ** n} exceeds {BRUTE_FORCE_CAP}")
     phi = site_products(kraus, n).reshape(kraus.d_s**n, kraus.d_M**2)
     w_r = sp.w[:, : sp.support_dim]
     return phi @ w_r.conj() / np.sqrt(sp.sigma_diag[: sp.support_dim])[None, :]
@@ -50,3 +49,22 @@ def complex_eigenvalues(e: np.ndarray) -> np.ndarray:
     """Eigenvalues of E itself by complex LAPACK (``zgeev``), the route
     ``mps.transfer_spectrum`` replaced by the real form; unsorted."""
     return np.linalg.eigvals(np.asarray(e, dtype=complex))
+
+
+def jordan_decay(gamma: float, p: float) -> KrausSet:
+    """A canonical Kraus set (d_s = 6, d_M = 3) whose transfer matrix has a
+    2x2 Jordan block at the gap magnitude 1 - gamma.
+
+    The three-level decay |2> -> |1> -> |0> at equal rate gamma, M_0 =
+    diag(1, sqrt(1-gamma), sqrt(1-gamma)), M_1 = sqrt(gamma)|0><1| and M_2 =
+    sqrt(gamma)|1><2|, each also applied after the clock phase diag(1, w, w^2)
+    (w = e^{2 pi i/3}) with probability p.
+    """
+    m = np.zeros((3, 3, 3), dtype=complex)
+    m[0] = np.diag([1.0, np.sqrt(1 - gamma), np.sqrt(1 - gamma)])
+    m[1, 0, 1] = m[2, 1, 2] = np.sqrt(gamma)
+    clock = np.exp(2j * np.pi * np.arange(3) / 3)
+    mats = np.concatenate([np.sqrt(1 - p) * m, np.sqrt(p) * m * clock])
+    kraus = KrausSet(d_s=6, d_M=3, matrices=mats, case_tag="explicit")
+    kraus.validate()
+    return kraus

@@ -7,6 +7,7 @@ from iumps import (
     IuMps,
     KrausSet,
     NearDegenerate,
+    NonConvergence,
     TransferMatrix,
     Unsupported,
     build_iumps,
@@ -16,8 +17,10 @@ from iumps import (
     qcmi_error_estimate,
     sufficient_b,
     decay_bound,
+    transfer_matrix,
 )
 from iumps.bounds import BoundConstants
+from oracles import jordan_decay
 
 
 def pauli_channel_mps(p=0.7, q=0.2, r=0.1):
@@ -60,6 +63,26 @@ def test_near_jordan_gap_pair_raises_near_degenerate():
     assert 1e-12 < abs(shell[0] - shell[1]) <= 1e-8
     with pytest.raises(NearDegenerate, match="K > 0 suspected"):
         jordan_constants(mps)
+
+
+@pytest.mark.parametrize(
+    "gamma", [np.pi / 10, np.sqrt(2) - 1, 0.5, (np.sqrt(5) - 1) / 2], ids="{:.3f}".format
+)
+def test_a_jordan_block_at_the_gap_is_refused_before_jordan_constants(gamma):
+    # Known limitation, pinned as it stands: a Kraus set with a 2x2 Jordan
+    # block at the gap magnitude 1 - gamma never reaches jordan_constants.
+    # fixed_point refuses the whole singular eigenvector matrix first, and the
+    # solver splits the defective pair far below the 1e-12 end of the
+    # NearDegenerate window, which would read it as semisimple.
+    kraus = jordan_decay(gamma, 0.3)
+    transfer = transfer_matrix(kraus)
+    assert transfer.nu_gap == pytest.approx(1 - gamma, abs=1e-15)
+    values = transfer.spectrum.values
+    shell = values[np.abs(np.abs(values) - transfer.nu_gap) <= 1e-8]
+    assert len(shell) == 2 and abs(shell[0] - shell[1]) <= 1e-12
+    assert np.linalg.cond(transfer.spectrum.vectors) > 1e15
+    with pytest.raises(NonConvergence, match="eigenvector matrix is numerically singular"):
+        build_iumps(kraus)
 
 
 def test_exactly_degenerate_semisimple_gap_pair_passes():
