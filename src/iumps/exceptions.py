@@ -39,7 +39,8 @@ class TooFewPoints(IumpsError):
 
 
 class NearDegenerate(IumpsError):
-    """Eigenvalues at the gap magnitude are too close to separate reliably."""
+    """An eigenvalue at the gap magnitude is too ill-conditioned to be
+    semisimple: a Jordan block at the gap is suspected."""
 
 
 class Unsupported(IumpsError):

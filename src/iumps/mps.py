@@ -48,9 +48,8 @@ CANONICAL_TOL = 1e-10
 FIXED_POINT_TOL = 1e-8
 PERIPHERAL_TOL = 1e-8
 CLIP_BUDGET = 1e-6
-# Smallest diagonal entry of the QR of the eigenvector matrix, relative to
-# the largest, that fixed_point accepts: about 16 ulp, matrix_rank's default
-# for a 16 x 16 matrix.
+# Least singular value of W_c† V_c that fixed_point accepts, both factors
+# with unit columns: about 16 ulp, matrix_rank's default for a 16 x 16 matrix.
 SINGULAR_TOL = 4e-15
 # Largest imaginary entry of a real form, relative to its largest entry;
 # rounding leaves about 1e-16.
@@ -371,47 +370,42 @@ def spectral_gap(transfer: TransferMatrix) -> float:
 
 
 def fixed_point(transfer: TransferMatrix) -> np.ndarray:
-    """Fixed-point density operator from the eigenvalue-1 cluster.
+    """Fixed-point density operator from the eigenvalue-1 cluster alone.
 
-    When the eigenvalue 1 is degenerate the individual numerical eigenvectors
-    are an arbitrary basis of the fixed subspace, so summing them is not
-    well defined.  Instead the (oblique) spectral projector of the cluster,
-    V_c (V^{-1})_c with V the eigenvector matrix of ``transfer.spectrum``, is
-    applied to the maximally mixed state, which lands on the uniform
-    combination of the extremal fixed points regardless of the eigenbasis
-    returned by the solver.  The result is then Hermitized, clipped to be
-    positive semidefinite, and normalized to unit trace.
-
-    The cluster's coordinates x_c of b = vec(I/d), (V^{-1} b)_c, come from
-    the QR of V with the cluster's k columns last: the last k rows of
-    R x = Q† b hold x_c alone, a k x k triangular system.  One R-only QR of
-    [V | b] gives R and, as its last column, Q† b.  A diagonal entry of R
-    at or below ``SINGULAR_TOL`` times the largest makes V numerically
-    singular, ``NonConvergence``.
+    The eigenvectors of a degenerate eigenvalue 1 are an arbitrary basis of
+    the fixed subspace, so the cluster's oblique spectral projector
+    V_c (W_c† V_c)^{-1} W_c† is applied to b = vec(I/d) instead: it lands on
+    the uniform combination of the extremal fixed points whatever basis the
+    solver returns.  V_c is the cluster's k columns of the eigenvectors of
+    E; W_c spans the left null space of E - I: vec(I)/sqrt(d) for k = 1 (E
+    is trace preserving), else the last k left singular vectors of E - I.
+    A channel's peripheral eigenvalues are semisimple, so no other column of
+    V enters, and E may be defective elsewhere.  The k x k system is solved
+    through the SVD of W_c† V_c; a least singular value at or below
+    ``SINGULAR_TOL`` (a defective cluster) is ``NonConvergence``.  The result
+    is Hermitized, clipped to be positive semidefinite, and normalized.
     """
     d2 = transfer.e.shape[0]
     d = int(round(np.sqrt(d2)))
-    values = transfer.spectrum.values
-    near_one = np.abs(values - 1.0) <= FIXED_POINT_TOL
+    near_one = np.abs(transfer.spectrum.values - 1.0) <= FIXED_POINT_TOL
     k = int(near_one.sum())
     if k == 0:
         raise NoFixedPoint("no eigenvalue within 1e-8 of 1")
-
-    # [V | vec(I/d)], with the cluster's k columns of V last
-    a = np.zeros((d2, d2 + 1), dtype=complex)
-    a[:, :-1] = transfer.spectrum.vectors[:, np.argsort(near_one, kind="stable")]
-    a[:: d + 1, -1] = 1 / d
-    r = np.linalg.qr(a, mode="r")
-    pivots = np.abs(np.diagonal(r))
-    if pivots.min() <= SINGULAR_TOL * pivots.max():
-        raise NonConvergence("eigenvector matrix is numerically singular")
-    # back substitution on the k x k system, in Python scalars: k is 1 or 2
-    # for the sampled cases
-    r_c, y = r[-k:, -k - 1 : -1].tolist(), r[-k:, -1].tolist()
-    coeff = [0j] * k
-    for i in reversed(range(k)):
-        coeff[i] = (y[i] - sum(r_c[i][j] * coeff[j] for j in range(i + 1, k))) / r_c[i][i]
-    sigma = unvec(a[:, d2 - k : d2] @ np.array(coeff), d)
+    v_c = transfer.spectrum.vectors[:, near_one]
+    if k == 1:
+        trace = v_c[:: d + 1, 0].sum()
+        s_min = abs(trace) / np.sqrt(d)
+    else:
+        w_c = np.linalg.svd(transfer.e - np.eye(d2))[0][:, -k:]
+        x, s, y_h = np.linalg.svd(w_c.conj().T @ v_c)
+        s_min = s[-1]
+    if not s_min > SINGULAR_TOL:
+        raise NonConvergence(f"defective eigenvalue-1 cluster: W_c† V_c has s_min {s_min:.3e}")
+    if k == 1:
+        sigma = unvec(v_c[:, 0] / trace, d)
+    else:
+        w_b = w_c[:: d + 1].conj().sum(axis=0) / d  # W_c† vec(I/d)
+        sigma = unvec(v_c @ (y_h.conj().T @ (x.conj().T @ w_b / s)), d)
 
     sigma = (sigma + sigma.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(sigma)

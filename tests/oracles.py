@@ -68,3 +68,16 @@ def jordan_decay(gamma: float, p: float) -> KrausSet:
     kraus = KrausSet(d_s=6, d_M=3, matrices=mats, case_tag="explicit")
     kraus.validate()
     return kraus
+
+
+def reset_mixed_decay(gamma: float, p: float, eps: float) -> KrausSet:
+    """``jordan_decay(gamma, p)`` mixed with the reset channel X -> tr(X) I/3
+    at weight eps: the Kraus operators sqrt(1 - eps) M^s and sqrt(eps/3)|i><j|,
+    so d_s = 15.  Its fixed point is full rank, and its transfer matrix keeps
+    an exact 2x2 Jordan block at the gap magnitude (1 - eps)(1 - gamma)."""
+    reset = np.eye(9, dtype=complex).reshape(9, 3, 3)  # reset[3i + j] = |i><j|
+    decay = jordan_decay(gamma, p).matrices
+    mats = np.concatenate([np.sqrt(1 - eps) * decay, np.sqrt(eps / 3) * reset])
+    kraus = KrausSet(d_s=15, d_M=3, matrices=mats, case_tag="explicit")
+    kraus.validate()
+    return kraus

@@ -7,7 +7,6 @@ from iumps import (
     IuMps,
     KrausSet,
     NearDegenerate,
-    NonConvergence,
     TransferMatrix,
     Unsupported,
     build_iumps,
@@ -17,10 +16,9 @@ from iumps import (
     qcmi_error_estimate,
     sufficient_b,
     decay_bound,
-    transfer_matrix,
 )
 from iumps.bounds import BoundConstants
-from oracles import jordan_decay
+from oracles import channel_apply, jordan_decay, reset_mixed_decay
 
 
 def pauli_channel_mps(p=0.7, q=0.2, r=0.1):
@@ -69,20 +67,39 @@ def test_near_jordan_gap_pair_raises_near_degenerate():
     "gamma", [np.pi / 10, np.sqrt(2) - 1, 0.5, (np.sqrt(5) - 1) / 2], ids="{:.3f}".format
 )
 def test_a_jordan_block_at_the_gap_is_refused_before_jordan_constants(gamma):
-    # Known limitation, pinned as it stands: a Kraus set with a 2x2 Jordan
-    # block at the gap magnitude 1 - gamma never reaches jordan_constants.
-    # fixed_point refuses the whole singular eigenvector matrix first, and the
-    # solver splits the defective pair far below the 1e-12 end of the
-    # NearDegenerate window, which would read it as semisimple.
+    # A Kraus set with a 2x2 Jordan block at the gap magnitude 1 - gamma
+    # builds: fixed_point reads only the eigenvalue-1 cluster, so the
+    # singular eigenvector matrix does not stop it.  The block is then refused
+    # before any constant is computed, by the shell's eigenvalue condition
+    # number, though the solver splits the pair by less than 1e-12 and sigma
+    # is pure (the sigma-rank test would say Unsupported).
     kraus = jordan_decay(gamma, 0.3)
-    transfer = transfer_matrix(kraus)
-    assert transfer.nu_gap == pytest.approx(1 - gamma, abs=1e-15)
-    values = transfer.spectrum.values
-    shell = values[np.abs(np.abs(values) - transfer.nu_gap) <= 1e-8]
+    mps = build_iumps(kraus)
+    assert mps.transfer.nu_gap == pytest.approx(1 - gamma, abs=1e-15)
+    values = mps.transfer.spectrum.values
+    shell = values[np.abs(np.abs(values) - mps.transfer.nu_gap) <= 1e-8]
     assert len(shell) == 2 and abs(shell[0] - shell[1]) <= 1e-12
-    assert np.linalg.cond(transfer.spectrum.vectors) > 1e15
-    with pytest.raises(NonConvergence, match="eigenvector matrix is numerically singular"):
-        build_iumps(kraus)
+    assert np.linalg.cond(mps.transfer.spectrum.vectors) > 1e15
+    assert np.abs(mps.sigma - np.diag([1.0, 0.0, 0.0])).max() <= 1e-15
+    assert np.abs(channel_apply(kraus, mps.sigma) - mps.sigma).max() <= 1e-15
+    with pytest.raises(NearDegenerate, match="K > 0 suspected"):
+        jordan_constants(mps)
+
+
+@pytest.mark.parametrize("gamma", [np.pi / 10, 0.5, (np.sqrt(5) - 1) / 2], ids="{:.3f}".format)
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
+def test_a_jordan_block_under_a_full_rank_fixed_point_is_near_degenerate(eps, gamma):
+    # The reset keeps the exact Jordan block and makes sigma full rank, so
+    # only the Jordan test stands between this set and K = 0 constants.
+    # Roundoff splits the pair by about 1e-8, in some cells radially, which
+    # leaves one member on the shell; its condition number flags it either way.
+    kraus = reset_mixed_decay(gamma, 0.3, eps)
+    assert kraus.canonical_deviation() <= 1e-14
+    mps = build_iumps(kraus)
+    assert mps.transfer.nu_gap == pytest.approx((1 - eps) * (1 - gamma), abs=1e-7)
+    assert np.linalg.eigvalsh(mps.sigma)[0] > 1e-3
+    with pytest.raises(NearDegenerate, match="K > 0 suspected"):
+        jordan_constants(mps)
 
 
 def test_exactly_degenerate_semisimple_gap_pair_passes():

@@ -809,18 +809,24 @@ def test_spectrum_solves_its_instances_in_one_call(tmp_path, monkeypatch):
     assert calls == [5]
 
 
-@pytest.mark.parametrize("command", ["scan", "bound"])
-def test_a_jordan_block_at_the_gap_exits_2_with_one_stderr_line(tmp_path, capsys, command):
-    # known limitation: fixed_point refuses the defective E before
-    # jordan_constants can call it NearDegenerate (see tests/test_bounds.py)
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("bound", "NearDegenerate: an eigenvalue at the gap magnitude 0.5 has condition number "),
+        ("scan", "EmptyCurve: "),
+    ],
+    ids=["bound", "scan"],
+)
+def test_a_jordan_block_at_the_gap_exits_3_with_one_stderr_line(tmp_path, capsys, command, message):
+    # the set builds; bound refuses the Jordan block in jordan_constants, and
+    # scan finds no QCMI above the floor, since sigma is pure
     kraus_file = tmp_path / "kraus.json"
     kraus_file.write_text(jordan_decay(0.5, 0.3).to_json())
-    assert run(tmp_path / "out", command, "--kraus", str(kraus_file)) == 2
+    assert run(tmp_path / "out", command, "--kraus", str(kraus_file)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "numerical failure: NonConvergence: eigenvector matrix is numerically singular\n"
-    )
+    assert captured.err.startswith(f"degenerate input: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
 
 

@@ -38,7 +38,7 @@ from iumps.mps import (
     transfer_spectrum,
 )
 from iumps.numerics import EigenDecomposition
-from oracles import channel_apply, complex_eigenvalues
+from oracles import channel_apply, complex_eigenvalues, jordan_decay, reset_mixed_decay
 
 
 def unitary_kraus(u):
@@ -190,7 +190,13 @@ def test_fixed_point_matches_two_eig_oracle():
         for seed in (3, 20231)
         for i in range(4)
     ]
-    kraus_sets += [benchmark_kraus(), analytic_family("first", 0.1)]
+    # the last two have a 2x2 Jordan block at the gap, outside the cluster
+    kraus_sets += [
+        benchmark_kraus(),
+        analytic_family("first", 0.1),
+        jordan_decay(0.5, 0.3),
+        reset_mixed_decay(0.5, 0.3, 0.05),
+    ]
     for ks in kraus_sets:
         transfer = transfer_matrix(ks)
         dev = np.abs(fixed_point(transfer) - reference_fixed_point(transfer)).max()
@@ -199,14 +205,16 @@ def test_fixed_point_matches_two_eig_oracle():
 
 def test_fixed_point_of_a_fully_degenerate_cluster():
     """The identity channel on d_M = 4: all 16 eigenvalues sit in the fixed
-    cluster, so the back substitution runs over the whole of R."""
+    cluster, so W_c is every left singular vector of E - I = 0 and the
+    cluster's system is 16 x 16."""
     identity = np.stack([np.eye(4, dtype=complex) / np.sqrt(3)] * 3)
     transfer = transfer_matrix(KrausSet(d_s=3, d_M=4, matrices=identity, case_tag="explicit"))
     assert np.abs(fixed_point(transfer) - np.eye(4) / 4).max() <= 1e-15
 
 
 def test_fixed_point_singular_eigenvectors():
-    # a defective fixed cluster leaves V singular; the projector is undefined
+    # a defective fixed cluster: its two eigenvectors coincide, so W_c† V_c
+    # is singular and the projector is undefined
     e = np.diag([1.0, 1.0, 0.5, 0.25]).astype(complex)
     spectrum = EigenDecomposition(
         values=np.diag(e).copy(), vectors=np.full((4, 4), 0.5, dtype=complex), residual=0.0
