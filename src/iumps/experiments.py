@@ -13,7 +13,6 @@ from .bounds import distinct_clusters
 from .entropy import fill_entropies_chunk, qcmi, qmi_curve, rho_disjoint
 from .exceptions import (
     BenchmarkFailed,
-    DegenerateSpectrum,
     EmptyCurve,
     IumpsError,
     TooFewPoints,
@@ -113,12 +112,10 @@ def scan_instances(
     len_c: int,
     b_max_limit: int = 40,
     k: int = 12,
-) -> list[DecayCurve | IumpsError]:
+) -> list[DecayCurve]:
     """QCMI of regions A, C of ``len_a``, ``len_c`` sites over
     |B| = 2, 4, ..., stopping once it falls to 10^-k, for every instance
-    together: each instance's curve, or the ``IumpsError`` that ended its scan
-    (``DegenerateSpectrum`` when it has no gap, ``EmptyCurve`` when it stops
-    at |B| = 2).
+    together: each instance's curve.
 
     An instance's last retained |B| (the curve's b_max) is the final even size
     at which QCMI still exceeds the numerical floor, or b_max_limit.  |B| is
@@ -134,26 +131,18 @@ def scan_instances(
     instance that has stopped leaves the next block.  Every instance keeps
     each S(n) it computes, so each is computed once, however many scans and
     QMI/QCMI calls read it.
-    A failing stacked step (``NotHermitian``) raises for all instances.
-    Each curve carries the bits of the scan of its instance alone.
+    One instance's error raises for all: no gap is ``DegenerateSpectrum``
+    before any power is formed, a stop at |B| = 2 ``EmptyCurve`` in the first
+    block.  Each curve carries the bits of the scan of its instance alone.
     """
     check_scan_args(len_a, len_c, b_max_limit, k)
     floor = 10.0 ** (-k)
-    results: list[DecayCurve | IumpsError | None] = [None] * len(instances)
-    live: list[int] = []
-    q: dict[int, float] = {}  # the normalization of f: the bound decay rate
-    points: dict[int, list[CurvePoint]] = {}
-    for i, mps in enumerate(instances):
-        try:
-            nu_gap = spectral_gap(mps.transfer)
-        except DegenerateSpectrum as exc:
-            results[i] = exc
-            continue
-        live.append(i)
-        q[i] = 2.0 * math.log(1.0 / nu_gap)
-        points[i] = []
+    # the normalization of f: the bound decay rate
+    q = [2.0 * math.log(1.0 / spectral_gap(mps.transfer)) for mps in instances]
+    points: list[list[CurvePoint]] = [[] for _ in instances]
+    live = list(range(len(instances)))
     if live:
-        window = PowerWindow(np.stack([instances[i].transfer.e for i in live]))
+        window = PowerWindow(np.stack([mps.transfer.e for mps in instances]))
     for b in range(2, b_max_limit + 1, 2 * SCAN_BLOCK):
         if not live:
             break
@@ -170,6 +159,8 @@ def scan_instances(
             for lb in block:
                 qc = qcmi(mps, len_a, lb, len_c)
                 if qc <= floor:
+                    if lb == 2:
+                        raise EmptyCurve(f"QCMI <= 1e-{k} already at |B| = 2")
                     break
                 points[i].append(CurvePoint(b_len=lb, qcmi=qc, f=math.log(qc) / q[i]))
             else:
@@ -177,12 +168,10 @@ def scan_instances(
         if len(still) < len(live):
             window.keep(still)
             live = [live[row] for row in still]
-    for i, pts in points.items():
-        if pts:
-            results[i] = DecayCurve(instances[i].transfer.nu_gap, pts, b_max=pts[-1].b_len)
-        else:
-            results[i] = EmptyCurve(f"QCMI <= 1e-{k} already at |B| = 2")
-    return results
+    return [
+        DecayCurve(mps.transfer.nu_gap, pts, b_max=pts[-1].b_len)
+        for mps, pts in zip(instances, points)
+    ]
 
 
 def scan_instance(
@@ -194,15 +183,12 @@ def scan_instance(
 ) -> DecayCurve:
     """QCMI of regions A, C of ``len_a``, ``len_c`` sites over
     |B| = 2, 4, ..., stopping once it falls to 10^-k: ``scan_instances`` of
-    the one instance, raising the error it records.
+    the one instance, raising as it raises.
 
     Each block of ``SCAN_BLOCK`` sizes of |B| then costs one stacked
     ``eigvalsh``; the instance keeps its S(n), so a second scan solves nothing.
     """
-    (curve,) = scan_instances((mps,), len_a, len_c, b_max_limit, k)
-    if isinstance(curve, IumpsError):
-        raise curve
-    return curve
+    return scan_instances((mps,), len_a, len_c, b_max_limit, k)[0]
 
 
 def shift_graph(curve: DecayCurve) -> list[tuple[float, float]]:
@@ -258,18 +244,16 @@ def build_instance(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> I
 def _scan_chunk(
     case_tag: str, d_s: int, d_m: int, streams: list[RandomStream], *scan_args: int
 ) -> list[DecayCurve | IumpsError]:
-    """The curve of every stream, or the ``IumpsError`` that ended it, from
-    one ``sample_iumps`` build and one ``scan_instances`` scan of them all.
+    """The curve of every stream, from one ``sample_iumps`` build and one
+    ``scan_instances`` scan of them all.
 
-    A stacked step that fails names a place in the stack or the worst of it,
-    so the chunk is then redone one stream at a time, each a chunk of its
-    own: an instance fails, or raises its ``ValueError``, with the message
-    of its own build and scan.
+    Either raises for the whole chunk, so the chunk is then redone one
+    stream at a time, each a chunk of its own: an instance is the
+    ``IumpsError``, or raises the ``ValueError``, of its own build and scan.
+    This is the one place an instance's error becomes a value.
     """
     try:
-        built = sample_iumps(case_tag, d_s, d_m, streams)
-        curves = iter(scan_instances([m for m in built if isinstance(m, IuMps)], *scan_args))
-        return [next(curves) if isinstance(m, IuMps) else m for m in built]
+        return scan_instances(sample_iumps(case_tag, d_s, d_m, streams), *scan_args)
     except (IumpsError, ValueError) as exc:
         if len(streams) > 1:
             return [r for s in streams for r in _scan_chunk(case_tag, d_s, d_m, [s], *scan_args)]
@@ -302,8 +286,9 @@ def run_ensemble(
     (``sample_iumps``), then one scan of them all (``scan_instances``), so
     the per-call cost of the 16x16 kernels is paid once per chunk.  Every instance
     carries the bits of ``build_instance`` + ``scan_instance`` on its own
-    stream, so the results do not depend on the chunk size.  Per-instance
-    failures are recorded and skipped, never aborting the ensemble.
+    stream, so the results do not depend on the chunk size.  A failing
+    instance is skipped with the message of its own build and scan
+    (``_scan_chunk``); the others of its chunk complete.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

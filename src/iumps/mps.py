@@ -25,13 +25,13 @@ import numpy as np
 
 from .exceptions import (
     DegenerateSpectrum,
-    IumpsError,
     NoFixedPoint,
     NonConvergence,
     NotHermitian,
     NotPositive,
 )
 from .numerics import (
+    MAX_EIG_DIM,
     EigenDecomposition,
     RandomStream,
     eig_general,
@@ -117,6 +117,7 @@ class KrausSet:
     def validate(self) -> None:
         if self.matrices.shape != (self.d_s, self.d_M, self.d_M):
             raise ValueError("matrices must have shape (d_s, d_M, d_M)")
+        _check_dims(self.d_s, self.d_M)
         check_canonical(self.matrices)
         for row, col in _BLOCK_LAYOUT.get(self.case_tag, ()):
             if np.any(_block(self.matrices, row, 1 - col) != 0):
@@ -194,8 +195,15 @@ def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:
 
 
 def _check_dims(d_s: int, d_m: int) -> None:
+    """Refuse dimensions below 1, and a d_M whose d_M^2 x d_M^2 transfer
+    matrix ``eig_general`` cannot solve, before any draw or E is allocated."""
     if d_s < 1 or d_m < 1:
         raise ValueError("d_s and d_M must be >= 1")
+    if d_m * d_m > MAX_EIG_DIM:
+        raise ValueError(
+            f"d_M = {d_m} exceeds {math.isqrt(MAX_EIG_DIM)}: its {d_m * d_m} x {d_m * d_m} "
+            f"transfer matrix is above the eigensolver's maximum dimension {MAX_EIG_DIM}"
+        )
 
 
 def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndarray:
@@ -213,7 +221,7 @@ def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndar
 def check_case(case_tag: str, d_s: int, d_m: int) -> None:
     """Raise ``ValueError`` unless ``case_tag`` is a sampled case that can be
     drawn at d_s x d_M: an unknown case first, then an odd d_M for a
-    two-block case, then dimensions below 1."""
+    two-block case, then ``_check_dims``."""
     if case_tag != CASE1 and case_tag not in _BLOCK_LAYOUT:
         cases = sorted((CASE1, *_BLOCK_LAYOUT))
         raise ValueError(f"unknown case {case_tag!r}; expected one of {cases}")
@@ -427,26 +435,26 @@ def build_iumps(kraus: KrausSet) -> IuMps:
 
 def sample_iumps(
     case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStream]
-) -> list[IuMps | IumpsError]:
+) -> list[IuMps]:
     """``build_iumps(build_case(case_tag, d_s, d_M, s))`` for each stream s,
     from one ``sample_case`` call and one ``transfer_matrices`` stack; each
     instance then gets its own ``fixed_point``.  ``run_ensemble`` builds
     every chunk, and every retried stream, here.
 
-    Every instance carries the bits of the one-stream build.  An instance
-    whose ``fixed_point`` raises an ``IumpsError`` is that error in the list.
-    A failing stacked step (the canonical check, the spectrum) raises for
-    the whole stack, naming the failing matrix by its place in the stack.
+    Every instance carries the bits of the one-stream build.  Any failing
+    step (the canonical check, the spectrum, an instance's ``fixed_point``)
+    raises for the whole stack; a stacked step names the failing matrix by
+    its place in the stack.
     """
     matrices = sample_case(case_tag, d_s, d_m, streams)
-    out: list[IuMps | IumpsError] = []
-    for kraus_matrices, transfer in zip(matrices, transfer_matrices(matrices)):
-        kraus = KrausSet(d_s=d_s, d_M=d_m, matrices=kraus_matrices, case_tag=case_tag)
-        try:
-            out.append(IuMps(kraus=kraus, sigma=fixed_point(transfer), transfer=transfer))
-        except IumpsError as exc:
-            out.append(exc)
-    return out
+    return [
+        IuMps(
+            kraus=KrausSet(d_s=d_s, d_M=d_m, matrices=kraus_matrices, case_tag=case_tag),
+            sigma=fixed_point(transfer),
+            transfer=transfer,
+        )
+        for kraus_matrices, transfer in zip(matrices, transfer_matrices(matrices))
+    ]
 
 
 class PowerWindow:

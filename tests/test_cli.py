@@ -838,3 +838,45 @@ def test_spectrum_of_a_jordan_block_at_the_gap_writes_its_gap(tmp_path, capsys):
     gap = json.loads(read(tmp_path / "out" / "gap.json"))
     assert gap["nu_gap"] == pytest.approx(0.5, abs=1e-15)
     assert gap["peripheral_count"] == 1
+
+
+def test_a_bond_dimension_above_the_eigensolver_cap_exits_4_before_sampling(
+    tmp_path, capsys, monkeypatch
+):
+    import iumps.mps
+
+    def no_draw(*args):
+        raise AssertionError("sampled before the d_M check")
+
+    monkeypatch.setattr(iumps.mps, "haar_unitaries", no_draw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"d_M": 9}))
+    out_dir = tmp_path / "out"
+    assert main(["gapstats", "--n", "16", "--config", str(config), "--out", str(out_dir)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ValueError: d_M = 9 exceeds 8: ")
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_a_kraus_file_above_the_eigensolver_cap_exits_4_before_its_transfer_matrix(
+    tmp_path, capsys, monkeypatch
+):
+    import iumps.mps
+    from iumps import KrausSet
+
+    def no_transfer(*args):
+        raise AssertionError("built E before the d_M check")
+
+    monkeypatch.setattr(iumps.mps, "transfer_operators", no_transfer)
+    kraus_file = tmp_path / "kraus.json"
+    identity = np.eye(9, dtype=complex)[None]
+    kraus_file.write_text(KrausSet(d_s=1, d_M=9, matrices=identity, case_tag="explicit").to_json())
+    assert run(tmp_path / "out", "spectrum", "--kraus", str(kraus_file)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = f"invalid input: ValueError: Kraus file {kraus_file}: d_M = 9 exceeds 8: "
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

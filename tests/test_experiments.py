@@ -518,3 +518,37 @@ def test_run_ensemble_rejects_a_bad_case_before_any_build(monkeypatch, case, d_s
         run_ensemble(8, case, 1, 1, 5, d_s=d_s, d_m=d_m)
     assert str(ensemble.value) == str(direct.value) == message
     assert built == []
+
+
+def test_scan_instances_raises_for_a_gapless_instance_before_any_power(monkeypatch):
+    """A gapless instance (d_s = 1: one unitary Kraus matrix) ends the whole
+    stack's scan in DegenerateSpectrum, before any E^n is formed."""
+    from iumps import DegenerateSpectrum
+
+    instances = [
+        build_instance("case1", 3, 4, RandomStream(5, 0)),
+        build_instance("case1", 1, 4, RandomStream(5, 1)),
+    ]
+
+    def no_window(e):
+        raise AssertionError("the scan formed a power")
+
+    monkeypatch.setattr(iumps.experiments, "PowerWindow", no_window)
+    with pytest.raises(DegenerateSpectrum, match="every eigenvalue is peripheral"):
+        scan_instances(instances, 1, 1, 20, 12)
+
+
+def test_scan_instances_raises_for_an_empty_curve_in_the_first_block(monkeypatch):
+    """At k = 1 instance 1 of Case 2, seed 3, stops at |B| = 2: a stack that
+    holds it raises EmptyCurve in the first block of the scan."""
+    instances = [build_instance("case2", 3, 4, RandomStream(3, i)) for i in range(4)]
+    fill, blocks = iumps.experiments.fill_entropies_chunk, []
+
+    def counted(*args):
+        blocks.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(iumps.experiments, "fill_entropies_chunk", counted)
+    with pytest.raises(EmptyCurve, match=r"QCMI <= 1e-1 already at \|B\| = 2"):
+        scan_instances(instances, 1, 1, 40, 1)
+    assert len(blocks) == 1

@@ -420,3 +420,57 @@ def test_real_form_rejects_a_map_that_breaks_hermiticity():
         transfer_spectrum(broken)
     with pytest.raises(NotHermitian):
         real_form(1j * np.eye(4))
+
+
+def test_sample_iumps_raises_when_one_fixed_point_fails(monkeypatch):
+    """An instance whose fixed point fails raises for the whole stack; no
+    error is returned as a list entry."""
+    import iumps.mps
+    from iumps import NotPositive
+
+    calls = []
+
+    def failing_on_row_2(transfer):
+        calls.append(transfer)
+        if len(calls) == 3:
+            raise NotPositive("clipped weight 1.000e+00 exceeds budget of total 1.000e+00")
+        return fixed_point(transfer)
+
+    monkeypatch.setattr(iumps.mps, "fixed_point", failing_on_row_2)
+    streams = [RandomStream(29, i) for i in range(4)]
+    with pytest.raises(NotPositive, match="clipped weight"):
+        sample_iumps("case1", 3, 4, streams)
+
+
+def test_a_bond_dimension_above_the_eigensolver_cap_is_refused_before_any_allocation(monkeypatch):
+    """d_M^2 above MAX_EIG_DIM = 64 (d_M > 8) is one ValueError, raised
+    before any Haar draw or transfer matrix: by the case check every
+    sampled path shares, and by KrausSet.validate."""
+    import iumps.experiments
+    import iumps.mps
+    from iumps.experiments import run_ensemble
+    from iumps.mps import check_case
+
+    def no_allocation(*args):
+        raise AssertionError("allocated before the d_M check")
+
+    monkeypatch.setattr(iumps.mps, "haar_unitaries", no_allocation)
+    monkeypatch.setattr(iumps.mps, "transfer_operators", no_allocation)
+    monkeypatch.setattr(iumps.experiments, "transfer_operators", no_allocation)
+    message = "d_M = 9 exceeds 8: its 81 x 81 transfer matrix is above"
+    stream, identity = RandomStream(3, 0), np.eye(9, dtype=complex)[None]
+    refused = [
+        lambda: check_case("case1", 3, 9),
+        lambda: sample_case1(3, 9, [stream]),
+        lambda: build_case("case1", 3, 9, stream),
+        lambda: sample_iumps("case1", 3, 9, [stream]),
+        lambda: run_ensemble(2, "case1", 1, 1, 3, d_m=9),
+        lambda: iumps.experiments.gap_statistics(16, 3, 3, 9),
+        lambda: KrausSet(d_s=1, d_M=9, matrices=identity, case_tag="explicit").validate(),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match="d_M = 10 exceeds 8"):
+        check_case("case2", 3, 10)
+    check_case("case1", 3, 8)
