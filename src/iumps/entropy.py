@@ -22,10 +22,13 @@ and ``projected_density`` build this explicit route.
 
 ``region_entropy`` needs only the spectrum.  Since Phi† Phi = conj(H),
 the density rho_n = Phi (I kron sigma) Phi† has the nonzero spectrum of
-K conj(H) K with K = I kron sigma^(1/2), so S(n) costs one d_M^2 x d_M^2
-eigenvalue-only solve; K is computed once per instance.  At d_M^2 = 16 the
-cost of one solve is mostly per-call overhead, so a scan puts the solves
-for several lengths and instances into one stacked ``eigvalsh``
+K conj(H) K with K = I kron sigma^(1/2).  conj(H) is exactly zero outside
+S x S, S the r coordinates of ``IuMps.reach``, so that is the spectrum of
+T conj(H)_SS T, T^2 = (I kron sigma)_SS (``IuMps.reach_root``), and S(n)
+costs one r x r eigenvalue-only solve: r = 16 for Cases 1 and 3, where T
+is K, and 8 for Case 2 and the golden instance.  At this size one solve
+is mostly per-call overhead, so a scan puts the solves for several
+lengths and instances into one stacked ``eigvalsh`` per reach
 (``fill_entropies_chunk``), which returns, row by row, the eigenvalues of
 one call per matrix.  ``region_entropy`` is the one-length, one-instance
 case of that stack.
@@ -36,17 +39,18 @@ and carry no entropy.
 A QCMI scan over |B| needs S(|B|), S(|A|+|B|), S(|B|+|C|) and
 S(|A|+|B|+|C|), and no rho_AC.  E^n has one chain, ``mps.PowerWindow``, read
 as a list of ``(N, d_M^2, d_M^2)`` stacks over N instances, one per length:
-a scan passes its window's stacks, ``region_entropy`` a stack of one from
-``mps.powers``.  Each instance keeps its S(n) in ``IuMps.entropies``, with
-the same bits whichever of the two solved it.
+a scan passes its window's stacks, ``qmi_curve`` and ``region_entropy``
+stacks of one from ``mps.powers``.  Each instance keeps its S(n) in
+``IuMps.entropies``, with the same bits whichever solved it.
 
 The QMI is one instance at a time: only ``iumps scan``'s QMI column and the
 golden benchmark read it.  ``qmi_curve`` takes rho_AC over many |B| from
-``_rho_ac``'s one multiply and one contraction of its two |B|-independent
-ends with every E^|B|, then one stacked ``eigvalsh``; ``qmi`` is its one-|B|
-case.  The ends are bilinear in the rows vec(M_s) of the site products Phi,
-so a factor R with R† R = Phi† Phi (``_region_factor``, at most d_M^2 rows)
-changes rho_AC by an isometry only and keeps its nonzero spectrum.
+``_rho_ac``'s one multiply of one |B|-independent end by every E^|B| and one
+matmul with the other end, then one stacked ``eigvalsh``; ``qmi`` is its
+one-|B| case.  The ends are bilinear in the rows vec(M_s) of the site
+products Phi, so a factor R with R† R = Phi† Phi (``_region_factor``, at
+most d_M^2 rows) changes rho_AC by an isometry only and keeps its nonzero
+spectrum.
 ``region_factors`` builds both and holds rho_AC's one cap, so ``iumps scan``
 fails on an oversized rho_AC before it scans.
 ``rho_disjoint`` is the explicit site-basis rho_AC, kept as an oracle.
@@ -54,6 +58,8 @@ fails on an oversized rho_AC before it scans.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -154,23 +160,38 @@ def projected_density(sp: SupportProjection, sigma: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
-def _support_spectra(powers: Sequence[np.ndarray], k: np.ndarray) -> np.ndarray:
-    """Spectra, descending, of K conj(H) K for the support Gram matrix H of
-    each E^n of ``powers``, shape ``(N, len(powers), d_M^2)``.
+# A process meets few reaches, and building an index costs about as much as
+# gathering with it.
+@functools.lru_cache(maxsize=32)
+def _reach_index(d: int, reach: bytes) -> np.ndarray:
+    """The flat index into E^n of each entry of conj(H)_SS, ``(r, r)`` and
+    read-only, for the reach with the bytes of a boolean ``(d, d)``:
+    conj(H)[(a, b), (a', b')] = E^n[(a', a), (b', b)]."""
+    a, b = np.nonzero(np.frombuffer(reach, dtype=bool).reshape(d, d))
+    index = (a[None, :] * d + a[:, None]) * d * d + b[None, :] * d + b[:, None]
+    index.flags.writeable = False
+    return index
 
-    Every entry of ``powers`` is the stack ``(N, d_M^2, d_M^2)`` of N
-    instances' E^n; ``k`` holds each instance's K = I kron sigma^(1/2),
-    shape ``(N, 1, d_M^2, d_M^2)``.
+
+def _support_spectra(
+    powers: Sequence[np.ndarray], rows: Sequence[int], reach: np.ndarray, roots: np.ndarray
+) -> np.ndarray:
+    """Spectra, descending, of T conj(H)_SS T for the support Gram matrix H of
+    each E^n of ``powers``, shape ``(len(rows), len(powers), r)``.
+
+    Every entry of ``powers`` is a stack ``(N, d_M^2, d_M^2)`` of instances'
+    E^n, of which the instances ``rows`` share ``reach``; ``roots`` holds
+    their ``IuMps.reach_root``, shape ``(len(rows), 1, r, r)``.
     """
     n, m = powers[0].shape[:2]
-    d = int(round(np.sqrt(m)))
-    # conj(H) = H^T, read off E^n by a transpose of its four indices, copied
-    # once; no name holds the copy, so it is freed once it is Hermitized
+    index = _reach_index(math.isqrt(m), reach.tobytes())
+    # conj(H)_SS gathered off the rows' E^n; no name holds a copy, so each
+    # is freed once the next is made
     return eigvals_hermitian(
-        np.stack(
-            [p.reshape(n, d, d, d, d).transpose(0, 2, 4, 1, 3) for p in powers], axis=1
-        ).reshape(n, len(powers), m, m),
-        k,
+        np.stack(powers, axis=1).reshape(n, len(powers), m * m)[np.asarray(rows)].take(
+            index, axis=-1
+        ),
+        roots,
     )
 
 
@@ -196,15 +217,16 @@ def _supports(spectra: np.ndarray) -> np.ndarray:
 
 
 def region_entropy(mps: IuMps, n: int) -> EntropyReport:
-    """Von Neumann entropy of ``n`` contiguous sites from one d_M^2 x d_M^2
-    eigenvalue solve.
+    """Von Neumann entropy of ``n`` contiguous sites from one r x r
+    eigenvalue solve, r the number of coordinates ``mps.reach`` marks.
 
     rho_n = Phi (I kron sigma) Phi† and Phi† Phi = conj(H) for the support
     Gram matrix H of ``support_decomposition``, so rho_n has the nonzero
-    spectrum of K conj(H) K with K = I kron sigma^(1/2) (kept on ``mps``).
-    The report's ``eigenvalues`` is the support spectrum: the eigenvalues
-    above ``THRESHOLD`` times the largest, descending.  ``clipped_weight`` is
-    the negative weight of the full d_M^2 spectrum, which the entropy drops.
+    spectrum of K conj(H) K with K = I kron sigma^(1/2), which is that of
+    T conj(H)_SS T on the reach S (``mps.reach_root``).  The report's
+    ``eigenvalues`` is the support spectrum: the eigenvalues above
+    ``THRESHOLD`` times the largest, descending.  ``clipped_weight`` is the
+    negative weight of the r eigenvalues solved, which the entropy drops.
     ``NotHermitian`` is raised when H is not Hermitian, as in
     ``support_decomposition``.  The entropy is, bit for bit, the S(n)
     ``fill_entropies_chunk`` keeps.
@@ -212,7 +234,7 @@ def region_entropy(mps: IuMps, n: int) -> EntropyReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     e_n = powers(mps.transfer.e, (n,))[0]
-    spectra = _support_spectra([e_n[None]], mps.kron_sqrt_sigma[None, None])[0]
+    spectra = _support_spectra([e_n[None]], [0], mps.reach, mps.reach_root[None, None])[0]
     support = _supports(spectra)
     return EntropyReport(
         region_len=n,
@@ -226,23 +248,27 @@ def fill_entropies_chunk(
     instances: Sequence[IuMps], missing: Sequence[int], powers_n: Sequence[np.ndarray]
 ) -> None:
     """Keep S(n) on every instance for every n >= 1 in ``missing``, from one
-    stacked eigenvalue solve.
+    stacked eigenvalue solve per ``IuMps.reach`` among the instances.
 
     ``powers_n`` holds, for each n of ``missing``, the stack
     ``(len(instances), d_M^2, d_M^2)`` of the instances' E^n.  Each
-    K = I kron sigma^(1/2) is broadcast over the lengths.  S(n) is the
-    entropy ``region_entropy`` gives, which does not depend on the other
-    lengths or instances of the stack; an S(n) an instance already keeps is
-    not overwritten.
+    ``reach_root`` is broadcast over the lengths.  S(n) is the entropy
+    ``region_entropy`` gives, which does not depend on the other lengths or
+    instances of the stack; an S(n) an instance already keeps is not
+    overwritten.
     """
     if not missing:
         return
-    spectra = _support_spectra(
-        powers_n, np.stack([mps.kron_sqrt_sigma for mps in instances])[:, None]
-    )
-    for mps, row in zip(instances, _support_entropies(spectra, _supports(spectra)).tolist()):
-        for n, s_n in zip(missing, row):
-            mps.entropies.setdefault(n, s_n)
+    by_reach: dict[bytes, list[int]] = {}
+    for row, mps in enumerate(instances):
+        by_reach.setdefault(mps.reach.tobytes(), []).append(row)
+    for rows in by_reach.values():
+        group = [instances[row] for row in rows]
+        roots = np.stack([mps.reach_root for mps in group])[:, None]
+        spectra = _support_spectra(powers_n, rows, group[0].reach, roots)
+        for mps, s_row in zip(group, _support_entropies(spectra, _supports(spectra)).tolist()):
+            for n, s_n in zip(missing, s_row):
+                mps.entropies.setdefault(n, s_n)
 
 
 def _entropy(mps: IuMps, n: int) -> float:
@@ -288,13 +314,15 @@ def _rho_ac(
     ``_capped``) across each |B| of ``powers_b``, a list of ``(d_M^2,
     d_M^2)`` E^|B|, stacked ``(len(powers_b), dim, dim)`` with dim =
     len(phi_a) len(phi_c): the two |B|-independent ends, one multiply of one
-    end by every E^|B| and one contraction."""
+    end by every E^|B| and one matmul with the other."""
     na, nc = len(phi_a), len(phi_c)
     # right[s, s'] = vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
     right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(na, na, -1)
-    left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(nc, nc, -1)
+    left = np.einsum("pae,qaf->pqef", phi_c, phi_c.conj()).reshape(nc * nc, -1)
     powers_t = np.stack([p.T for p in powers_b])[:, None]
-    rho = np.einsum("abv,kcdv->kcadb", left, right @ powers_t).reshape(-1, na * nc, na * nc)
+    # rho[k, c, a, d, b] = sum_v left[a, b, v] (right E^|B|_k)[c, d, v]: one matmul
+    rho = ((right @ powers_t).reshape(-1, left.shape[-1]) @ left.T).reshape(-1, na, na, nc, nc)
+    rho = rho.transpose(0, 1, 3, 2, 4).reshape(-1, na * nc, na * nc)
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
@@ -321,13 +349,18 @@ def qmi_curve(
     ``factors`` are those of ``len_a`` and ``len_c`` when the caller has
     built them already, as ``iumps scan`` does before its scan.
 
-    S(A) and S(C) are the instance's kept S(|A|) and S(|C|), shared with ``qcmi``.
+    S(A) and S(C) are the instance's kept S(|A|) and S(|C|), shared with
+    ``qcmi``; those it lacks are solved in one ``fill_entropies_chunk`` from
+    the same ``powers`` call as the E^|B|.
     """
     phi_a, phi_c = factors or region_factors(mps.kraus, len_a, len_c)
-    rho = _rho_ac(mps, phi_a, powers(mps.transfer.e, sizes), phi_c)
+    missing = sorted({len_a, len_c} - set(mps.entropies))
+    powers_n = powers(mps.transfer.e, [*sizes, *missing])
+    rho = _rho_ac(mps, phi_a, powers_n[: len(sizes)], phi_c)
+    fill_entropies_chunk([mps], missing, [p[None] for p in powers_n[len(sizes) :]])
     lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
     s_ac = _support_entropies(lam, lam > 0)
-    return (_entropy(mps, len_a) + _entropy(mps, len_c) - s_ac).tolist()
+    return (mps.entropies[len_a] + mps.entropies[len_c] - s_ac).tolist()
 
 
 def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -241,25 +241,37 @@ def build_instance(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> I
     return build_iumps(build_case(case_tag, d_s, d_m, stream))
 
 
+def _each(step: Callable[[list], list], items: list) -> list:
+    """``step(items)``, one result per item; if it raises, ``step`` of each
+    item alone, so an item gets the ``IumpsError`` of its own step as its
+    result, or raises its own ``ValueError``."""
+    try:
+        return step(items)
+    except (IumpsError, ValueError) as exc:
+        if len(items) > 1:
+            return [r for item in items for r in _each(step, [item])]
+        if isinstance(exc, IumpsError):
+            return [exc]
+        raise
+
+
 def _scan_chunk(
     case_tag: str, d_s: int, d_m: int, streams: list[RandomStream], *scan_args: int
 ) -> list[DecayCurve | IumpsError]:
     """The curve of every stream, from one ``sample_iumps`` build and one
     ``scan_instances`` scan of them all.
 
-    Either raises for the whole chunk, so the chunk is then redone one
-    stream at a time, each a chunk of its own: an instance is the
-    ``IumpsError``, or raises the ``ValueError``, of its own build and scan.
-    This is the one place an instance's error becomes a value.
+    Either step that raises is redone one item at a time (``_each``): a
+    failed build one stream at a time, a failed scan on the instances
+    already built, whose kept S(n) carry the bits of their own scan.  An
+    instance is then the ``IumpsError``, or raises the ``ValueError``, of its
+    own build and scan.  This is the one place an instance's error becomes a
+    value.
     """
-    try:
-        return scan_instances(sample_iumps(case_tag, d_s, d_m, streams), *scan_args)
-    except (IumpsError, ValueError) as exc:
-        if len(streams) > 1:
-            return [r for s in streams for r in _scan_chunk(case_tag, d_s, d_m, [s], *scan_args)]
-        if isinstance(exc, IumpsError):
-            return [exc]
-        raise
+    built = _each(lambda chunk: sample_iumps(case_tag, d_s, d_m, chunk), streams)
+    instances = [mps for mps in built if not isinstance(mps, IumpsError)]
+    curves = iter(_each(lambda chunk: scan_instances(chunk, *scan_args), instances))
+    return [mps if isinstance(mps, IumpsError) else next(curves) for mps in built]
 
 
 def run_ensemble(

@@ -162,12 +162,27 @@ class TransferMatrix:
     nu_gap: float | None
 
 
+def kraus_reach(matrices: np.ndarray) -> np.ndarray:
+    """The coordinates (a, b) at which some product of one or more of the
+    Kraus matrices ``(d_s, d_M, d_M)`` can be nonzero, a boolean
+    ``(d_M, d_M)``: the closure of the exact pattern OR_s (M^s != 0), so it
+    needs no tolerance."""
+    closure = matrices.any(axis=0)
+    while not closure.all():
+        grown = closure | closure @ closure
+        if (grown == closure).all():
+            break
+        closure = grown
+    return closure
+
+
 @dataclass(frozen=True)
 class IuMps:
     """A Kraus set together with its fixed-point density operator.
 
     ``entropies`` holds each region entropy S(n) once computed, keyed by
-    ``n``; ``iumps.entropy`` fills it.
+    ``n``; ``iumps.entropy`` fills it, solving each S(n) on the coordinates
+    of ``reach`` alone: every E^n, n >= 1, is exactly zero off them.
     """
 
     kraus: KrausSet
@@ -178,11 +193,28 @@ class IuMps:
     )
 
     @functools.cached_property
-    def kron_sqrt_sigma(self) -> np.ndarray:
-        """I kron sigma^(1/2), computed on first use and kept."""
-        lam, u = np.linalg.eigh(self.sigma)
-        root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
-        return np.kron(np.eye(self.kraus.d_M), root)
+    def reach(self) -> np.ndarray:
+        """``kraus_reach`` of the Kraus matrices, read-only."""
+        closure = kraus_reach(self.kraus.matrices)
+        closure.flags.writeable = False
+        return closure
+
+    @functools.cached_property
+    def reach_root(self) -> np.ndarray:
+        """T = (+)_a sigma[A_a, A_a]^(1/2), A_a row a of ``reach``: the root
+        of (I kron sigma) on the reached (a, b), row-major.  Equal rows in a
+        run share one ``eigh``, so a full reach gives I kron sigma^(1/2)."""
+        size = int(self.reach.sum())
+        root = np.zeros((size, size), dtype=complex)
+        at = 0
+        for row, run in itertools.groupby(self.reach.tolist()):
+            cols = np.flatnonzero(row)
+            lam, u = np.linalg.eigh(self.sigma[np.ix_(cols, cols)])
+            block = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
+            for _ in run:
+                root[at : at + len(cols), at : at + len(cols)] = block
+                at += len(cols)
+        return root
 
 
 def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:

@@ -30,12 +30,14 @@ from iumps import (
 from iumps.entropy import (
     _entropy,
     _region_factor,
+    _support_entropies,
+    _supports,
     entropy_from_eigenvalues,
     fill_entropies_chunk,
     qmi_curve,
 )
-from iumps.mps import PowerWindow, powers
-from iumps.numerics import mat_power
+from iumps.mps import PowerWindow, build_case, powers
+from iumps.numerics import eigvals_hermitian, haar_unitary, mat_power
 from oracles import materialize_isometry, purified_spectrum
 
 
@@ -353,6 +355,26 @@ def test_qmi_curve_is_qmi_at_each_size(case_instances, golden_mps):
         assert not hasattr(fresh, "qmi_ends")
 
 
+@pytest.mark.parametrize("la, lc", [(1, 1), (2, 3), (5, 1)])
+def test_qmi_curve_solves_its_regions_from_its_own_powers(monkeypatch, case_instances, la, lc):
+    """E^|A| and E^|C| come from the one ``powers`` call of the |B| values,
+    with no ``region_entropy``; the S(|A|), S(|C|) kept are its bits."""
+    import iumps.entropy
+
+    calls = []
+    monkeypatch.setattr(iumps.entropy, "powers", lambda e, ns: calls.append(ns) or powers(e, ns))
+    monkeypatch.setattr(iumps.entropy, "region_entropy", None)
+    sizes = (2, 4, 10)
+    fresh = [build_iumps(mps.kraus) for mps in case_instances]
+    for mps in fresh:
+        qmi_curve(mps, la, sizes, lc)
+    assert calls == [[*sizes, *sorted({la, lc})]] * len(fresh)
+    monkeypatch.undo()
+    for mps in fresh:
+        for n in (la, lc):
+            assert mps.entropies[n] == region_entropy(build_iumps(mps.kraus), n).entropy
+
+
 def test_region_factor_is_site_products_until_they_outnumber_d_m_squared(case_instances):
     """No fold while d_s^n <= d_M^2: n <= 2 at d_s = 3 and n <= 4 at d_s = 2
     (d_M = 4), where the factor is ``site_products`` byte for byte."""
@@ -498,3 +520,88 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     solved.clear()
     assert scan_instance(mps, 1, 1) == curve
     assert solved == []
+
+
+LENGTHS = range(1, 43)
+
+
+def full_conj_h(mps, ns):
+    """conj(H) of each E^n, on all d_M^2 coordinates, ``(len(ns), d_M^2, d_M^2)``."""
+    d = mps.kraus.d_M
+    e_n = powers(mps.transfer.e, ns)
+    return np.stack([p.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, -1) for p in e_n])
+
+
+def full_route_entropies(mps, ns):
+    """S(n) from K conj(H) K on all d_M^2 coordinates, K = I kron sigma^(1/2)."""
+    lam, u = np.linalg.eigh(mps.sigma)
+    k = np.kron(np.eye(mps.kraus.d_M), (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T)
+    spectra = eigvals_hermitian(full_conj_h(mps, ns)[None], k[None, None])[0]
+    return _support_entropies(spectra, _supports(spectra))
+
+
+def one_and_three_blocks(seed):
+    """A Kraus set u_s (+) N^s: a 1 x 1 and a 3 x 3 diagonal block, so rows
+    of the reach differ in size; N is a Case-1 set of d_M = 3."""
+    inner = build_case("case1", 3, 3, RandomStream(seed, 0)).matrices
+    mats = np.zeros((3, 4, 4), dtype=complex)
+    mats[:, 0, 0] = haar_unitary(3, RandomStream(seed, 1))[:, 0]
+    mats[:, 1:, 1:] = inner
+    ks = KrausSet(d_s=3, d_M=4, matrices=mats, case_tag="explicit")
+    ks.validate()
+    return build_iumps(ks)
+
+
+def test_the_support_gram_matrix_is_zero_off_the_reach(golden_mps):
+    """On seeded Case-2 instances, the golden instance and a 1 + 3 block set,
+    conj(H_n) is exactly 0 outside S x S for every n, and S(n) on S is the
+    full 16 x 16 route's to within 1e-14: at most 2.7e-15 measured over 300
+    Case-2 instances and 3.8e-15 over 62 block sets, n = 1..42."""
+    cases = [build_instance("case2", 3, 4, RandomStream(20231, i)) for i in range(5)]
+    for mps in (*cases, golden_mps, one_and_three_blocks(11), one_and_three_blocks(12)):
+        off = ~np.outer(mps.reach.ravel(), mps.reach.ravel())
+        assert mps.reach.sum() < 16
+        assert np.all(full_conj_h(mps, LENGTHS)[:, off] == 0)
+        fresh = build_iumps(mps.kraus)
+        s = np.array([region_entropy(fresh, n).entropy for n in LENGTHS])
+        assert np.abs(s - full_route_entropies(mps, LENGTHS)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["case1", "case3"])
+def test_a_full_reach_keeps_the_bits_of_the_full_route(case):
+    """Case 1 and Case 3 reach every coordinate, so their S(n) are the full
+    16 x 16 route's, bit for bit, alone and in a stack."""
+    instances = [build_instance(case, 3, 4, RandomStream(20231, i)) for i in range(4)]
+    window = PowerWindow(np.stack([m.transfer.e for m in instances]))
+    window.extend(1, max(LENGTHS))
+    fill_entropies_chunk(instances, list(LENGTHS), [window[n] for n in LENGTHS])
+    for mps in instances:
+        assert mps.reach.all()
+        expected = full_route_entropies(mps, LENGTHS)
+        assert np.array([mps.entropies[n] for n in LENGTHS]).tobytes() == expected.tobytes()
+        assert region_entropy(mps, 5).entropy == expected[4]
+
+
+def test_a_mixed_stack_solves_each_reach_on_its_own(golden_mps):
+    """Case-1, Case-2 and golden instances in one stack, in an interleaved
+    order: each keeps the bits of its own ``region_entropy``."""
+    kinds = ("case1", "case2", "case1", "case2", "case2", "case1")
+    instances = [build_instance(c, 3, 4, RandomStream(77, i)) for i, c in enumerate(kinds)]
+    instances.insert(2, build_iumps(golden_mps.kraus))
+    assert len({m.reach.tobytes() for m in instances}) == 2
+    window = PowerWindow(np.stack([m.transfer.e for m in instances]))
+    window.extend(1, max(LENGTHS))
+    fill_entropies_chunk(instances, list(LENGTHS), [window[n] for n in LENGTHS])
+    for mps in instances:
+        fresh = build_iumps(mps.kraus)
+        alone = [region_entropy(fresh, n).entropy for n in LENGTHS]
+        assert [mps.entropies[n] for n in LENGTHS] == alone
+
+
+def test_case2_entropies_on_the_reach_match_brute_force():
+    for i in range(5):
+        mps = build_instance("case2", 3, 4, RandomStream(20231, i))
+        for n in range(1, 6):
+            report = region_entropy(mps, n)
+            assert len(report.eigenvalues) <= 8
+            assert abs(report.entropy - brute_force_entropy(mps, n)) <= 1e-9, (i, n)

@@ -361,6 +361,30 @@ def test_run_ensemble_per_instance_failures_stay_per_instance():
     assert 0 < len(short.skipped) < 9
 
 
+def test_a_failed_scan_is_retried_on_the_instances_already_built(monkeypatch):
+    """At k = 1 some Case-2 instances stop at |B| = 2, so their chunk's
+    stacked scan raises: the chunk is still sampled once, its instances are
+    scanned again one at a time, and the summary is that of chunks of one."""
+    n = 40
+    monkeypatch.setattr(iumps.experiments, "ENSEMBLE_CHUNK", 1)
+    reference = run_ensemble(n, "case2", 1, 1, 3, k=1)
+    monkeypatch.undo()
+    sampled = []
+    sample_iumps = iumps.experiments.sample_iumps
+
+    def counted(case_tag, d_s, d_m, streams):
+        sampled.append([s.stream_index for s in streams])
+        return sample_iumps(case_tag, d_s, d_m, streams)
+
+    monkeypatch.setattr(iumps.experiments, "sample_iumps", counted)
+    summary = run_ensemble(n, "case2", 1, 1, 3, k=1)
+    _assert_same_summary(summary, reference)
+    chunk = iumps.experiments.ENSEMBLE_CHUNK
+    assert sampled == [list(range(i, min(i + chunk, n))) for i in range(0, n, chunk)]
+    assert len({i // chunk for i, _ in summary.skipped}) > 1
+    _assert_matches_one_by_one(summary, _one_by_one(n, "case2", 3, k=1))
+
+
 def test_run_ensemble_falls_back_when_a_stacked_step_raises(monkeypatch):
     """A stacked eigensolve that fails for a chunk sends the chunk through the
     one-element path, which gives the records and messages of that path."""
@@ -400,7 +424,7 @@ def test_stacked_failure_of_one_instance_skips_that_instance_only(monkeypatch):
     import iumps.entropy
 
     eigvals_hermitian = iumps.entropy.eigvals_hermitian
-    bad_k = build_instance("case1", 3, 4, RandomStream(8, 2)).kron_sqrt_sigma
+    bad_k = build_instance("case1", 3, 4, RandomStream(8, 2)).reach_root
 
     def failing_for_instance_2(h, k):
         if any(np.array_equal(kk, bad_k) for kk in k.reshape(-1, *bad_k.shape)):

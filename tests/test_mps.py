@@ -32,6 +32,7 @@ from iumps.mps import (
     build_case,
     check_canonical,
     hermitian_basis,
+    kraus_reach,
     real_form,
     sample_iumps,
     transfer_matrices,
@@ -474,3 +475,72 @@ def test_a_bond_dimension_above_the_eigensolver_cap_is_refused_before_any_alloca
     with pytest.raises(ValueError, match="d_M = 10 exceeds 8"):
         check_case("case2", 3, 10)
     check_case("case1", 3, 8)
+
+
+# Case 2 and the golden instance: the two diagonal 2 x 2 blocks of d_M = 4
+TWO_BLOCKS = np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool))
+
+
+def _reach_by_powers(pattern):
+    """Coordinates some product of length 1..d of the pattern is nonzero at,
+    by integer matrix powers: no path of length above d reaches a new one."""
+    p = pattern.astype(np.int64)
+    power, seen = np.eye(len(p), dtype=np.int64), np.zeros(p.shape, dtype=bool)
+    for _ in range(len(p)):
+        power = np.minimum(power @ p, 1)
+        seen |= power > 0
+    return seen
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "case3"])
+def test_the_reach_of_each_sampled_case(case):
+    """Every coordinate for Case 1, and for Case 3, whose odd products fill
+    the anti-diagonal blocks and even ones the diagonal blocks; the two
+    diagonal blocks, 8 of 16, for Case 2."""
+    for i in range(5):
+        mps = build_iumps(build_case(case, 3, 4, RandomStream(20231, i)))
+        expected = TWO_BLOCKS if case == "case2" else np.ones((4, 4), dtype=bool)
+        assert mps.reach.dtype == bool and np.array_equal(mps.reach, expected)
+        assert mps.reach_root.shape == (expected.sum(),) * 2
+
+
+def test_the_reach_of_the_golden_instance_is_its_two_blocks():
+    mps = build_iumps(benchmark_kraus())
+    assert np.array_equal(mps.reach, TWO_BLOCKS)
+    assert not mps.reach.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "nonzero, expected",
+    [
+        # a shift a -> a + 1 reaches a -> a + k after k steps: strictly upper
+        ([(0, 1), (1, 2), (2, 3)], np.triu(np.ones((4, 4), dtype=bool), 1)),
+        # a cyclic shift reaches everything, the diagonal only after 4 steps
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], np.ones((4, 4), dtype=bool)),
+        # a shift on the first three coordinates, and a fixed last one
+        ([(0, 1), (1, 2), (2, 0), (3, 3)], np.add.outer([0, 0, 0, 1], [0, 0, 0, 1]) != 1),
+    ],
+    ids=["shift", "cyclic", "cyclic-3"],
+)
+def test_the_reach_closes_a_shift_pattern_over_several_steps(nonzero, expected):
+    """The closure of a hand-built pattern against products of every length
+    up to d_M; each pattern is split over two Kraus matrices."""
+    matrices = np.zeros((2, 4, 4), dtype=complex)
+    for k, (a, b) in enumerate(nonzero):
+        matrices[k % 2, a, b] = 0.5 + 0.25j
+    pattern = (matrices != 0).any(axis=0)
+    assert np.array_equal(kraus_reach(matrices), expected)
+    assert np.array_equal(kraus_reach(matrices), _reach_by_powers(pattern))
+    assert not np.array_equal(pattern, expected)
+
+
+def test_the_reach_root_squares_to_i_kron_sigma_on_the_reach(case1_instance, case2_instance):
+    """T^2 = (I kron sigma)_SS; for a full reach T is I kron sigma^(1/2) of
+    one ``eigh``, equal entry for entry (``np.kron`` may sign its zeros)."""
+    for mps in (case1_instance, case2_instance, build_iumps(benchmark_kraus())):
+        on_reach = np.flatnonzero(mps.reach)
+        target = np.kron(np.eye(4), mps.sigma)[np.ix_(on_reach, on_reach)]
+        assert np.abs(mps.reach_root @ mps.reach_root - target).max() <= 1e-15
+    lam, u = np.linalg.eigh(case1_instance.sigma)
+    root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
+    assert np.array_equal(case1_instance.reach_root, np.kron(np.eye(4), root))
