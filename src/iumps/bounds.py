@@ -51,12 +51,16 @@ class BoundConstants:
 def distinct_clusters(values: np.ndarray) -> np.ndarray:
     """Representatives of ``values`` clustered at absolute tolerance
     ``DEGENERACY_TOL``, in order: a value within it of an earlier representative
-    joins it, any other starts a cluster.  The result has the dtype of ``values``."""
+    joins it, any other starts a cluster.  The result has the dtype of ``values``.
+    Python numbers give the bits of numpy scalars here, at half the cost."""
     reps: list = []
-    for v in values:
-        if not any(abs(v - r) <= DEGENERACY_TOL for r in reps):
+    for v in values.tolist():
+        for r in reps:
+            if abs(v - r) <= DEGENERACY_TOL:
+                break
+        else:
             reps.append(v)
-    return np.array(reps)
+    return np.array(reps, dtype=values.dtype)
 
 
 def jordan_constants(mps: IuMps) -> BoundConstants:
@@ -91,8 +95,9 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
     clusters = distinct_clusters(values)
     d_cap = len(clusters)  # sum of (K_nu + 1) with every K_nu = 0
     peripheral = clusters[np.abs(clusters) > 1 - PERIPHERAL_TOL]
+    cs = clusters.tolist()
     delta = min(
-        abs(p - c) for p in peripheral for c in clusters if abs(p - c) > DEGENERACY_TOL
+        abs(p - c) for p in peripheral.tolist() for c in cs if abs(p - c) > DEGENERACY_TOL
     )
     c3 = (
         16.0

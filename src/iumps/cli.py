@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import jordan_constants, sufficient_b, decay_bound
-from .entropy import qmi_curve, region_factors
+from .entropy import region_factors
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -219,16 +219,14 @@ def cmd_scan(config: RunConfig) -> int:
     mps = build_iumps(_kraus(config, 0))
     # rho_AC's cap is checked here, before the scan, not after it
     factors = region_factors(mps.kraus, config.len_a, config.len_c)
-    curve = scan_instance(mps, config.len_a, config.len_c, config.b_max_limit, config.k)
-    sizes = [p.b_len for p in curve.points]
-    qmis = qmi_curve(mps, config.len_a, sizes, config.len_c, factors)
+    curve = scan_instance(mps, config.len_a, config.len_c, config.b_max_limit, config.k, factors)
     try:
         constants = jordan_constants(mps)
         bounds = [_fmt(decay_bound(constants, p.b_len)) for p in curve.points]
     except (NearDegenerate, DegenerateSpectrum, Unsupported):
         bounds = [""] * len(curve.points)
     rows = ["b_len,qmi,qcmi,f,bound"]
-    for p, qmi, bound in zip(curve.points, qmis, bounds):
+    for p, qmi, bound in zip(curve.points, curve.qmi, bounds):
         rows.append(f"{p.b_len},{_fmt(qmi)},{_fmt(p.qcmi)},{_fmt(p.f)},{bound}")
     _write(Path(config.output_dir) / "curve_0.csv", rows)
     return EXIT_OK

@@ -44,15 +44,18 @@ stacks of one from ``mps.powers``.  Each instance keeps its S(n) in
 ``IuMps.entropies``, with the same bits whichever solved it.
 
 The QMI is one instance at a time: only ``iumps scan``'s QMI column and the
-golden benchmark read it.  ``qmi_curve`` takes rho_AC over many |B| from
+golden benchmark read it.  ``qmi_of_powers`` takes rho_AC over many |B| from
 ``_rho_ac``'s one multiply of one |B|-independent end by every E^|B| and one
-matmul with the other end, then one stacked ``eigvalsh``; ``qmi`` is its
-one-|B| case.  The ends are bilinear in the rows vec(M_s) of the site
-products Phi, so a factor R with R† R = Phi† Phi (``_region_factor``, at
-most d_M^2 rows) changes rho_AC by an isometry only and keeps its nonzero
-spectrum.
-``region_factors`` builds both and holds rho_AC's one cap, so ``iumps scan``
-fails on an oversized rho_AC before it scans.
+matmul with the other end, then one stacked ``eigvalsh``.  ``iumps scan``
+calls it once its scan is done, on the E^|B| the scan's window multiplied
+out and the S(|A|), S(|C|) the scan's first stack solved;
+``qmi_curve`` calls it on E^n from one ``mps.powers`` call, with the same
+bits, and ``qmi`` is ``qmi_curve``'s one-|B| case.  The ends are bilinear
+in the rows vec(M_s) of the site products Phi, so a factor R with
+R† R = Phi† Phi (``_region_factor``, at most d_M^2 rows) changes rho_AC by
+an isometry only and keeps its nonzero spectrum.
+``region_factors`` builds both and holds rho_AC's one cap; ``iumps scan``
+builds them before it scans, so it fails on an oversized rho_AC first.
 ``rho_disjoint`` is the explicit site-basis rho_AC, kept as an oracle.
 """
 
@@ -185,12 +188,13 @@ def _support_spectra(
     """
     n, m = powers[0].shape[:2]
     index = _reach_index(math.isqrt(m), reach.tobytes())
-    # conj(H)_SS gathered off the rows' E^n; no name holds a copy, so each
-    # is freed once the next is made
+    # conj(H)_SS gathered off the E^n before the rows are picked, so no full
+    # copy is made twice; no name holds a copy, so each is freed once the
+    # next is made
     return eigvals_hermitian(
-        np.stack(powers, axis=1).reshape(n, len(powers), m * m)[np.asarray(rows)].take(
-            index, axis=-1
-        ),
+        np.stack(powers, axis=1).reshape(n, len(powers), m * m).take(index, axis=-1)[
+            np.asarray(rows)
+        ],
         roots,
     )
 
@@ -337,30 +341,34 @@ def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
     return _rho_ac(mps, phi_a, powers(mps.transfer.e, (len_b,)), phi_c)[0]
 
 
-def qmi_curve(
+def qmi_of_powers(
     mps: IuMps,
     len_a: int,
-    sizes: Sequence[int],
+    powers_b: Sequence[np.ndarray],
     len_c: int,
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
+    factors: tuple[np.ndarray, np.ndarray],
 ) -> list[float]:
-    """I(A:C) = S(A) + S(C) - S(AC) across B of each length in ``sizes``, from
-    one ``_rho_ac`` on the ``region_factors`` and one stacked ``eigvalsh``.
-    ``factors`` are those of ``len_a`` and ``len_c`` when the caller has
-    built them already, as ``iumps scan`` does before its scan.
-
-    S(A) and S(C) are the instance's kept S(|A|) and S(|C|), shared with
-    ``qcmi``; those it lacks are solved in one ``fill_entropies_chunk`` from
-    the same ``powers`` call as the E^|B|.
-    """
-    phi_a, phi_c = factors or region_factors(mps.kraus, len_a, len_c)
-    missing = sorted({len_a, len_c} - set(mps.entropies))
-    powers_n = powers(mps.transfer.e, [*sizes, *missing])
-    rho = _rho_ac(mps, phi_a, powers_n[: len(sizes)], phi_c)
-    fill_entropies_chunk([mps], missing, [p[None] for p in powers_n[len(sizes) :]])
+    """I(A:C) = S(A) + S(C) - S(AC) across B at each E^|B| of ``powers_b``,
+    from one ``_rho_ac`` on the ``region_factors`` ``factors`` and one
+    stacked ``eigvalsh``.  S(A) and S(C) are the S(|A|) and S(|C|) the
+    instance keeps, which the caller has solved."""
+    rho = _rho_ac(mps, factors[0], powers_b, factors[1])
     lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
     s_ac = _support_entropies(lam, lam > 0)
     return (mps.entropies[len_a] + mps.entropies[len_c] - s_ac).tolist()
+
+
+def qmi_curve(mps: IuMps, len_a: int, sizes: Sequence[int], len_c: int) -> list[float]:
+    """I(A:C) across B of each length in ``sizes``: ``qmi_of_powers`` on the
+    ``region_factors`` and the E^|B| of one ``powers`` call.  The S(|A|) and
+    S(|C|) the instance lacks are solved in one ``fill_entropies_chunk`` from
+    the same call.  A scan given ``factors`` gives the same bits from its own
+    E^|B| and solves."""
+    factors = region_factors(mps.kraus, len_a, len_c)
+    missing = sorted({len_a, len_c} - set(mps.entropies))
+    powers_n = powers(mps.transfer.e, [*sizes, *missing])
+    fill_entropies_chunk([mps], missing, [p[None] for p in powers_n[len(sizes) :]])
+    return qmi_of_powers(mps, len_a, powers_n[: len(sizes)], len_c, factors)
 
 
 def qmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import distinct_clusters
-from .entropy import fill_entropies_chunk, qcmi, qmi_curve, rho_disjoint
+from .entropy import fill_entropies_chunk, qcmi, qmi_curve, qmi_of_powers, rho_disjoint
 from .exceptions import (
     BenchmarkFailed,
     EmptyCurve,
@@ -39,7 +39,10 @@ BURN_IN = 3
 # |B| values a scan solves together: one stacked eigvalsh for their S(n).  Of
 # 4, 6, 8 and the whole range, 8 gave the most Case-1 and Case-2 scans per
 # second: smaller blocks pay more per-call overhead, larger ones solve more
-# points past the stop.
+# points past the stop.  One instance keeps 8 too: one block of 32 made a
+# Case-2 scan with its QMI 1-2% faster (2.11 -> 2.07-2.09 ms, 300 instances),
+# but would solve up to |B| = 64 past every early stop, as in the ensemble's
+# one-at-a-time retry of a failed chunk.
 SCAN_BLOCK = 8
 # Instances gap_statistics samples and eigensolves together.  16 is the
 # fastest size at flat peak memory: 8 ran about 3% slower, and 32 ran 1-2%
@@ -68,12 +71,14 @@ class CurvePoint(NamedTuple):
 @dataclass(frozen=True)
 class DecayCurve:
     """One instance's QCMI values over even |B|, with normalized log-QCMI
-    f, its spectral gap and its last retained |B|.  It holds no instance
-    label: the caller knows which instance it scanned."""
+    f, its spectral gap and its last retained |B|; ``qmi`` holds the QMI at
+    each point's |B| when the scan was given the region factors, else None.
+    It holds no instance label: the caller knows which instance it scanned."""
 
     nu_gap: float
     points: list[CurvePoint]
     b_max: int
+    qmi: list[float] | None = None
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,7 @@ def scan_instances(
     len_c: int,
     b_max_limit: int = 40,
     k: int = 12,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[DecayCurve]:
     """QCMI of regions A, C of ``len_a``, ``len_c`` sites over
     |B| = 2, 4, ..., stopping once it falls to 10^-k, for every instance
@@ -125,34 +131,45 @@ def scan_instances(
     block's QCMI reads and some instance has not kept
     (``fill_entropies_chunk``) in one stacked ``eigvalsh``; then walks each
     instance's points through ``qcmi(mps, len_a, |B|, len_c)`` and the stop.
-    It builds no rho_AC and solves no S(|A|) or S(|C|) unless the QCMI reads
-    it: ``qmi_curve`` gives the kept points' QMI, solving what it lacks.  A
-    block's points past an instance's stop are solved but not kept, and an
+    A block's points past an instance's stop are solved but not kept, and an
     instance that has stopped leaves the next block.  Every instance keeps
     each S(n) it computes, so each is computed once, however many scans and
-    QMI/QCMI calls read it.
+    QMI/QCMI calls read it.  Without ``factors`` no rho_AC is built.
+    ``factors``, the ``region_factors`` of a one-instance stack, asks for the
+    QMI as well: the first block also solves S(|A|) and S(|C|), the kept
+    points' E^|B| are held, and after the walk one ``qmi_of_powers`` gives
+    the curve's ``qmi``, with the bits of ``qmi_curve`` over its |B|.
+    ``factors`` with more or fewer than one instance raises ``ValueError``.
     One instance's error raises for all: no gap is ``DegenerateSpectrum``
     before any power is formed, a stop at |B| = 2 ``EmptyCurve`` in the first
     block.  Each curve carries the bits of the scan of its instance alone.
     """
     check_scan_args(len_a, len_c, b_max_limit, k)
+    if factors is not None and len(instances) != 1:
+        raise ValueError("a scan with factors takes one instance")
+    if not instances:
+        return []
     floor = 10.0 ** (-k)
     # the normalization of f: the bound decay rate
     q = [2.0 * math.log(1.0 / spectral_gap(mps.transfer)) for mps in instances]
     points: list[list[CurvePoint]] = [[] for _ in instances]
+    powers_b: list[np.ndarray] = []  # the kept points' E^|B|, for the QMI
     live = list(range(len(instances)))
-    if live:
-        window = PowerWindow(np.stack([mps.transfer.e for mps in instances]))
+    window = PowerWindow(np.stack([mps.transfer.e for mps in instances]))
     for b in range(2, b_max_limit + 1, 2 * SCAN_BLOCK):
         if not live:
             break
         block = range(b, min(b + 2 * SCAN_BLOCK, b_max_limit + 2), 2)
-        # the S(n) the block's QCMI reads
+        # the S(n) the block's QCMI reads, and the QMI's S(|A|), S(|C|)
         lengths = set().union(*((lb, len_a + lb, lb + len_c, len_a + lb + len_c) for lb in block))
+        if factors is not None and b == 2:
+            lengths |= {len_a, len_c}
         scanning = [instances[i] for i in live]
         missing = sorted(lengths - set.intersection(*(set(mps.entropies) for mps in scanning)))
-        if missing:
-            window.extend(missing[0], missing[-1])
+        # the QMI reads E^|B| at every point, kept S(n) or not
+        needed = missing + list(block) if factors is not None else missing
+        if needed:
+            window.extend(min(needed), max(needed))
         fill_entropies_chunk(scanning, missing, [window[n] for n in missing])
         still: list[int] = []
         for row, (i, mps) in enumerate(zip(live, scanning)):
@@ -163,13 +180,18 @@ def scan_instances(
                         raise EmptyCurve(f"QCMI <= 1e-{k} already at |B| = 2")
                     break
                 points[i].append(CurvePoint(b_len=lb, qcmi=qc, f=math.log(qc) / q[i]))
+                if factors is not None:
+                    powers_b.append(window[lb][row])
             else:
                 still.append(row)
         if len(still) < len(live):
-            window.keep(still)
             live = [live[row] for row in still]
+            if live:  # once none is left, nothing reads the window again
+                window.keep(still)
+    del window  # frees every power but the kept points' E^|B| before the QMI
+    qmi = None if factors is None else qmi_of_powers(instances[0], len_a, powers_b, len_c, factors)
     return [
-        DecayCurve(mps.transfer.nu_gap, pts, b_max=pts[-1].b_len)
+        DecayCurve(mps.transfer.nu_gap, pts, b_max=pts[-1].b_len, qmi=qmi)
         for mps, pts in zip(instances, points)
     ]
 
@@ -180,15 +202,17 @@ def scan_instance(
     len_c: int,
     b_max_limit: int = 40,
     k: int = 12,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DecayCurve:
     """QCMI of regions A, C of ``len_a``, ``len_c`` sites over
     |B| = 2, 4, ..., stopping once it falls to 10^-k: ``scan_instances`` of
-    the one instance, raising as it raises.
+    the one instance, raising as it raises; with the instance's
+    ``region_factors``, the QMI at each kept |B| too.
 
     Each block of ``SCAN_BLOCK`` sizes of |B| then costs one stacked
     ``eigvalsh``; the instance keeps its S(n), so a second scan solves nothing.
     """
-    return scan_instances((mps,), len_a, len_c, b_max_limit, k)[0]
+    return scan_instances((mps,), len_a, len_c, b_max_limit, k, factors)[0]
 
 
 def shift_graph(curve: DecayCurve) -> list[tuple[float, float]]:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from iumps import (
+    DegenerateSpectrum,
     IuMps,
     KrausSet,
     NearDegenerate,
+    RandomStream,
     TransferMatrix,
     Unsupported,
+    analytic_family,
+    benchmark_kraus,
     build_iumps,
     eig_general,
     jordan_constants,
@@ -17,7 +21,8 @@ from iumps import (
     sufficient_b,
     decay_bound,
 )
-from iumps.bounds import BoundConstants
+from iumps.bounds import DEGENERACY_TOL, BoundConstants, distinct_clusters
+from iumps.mps import PERIPHERAL_TOL, build_case
 from oracles import channel_apply, jordan_decay, reset_mixed_decay
 
 
@@ -265,3 +270,49 @@ def test_sigma_min_above_the_rank_threshold_keeps_the_bound():
     constants = jordan_constants(kept)
     assert constants.sigma_min == 1e-9
     assert constants.big_q == 16.0 * 3**3 * constants.c2**2 / 1e-9**3
+
+
+def _clusters_on_numpy_scalars(values):
+    """``distinct_clusters`` as it was written over numpy scalars, kept as the
+    reference for the loop over Python numbers."""
+    reps = []
+    for v in values:
+        if not any(abs(v - r) <= DEGENERACY_TOL for r in reps):
+            reps.append(v)
+    return np.array(reps)
+
+
+def test_distinct_clusters_and_delta_keep_the_numpy_scalar_bits():
+    """The clusters, their bits and dtype, and ``jordan_constants``' delta, on
+    the spectra of Cases 1-3, the golden instance and both analytic families,
+    and on the real magnitudes ``distinct_magnitudes`` passes."""
+    kraus_sets = [
+        build_case(case, 3, 4, RandomStream(seed, 0))
+        for case in ("case1", "case2", "case3")
+        for seed in range(12)
+    ]
+    kraus_sets.append(benchmark_kraus())
+    for beta in (0.0, 1e-4, 0.01, 0.1, 0.5):
+        kraus_sets += [analytic_family("first", beta), analytic_family("second", beta)]
+    deltas = 0
+    for kraus in kraus_sets:
+        mps = build_iumps(kraus)
+        values = mps.transfer.spectrum.values
+        magnitudes = np.sort(np.abs(values))[::-1]
+        for spectrum in (values, magnitudes):
+            expected = _clusters_on_numpy_scalars(spectrum)
+            clusters = distinct_clusters(spectrum)
+            assert clusters.dtype == expected.dtype == spectrum.dtype
+            assert clusters.tobytes() == expected.tobytes()
+        try:
+            constants = jordan_constants(mps)
+        except (NearDegenerate, Unsupported, DegenerateSpectrum):
+            continue
+        clusters = _clusters_on_numpy_scalars(values)
+        peripheral = clusters[np.abs(clusters) > 1 - PERIPHERAL_TOL]
+        delta = min(
+            abs(p - c) for p in peripheral for c in clusters if abs(p - c) > DEGENERACY_TOL
+        )
+        assert constants.delta_spec == float(delta)
+        deltas += 1
+    assert deltas == len(kraus_sets) - 1  # the first family at beta = 0 has no gap

@@ -317,6 +317,43 @@ def test_scan_qmi_column_is_qmi_at_each_kept_point(tmp_path, case, seed, len_a, 
         assert float(qmi_column) == qmi(mps, len_a, int(b_len), len_c), b_len
 
 
+@pytest.mark.parametrize(
+    "argv, len_a",
+    [
+        (("--case", "1", "--seed", "3"), 1),
+        (("--case", "2", "--seed", "5"), 1),
+        (("--case", "3", "--seed", "2"), 1),
+        (("--case", "a"), 1),
+        (("--case", "2", "--seed", "5"), 2),
+        # a curve to |B| = 80 spans five blocks of SCAN_BLOCK sizes
+        (("--case", "2", "--seed", "60", "--b-max", "80"), 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"len_a={v}",
+)
+def test_scan_qmi_column_is_qmi_curve_of_a_fresh_instance(tmp_path, argv, len_a):
+    """The scan's QMI column, made from the scan's own E^|B| and solves,
+    carries the bits of one ``qmi_curve`` over its kept |B| on a fresh
+    instance."""
+    from iumps.entropy import qmi_curve
+    from iumps.experiments import SCAN_BLOCK
+    from iumps.mps import build_case
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"len_a": len_a}))
+    assert run(tmp_path, "scan", *argv, "--config", str(config)) == 0
+    rows = [row.split(",") for row in read(tmp_path / "curve_0.csv").splitlines()[1:]]
+    sizes = [int(row[0]) for row in rows]
+    case = argv[1]
+    if case == "a":
+        kraus = benchmark_kraus()
+    else:
+        kraus = build_case(cli._CASES[case], 3, 4, RandomStream(int(argv[3]), 0))
+    expected = qmi_curve(build_iumps(kraus), len_a, sizes, 1)
+    assert np.array([float(row[1]) for row in rows]).tobytes() == np.array(expected).tobytes()
+    if "--b-max" in argv:
+        assert sizes[-1] > 2 * SCAN_BLOCK  # past the first block
+
+
 def test_rejects_zero_instances(tmp_path, capsys):
     assert run(tmp_path, "ensemble", "--n", "0") == 4
     err = capsys.readouterr().err

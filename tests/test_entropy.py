@@ -487,39 +487,62 @@ def test_scan_after_scrambled_queries_matches_fresh_scan(case1_instance):
 def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     """Each region length solved exactly once, in the stacked solves of the
     scan's blocks of |B|, up to the end of the block holding the stop; every
-    QCMI via experiments.qcmi; a second scan of the same instance solves nothing."""
+    QCMI via experiments.qcmi; a second scan of the same instance solves
+    nothing.  One instance and a chunk of ``ENSEMBLE_CHUNK`` take the same
+    ``SCAN_BLOCK`` sizes per block: one ``PowerWindow.extend`` and one
+    stacked solve per block."""
     import iumps.entropy as ent
     import iumps.experiments as exp
 
-    # a fresh instance: the session fixtures keep the entropies earlier tests computed
-    mps = build_iumps(request.getfixturevalue(fixture).kraus)
     solved = []
     evaluated = []
-    eigvals_hermitian, qcmi_binding = ent.eigvals_hermitian, exp.qcmi
+    extends = []
+    eigvals_hermitian, qcmi_binding, extend = ent.eigvals_hermitian, exp.qcmi, PowerWindow.extend
 
     def counting_eig(h, k):
-        solved.append(math.prod(h.shape[:-2]))  # matrices in this (..., 16, 16) stack
+        solved.append(math.prod(h.shape[:-2]))  # matrices in this (..., r, r) stack
         return eigvals_hermitian(h, k)
 
     def recording_qcmi(mps, len_a, len_b, len_c):
         evaluated.append(len_b)
         return qcmi_binding(mps, len_a, len_b, len_c)
 
+    def counting_extend(window, low, high):
+        extends.append((low, high))
+        return extend(window, low, high)
+
     monkeypatch.setattr(ent, "eigvals_hermitian", counting_eig)
     monkeypatch.setattr(exp, "qcmi", recording_qcmi)
+    monkeypatch.setattr(PowerWindow, "extend", counting_extend)
+    kraus = request.getfixturevalue(fixture).kraus
+    # a fresh instance: the session fixtures keep the entropies earlier tests computed
+    mps = build_iumps(kraus)
     curve = scan_instance(mps, 1, 1)
     b_stop = evaluated[-1]
     assert evaluated == list(range(2, b_stop + 1, 2))
     assert b_stop in (curve.b_max, curve.b_max + 2)
     # blocks of |B| start at 2 and span 2 * SCAN_BLOCK; the scan stops at |B| = 40
     width = 2 * exp.SCAN_BLOCK
-    block_end = min(40, ((b_stop - 2) // width + 1) * width)
+    blocks = (b_stop - 2) // width + 1
+    block_end = min(40, blocks * width)
     # |A| = |C| = 1: the QCMI reads S(n) for n = 2 .. block_end + 2, and nothing else
     assert sorted(mps.entropies) == list(range(2, block_end + 3))
+    assert len(extends) == len(solved) == blocks
     assert sum(solved) == block_end + 1
     solved.clear()
+    extends.clear()
     assert scan_instance(mps, 1, 1) == curve
-    assert solved == []
+    assert (extends, solved) == ([], [])
+
+    evaluated.clear()
+    chunk = [build_iumps(kraus) for _ in range(exp.ENSEMBLE_CHUNK)]
+    assert exp.scan_instances(chunk, 1, 1) == [curve] * len(chunk)
+    # one copy's walk, then the others', block by block
+    assert evaluated[-1] == b_stop
+    for mps in chunk:
+        assert sorted(mps.entropies) == list(range(2, block_end + 3))
+    assert len(extends) == len(solved) == blocks
+    assert sum(solved) == len(chunk) * (block_end + 1)
 
 
 LENGTHS = range(1, 43)

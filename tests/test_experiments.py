@@ -31,7 +31,7 @@ from iumps import (
     shift_graph,
     transfer_matrix,
 )
-from iumps.entropy import _entropy
+from iumps.entropy import _entropy, region_factors
 from iumps.experiments import (
     CurvePoint,
     DecayCurve,
@@ -477,16 +477,36 @@ def test_power_window_equals_transfer_power_bit_for_bit():
 
 def test_scan_instances_equals_scan_instance():
     """Every curve of a chunked scan is the one-element scan of its instance,
-    whatever entropies the instances already keep."""
-    instances = [build_instance("case2", 3, 4, RandomStream(5, i)) for i in range(5)]
-    for n in (1, 2, 7, 30):  # a kept S(n) is never solved again
-        _entropy(instances[3], n)
-    kept = dict(instances[3].entropies)
-    curves = scan_instances(instances, 1, 2, 30, 12)
-    for i, curve in enumerate(curves):
-        alone = scan_instance(build_instance("case2", 3, 4, RandomStream(5, i)), 1, 2, 30, 12)
-        assert curve == alone
-    assert all(instances[3].entropies[n] == s for n, s in kept.items())
+    whatever entropies the instances already keep: five instances to
+    |B| = 30, and stacks of 1-4, the sizes of an ensemble's chunks and of
+    its one-at-a-time retry, whose first instance scans to |B| = 80."""
+    inputs = [([(5, i) for i in range(5)], 30)]
+    inputs += [([(60, 0)] + [(5, i) for i in range(n - 1)], 80) for n in range(1, 5)]
+    for coords, b_max in inputs:
+        build = lambda: [build_instance("case2", 3, 4, RandomStream(*c)) for c in coords]
+        instances = build()
+        keeper = instances[min(3, len(instances) - 1)]
+        for n in (1, 2, 7, 30):  # a kept S(n) is never solved again
+            _entropy(keeper, n)
+        kept = dict(keeper.entropies)
+        curves = scan_instances(instances, 1, 2, b_max, 12)
+        for mps, curve in zip(build(), curves, strict=True):
+            assert curve == scan_instance(mps, 1, 2, b_max, 12), (coords, b_max)
+        assert all(keeper.entropies[n] == s for n, s in kept.items())
+    assert curves[0].b_max == 80
+
+
+def test_scan_with_factors_takes_one_instance():
+    """The QMI column is asked of a one-instance scan only; it adds a curve's
+    ``qmi`` and leaves its points as they are."""
+    mps = build_instance("case2", 3, 4, RandomStream(60, 0))
+    curve = scan_instance(mps, 1, 2, 80, 12, region_factors(mps.kraus, 1, 2))
+    assert curve.qmi is not None and len(curve.qmi) == len(curve.points)
+    plain = scan_instance(build_instance("case2", 3, 4, RandomStream(60, 0)), 1, 2, 80, 12)
+    assert (curve.nu_gap, curve.points, curve.b_max) == (plain.nu_gap, plain.points, plain.b_max)
+    pair = [build_instance("case2", 3, 4, RandomStream(5, i)) for i in range(2)]
+    with pytest.raises(ValueError, match="one instance"):
+        scan_instances(pair, 1, 2, 40, 12, region_factors(pair[0].kraus, 1, 2))
 
 
 @pytest.mark.parametrize("case, path", [("case1", ()), ("case2", (1,)), ("case3", (1,))])
