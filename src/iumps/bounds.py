@@ -13,7 +13,7 @@ condition number kappa = |v||w|/|w† v| (Wilkinson, 1965), not a small split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ SIGMA_RANK_TOL = 1e-12  # sigma_min up to this fraction of sigma_max is roundoff
 SUFFICIENT_B_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """Everything needed to evaluate the bounding function for one instance."""
 
     k_jordan: int

@@ -17,8 +17,8 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ _ACCEPTED_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Flat run configuration; defaults reproduce the standard parameter set."""
 
     d_s: int = 3
@@ -97,10 +96,12 @@ class RunConfig:
     save_kraus: bool = False  # persist the constructed instance as JSON
 
     def validate(self) -> None:
-        for f in fields(self):
-            value, accepted = getattr(self, f.name), _ACCEPTED_TYPES[f.type]
+        for name, value in zip(self._fields, self):
+            hint = RunConfig.__annotations__[name]  # typing keeps "int" as ForwardRef("int")
+            kind = getattr(hint, "__forward_arg__", hint)
+            accepted = _ACCEPTED_TYPES[kind]
             if not isinstance(value, accepted) or (isinstance(value, bool) and accepted is not bool):
-                raise ValueError(f"config: {f.name} must be {f.type}, not {value!r}")
+                raise ValueError(f"config: {name} must be {kind}, not {value!r}")
         if self.b_max_limit % 2 != 0:
             raise ValueError("b_max_limit must be even")
         if self.b_max_limit < 2:
@@ -151,13 +152,9 @@ def _check_reads(command: str, config: RunConfig) -> None:
         if config.kraus_path is not None:
             reads.remove("case_tag")
         what = f"{command} of a fixed instance"
-    defaults = RunConfig()
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name not in reads and value != getattr(defaults, f.name):
-            raise ValueError(
-                f"{what} does not read {f.name}, so {f.name} = {value!r} does not apply"
-            )
+    for name, value in zip(config._fields, config):
+        if name not in reads and value != RunConfig._field_defaults[name]:
+            raise ValueError(f"{what} does not read {name}, so {name} = {value!r} does not apply")
 
 
 def _fmt(x: float) -> str:
@@ -260,7 +257,7 @@ def cmd_ensemble(config: RunConfig) -> int:
     _write(out / "cdf_all.csv", ["rate"] + [_fmt(r) for r in summary.cdf_all])
     _write(out / "cdf_full.csv", ["rate"] + [_fmt(r) for r in summary.cdf_full])
     payload = {
-        "config": asdict(config),
+        "config": config._asdict(),
         "n_instances": summary.n_instances,
         "n_completed": len(summary.records),
         "n_skipped": len(summary.skipped),
@@ -278,7 +275,7 @@ def cmd_ensemble(config: RunConfig) -> int:
 def cmd_bound(config: RunConfig) -> int:
     mps = build_iumps(_kraus(config, 0))
     constants = jordan_constants(mps)
-    payload = asdict(constants)
+    payload = constants._asdict()
     b_suff = sufficient_b(constants, mps.kraus.d_s)
     payload["sufficient_b"] = b_suff
     payload["sufficient_b_within_scan"] = b_suff <= config.b_max_limit

@@ -64,7 +64,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ THRESHOLD = 1e-12
 BRUTE_FORCE_CAP = 1024
 
 
-@dataclass(frozen=True)
-class SupportProjection:
+class SupportProjection(NamedTuple):
     """Spectral data of the support Gram matrix of rho_n.
 
     ``w`` holds the full unitary eigenvector matrix, ``sigma_diag`` the full
@@ -90,8 +89,7 @@ class SupportProjection:
     support_dim: int
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     region_len: int
     eigenvalues: np.ndarray
     entropy: float

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -68,8 +67,7 @@ class CurvePoint(NamedTuple):
     f: float
 
 
-@dataclass(frozen=True)
-class DecayCurve:
+class DecayCurve(NamedTuple):
     """One instance's QCMI values over even |B|, with normalized log-QCMI
     f, its spectral gap and its last retained |B|; ``qmi`` holds the QMI at
     each point's |B| when the scan was given the region factors, else None.
@@ -81,8 +79,7 @@ class DecayCurve:
     qmi: list[float] | None = None
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     instance_id: int
     nu_gap: float
     b_max: int
@@ -90,8 +87,7 @@ class InstanceRecord:
     rate: float | None
 
 
-@dataclass(frozen=True)
-class EnsembleSummary:
+class EnsembleSummary(NamedTuple):
     n_instances: int
     records: list[InstanceRecord]
     histogram: np.ndarray
@@ -99,7 +95,7 @@ class EnsembleSummary:
     total_shifted: int
     cdf_all: list[float]
     cdf_full: list[float]
-    skipped: list[tuple[int, str]] = field(default_factory=list)
+    skipped: list[tuple[int, str]]
 
 
 def check_scan_args(len_a: int, len_c: int, b_max_limit: int, k: int) -> None:
@@ -416,8 +412,7 @@ def reference_rho_ac() -> np.ndarray:
     return (np.kron(da, da) + np.kron(db, db)) / 32.0
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
+class BenchmarkReport(NamedTuple):
     nu_gap: float
     canonical_dev: float
     sigma_dev: float
@@ -502,8 +497,7 @@ def golden_benchmark(k: int = 12) -> BenchmarkReport:
 # --- gap statistics and analytic families -----------------------------------
 
 
-@dataclass(frozen=True)
-class GapStatistics:
+class GapStatistics(NamedTuple):
     """Sorted absolute gaps of the three leading eigenvalue magnitudes."""
 
     one_minus_nu1: np.ndarray

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,7 @@ def _block(matrices: np.ndarray, row: int, col: int) -> np.ndarray:
     return matrices[..., halves[row], halves[col]]
 
 
-@dataclass(frozen=True)
-class KrausSet:
+class KrausSet(NamedTuple):
     """Generating matrices {M^s} of an iuMPS, stored as a (d_s, d_M, d_M) array."""
 
     d_s: int
@@ -148,8 +147,7 @@ class KrausSet:
         return ks
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """E = sum_s M^s kron conj(M^s) with its spectrum and peripheral data.
 
     ``nu_gap`` is None when every eigenvalue is peripheral (identity channel);
@@ -176,7 +174,6 @@ def kraus_reach(matrices: np.ndarray) -> np.ndarray:
     return closure
 
 
-@dataclass(frozen=True)
 class IuMps:
     """A Kraus set together with its fixed-point density operator.
 
@@ -185,12 +182,11 @@ class IuMps:
     of ``reach`` alone: every E^n, n >= 1, is exactly zero off them.
     """
 
-    kraus: KrausSet
-    sigma: np.ndarray
-    transfer: TransferMatrix
-    entropies: dict[int, float] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, kraus: KrausSet, sigma: np.ndarray, transfer: TransferMatrix) -> None:
+        self.kraus = kraus
+        self.sigma = sigma
+        self.transfer = transfer
+        self.entropies: dict[int, float] = {}
 
     @functools.cached_property
     def reach(self) -> np.ndarray:

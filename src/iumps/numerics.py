@@ -17,7 +17,7 @@ single-matrix ``eig_general`` are the one-element case of the stacked code.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,23 +27,28 @@ MAX_EIG_DIM = 64
 EIG_RESIDUAL_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class RandomStream:
+class _StreamCoordinates(NamedTuple):
+    master_seed: int
+    stream_index: int
+    path: tuple[int, ...] = ()
+
+
+class RandomStream(_StreamCoordinates):
     """Counter-based random stream addressed by (master_seed, stream_index).
 
     Identical coordinates always reproduce identical draws, independent of
     execution order; distinct stream indices give statistically independent
     streams.  ``substream`` derives further independent streams for
-    constructions that need more than one draw.
+    constructions that need more than one draw.  A ``master_seed`` outside
+    [0, 2^64) is refused when the stream is made.
     """
 
-    master_seed: int
-    stream_index: int
-    path: tuple[int, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 2**64:
+    def __new__(cls, master_seed: int, stream_index: int, path: tuple[int, ...] = ()):
+        if not 0 <= master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
+        return super().__new__(cls, master_seed, stream_index, path)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(
@@ -55,8 +60,7 @@ class RandomStream:
         return RandomStream(self.master_seed, self.stream_index, self.path + (k,))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Full spectrum of a general complex matrix.
 
     ``values`` are sorted by descending magnitude, ties broken by descending
@@ -71,8 +75,7 @@ class EigenDecomposition:
     residual: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class HermitianEigenDecomposition:
+class HermitianEigenDecomposition(NamedTuple):
     """Real eigenvalues (descending) and a unitary eigenvector matrix."""
 
     values: np.ndarray

@@ -81,3 +81,16 @@ def reset_mixed_decay(gamma: float, p: float, eps: float) -> KrausSet:
     kraus = KrausSet(d_s=15, d_M=3, matrices=mats, case_tag="explicit")
     kraus.validate()
     return kraus
+
+
+def direct_sum(first: KrausSet, second: KrausSet) -> KrausSet:
+    """The block-diagonal Kraus set M^s = first.M^s (+) second.M^s of two sets
+    with the same d_s: E has the eigenvalue-1 cluster of both, and each
+    one's Jordan blocks."""
+    d1, d2 = first.d_M, second.d_M
+    mats = np.zeros((first.d_s, d1 + d2, d1 + d2), dtype=complex)
+    mats[:, :d1, :d1] = first.matrices
+    mats[:, d1:, d1:] = second.matrices
+    kraus = KrausSet(d_s=first.d_s, d_M=d1 + d2, matrices=mats, case_tag="explicit")
+    kraus.validate()
+    return kraus

@@ -107,6 +107,32 @@ def test_a_jordan_block_under_a_full_rank_fixed_point_is_near_degenerate(eps, ga
         jordan_constants(mps)
 
 
+# Largest relative gap of QCMI(|B|+2)/QCMI(|B|)/nu_gap^4 from the K = 1
+# prediction ((|B|+2)/|B|)^2 at |B| >= 12: measured 1.6% (eps = 0.05, |B| = 12),
+# shrinking with |B|; the band is about twice that.
+K1_LAW_TOL = 0.03
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_a_jordan_block_at_the_gap_decays_by_the_k1_law(eps):
+    # QCMI ~ |B|^(2K) nu_gap^(2|B|): with the exact 2x2 Jordan block (K = 1) the
+    # ratio over two sites tends to ((|B|+2)/|B|)^2 nu_gap^4, where K = 0 gives
+    # nu_gap^4.  Points are kept while QCMI(|B|+2) > 1e-10, far above its
+    # ~1e-15 absolute noise.
+    mps = build_iumps(reset_mixed_decay(0.5, 0.3, eps))
+    nu = mps.transfer.nu_gap
+    checked = []
+    for b in range(12, 40, 2):
+        ahead = qcmi(mps, 1, b + 2, 1)
+        if ahead <= 1e-10:
+            break
+        ratio = ahead / qcmi(mps, 1, b, 1) / nu**4
+        assert abs(ratio / ((b + 2) / b) ** 2 - 1) <= K1_LAW_TOL, (b, ratio)
+        assert ratio >= 1.15, (b, ratio)
+        checked.append(b)
+    assert len(checked) >= 2, checked
+
+
 def test_exactly_degenerate_semisimple_gap_pair_passes():
     mps = hand_built_mps(np.diag([1.0, 0.5, 0.5, 0.1]).astype(complex))
     constants = jordan_constants(mps)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +474,25 @@ def test_scan_leaves_the_bound_column_empty_when_the_bound_is_unsupported(
         assert row == ref_row.rsplit(",", 1)[0] + ","
 
 
+def test_starting_the_cli_loads_neither_dataclasses_nor_numpy_random():
+    """A fresh ``import iumps.cli`` with its parser built loads no
+    ``dataclasses`` (the records are NamedTuples and ``IuMps`` a plain class),
+    and no ``numpy.random``, which only a command that draws needs; ``import
+    numpy`` loads neither."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, iumps.cli; iumps.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'numpy.random'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_parser_is_reused_without_leaking_state(tmp_path, capsys):
     from iumps.cli import build_parser
 
@@ -682,7 +704,7 @@ FIXED = {
 
 def test_non_default_values_cover_every_field():
     defaults = RunConfig()
-    assert set(NON_DEFAULT) == set(vars(defaults))
+    assert set(NON_DEFAULT) == set(defaults._asdict())
     assert all(value != getattr(defaults, name) for name, value in NON_DEFAULT.items())
 
 

@@ -39,7 +39,13 @@ from iumps.mps import (
     transfer_spectrum,
 )
 from iumps.numerics import EigenDecomposition
-from oracles import channel_apply, complex_eigenvalues, jordan_decay, reset_mixed_decay
+from oracles import (
+    channel_apply,
+    complex_eigenvalues,
+    direct_sum,
+    jordan_decay,
+    reset_mixed_decay,
+)
 
 
 def unitary_kraus(u):
@@ -191,12 +197,16 @@ def test_fixed_point_matches_two_eig_oracle():
         for seed in (3, 20231)
         for i in range(4)
     ]
-    # the last two have a 2x2 Jordan block at the gap, outside the cluster
+    # the last three have 2x2 Jordan blocks at the gap, outside the cluster; the
+    # direct sum has a k = 4 cluster and cond(V) about 4e16, where even the
+    # cluster's rows of V^{-1} are wrong: a sigma taken from them clips a
+    # weight of 1.17 of 2.99, so W_c must come from E - I's null space
     kraus_sets += [
         benchmark_kraus(),
         analytic_family("first", 0.1),
         jordan_decay(0.5, 0.3),
         reset_mixed_decay(0.5, 0.3, 0.05),
+        direct_sum(jordan_decay(0.5, 0.3), jordan_decay(0.5, 0.3)),
     ]
     for ks in kraus_sets:
         transfer = transfer_matrix(ks)
