@@ -117,11 +117,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         base = json.loads(Path(path).read_text())
         if not isinstance(base, dict):
             raise ValueError(f"config: {path} must hold a JSON object")
+        unknown = sorted(set(base) - set(RunConfig._fields))
+        if unknown:
+            raise ValueError(f"config: {path}: not a config field: {', '.join(unknown)}")
     base.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        config = RunConfig(**base)
-    except TypeError as exc:  # a config-file key that is not a RunConfig field
-        raise ValueError(f"config: {exc}") from exc
+    config = RunConfig(**base)
     config.validate()
     return config
 

@@ -35,14 +35,21 @@ from .numerics import RandomStream
 
 HISTOGRAM_BINS = 20
 BURN_IN = 3
-# |B| values a scan solves together: one stacked eigvalsh for their S(n).  Of
-# 4, 6, 8 and the whole range, 8 gave the most Case-1 and Case-2 scans per
-# second: smaller blocks pay more per-call overhead, larger ones solve more
-# points past the stop.  One instance keeps 8 too: one block of 32 made a
-# Case-2 scan with its QMI 1-2% faster (2.11 -> 2.07-2.09 ms, 300 instances),
-# but would solve up to |B| = 64 past every early stop, as in the ensemble's
-# one-at-a-time retry of a failed chunk.
+# |B| values a scan solves together after its first block: one stacked
+# eigvalsh for their S(n).  Of 4, 6, 8 and the whole range, 8 gave the most
+# Case-1 and Case-2 scans per second: smaller blocks pay more per-call
+# overhead, larger ones solve more points past the stop.  A chunk of several
+# instances takes blocks of 8 from the start: its instances stop at different
+# |B|, and planning its first block by its largest or smallest predicted stop
+# made the Case-1 ensemble 4-15% slower.
 SCAN_BLOCK = 8
+# |B| a one-instance scan's first block reaches past its predicted stop
+# k ln 10 / q.  QCMI ~ C nu_gap^(2|B|) with log10 C of order 1, so the stop
+# (the first |B| under 10^-k) lay 4.6 below to 3.6 above k ln 10 / q on 493
+# Case-1 and Case-2 scans that stopped before |B| = 40, and past the planned
+# block on none of 6,081 Case-1 to Case-3 plans that ended before 40.  One
+# block then holds the whole curve: one power chain and one stacked solve.
+PLAN_MARGIN = 4
 # Instances gap_statistics samples and eigensolves together.  16 is the
 # fastest size at flat peak memory: 8 ran about 3% slower, and 32 ran 1-2%
 # faster but raised peak memory by 0.7 MB.
@@ -121,12 +128,21 @@ def scan_instances(
 
     An instance's last retained |B| (the curve's b_max) is the final even size
     at which QCMI still exceeds the numerical floor, or b_max_limit.  |B| is
-    taken in blocks of ``SCAN_BLOCK`` sizes.  On entering a block the scan
-    grows E^n for every instance still scanning in its one ``PowerWindow``,
-    keeping only the powers the block needs; solves the region lengths the
-    block's QCMI reads and some instance has not kept
-    (``fill_entropies_chunk``) in one stacked ``eigvalsh``; then walks each
-    instance's points through ``qcmi(mps, len_a, |B|, len_c)`` and the stop.
+    taken in blocks of ``SCAN_BLOCK`` sizes (2-16, 18-32, ...).  A stack of
+    one instance plans its first block instead: from |B| = 2 to the even |B|
+    at or above its predicted stop k ln 10 / q plus ``PLAN_MARGIN``
+    (q = 2 ln(1/nu_gap)), never below 2 ``SCAN_BLOCK`` nor above
+    b_max_limit, so its scan usually takes one block; later blocks take
+    ``SCAN_BLOCK`` sizes.  A stack of several instances, which stop at
+    different |B|, keeps ``SCAN_BLOCK`` sizes from the start.  The blocks
+    never change a result: each S(n) carries the bits of its own solve.
+
+    On entering a block the scan grows E^n for every instance still scanning
+    in its one ``PowerWindow``, keeping only the powers the block needs;
+    solves the region lengths the block's QCMI reads and some instance has
+    not kept (``fill_entropies_chunk``) in one stacked ``eigvalsh``; then
+    walks each instance's points through ``qcmi(mps, len_a, |B|, len_c)``
+    and the stop.
     A block's points past an instance's stop are solved but not kept, and an
     instance that has stopped leaves the next block.  Every instance keeps
     each S(n) it computes, so each is computed once, however many scans and
@@ -152,13 +168,15 @@ def scan_instances(
     powers_b: list[np.ndarray] = []  # the kept points' E^|B|, for the QMI
     live = list(range(len(instances)))
     window = PowerWindow(np.stack([mps.transfer.e for mps in instances]))
-    for b in range(2, b_max_limit + 1, 2 * SCAN_BLOCK):
-        if not live:
-            break
-        block = range(b, min(b + 2 * SCAN_BLOCK, b_max_limit + 2), 2)
+    end = 2 * SCAN_BLOCK
+    if len(instances) == 1:  # the first block ends just past the predicted stop
+        plan = k * math.log(10.0) / q[0] + PLAN_MARGIN
+        end = max(end, 2 * math.ceil(min(plan, b_max_limit) / 2))
+    block = range(2, min(end, b_max_limit) + 1, 2)
+    while live and block:
         # the S(n) the block's QCMI reads, and the QMI's S(|A|), S(|C|)
         lengths = set().union(*((lb, len_a + lb, lb + len_c, len_a + lb + len_c) for lb in block))
-        if factors is not None and b == 2:
+        if factors is not None and block.start == 2:
             lengths |= {len_a, len_c}
         scanning = [instances[i] for i in live]
         missing = sorted(lengths - set.intersection(*(set(mps.entropies) for mps in scanning)))
@@ -184,6 +202,8 @@ def scan_instances(
             live = [live[row] for row in still]
             if live:  # once none is left, nothing reads the window again
                 window.keep(still)
+        start = block[-1] + 2
+        block = range(start, min(start + 2 * SCAN_BLOCK, b_max_limit + 1), 2)
     del window  # frees every power but the kept points' E^|B| before the QMI
     qmi = None if factors is None else qmi_of_powers(instances[0], len_a, powers_b, len_c, factors)
     return [
@@ -205,8 +225,9 @@ def scan_instance(
     the one instance, raising as it raises; with the instance's
     ``region_factors``, the QMI at each kept |B| too.
 
-    Each block of ``SCAN_BLOCK`` sizes of |B| then costs one stacked
-    ``eigvalsh``; the instance keeps its S(n), so a second scan solves nothing.
+    Each block of |B| then costs one stacked ``eigvalsh``, and the first,
+    planned from the gap, usually holds the whole curve; the instance keeps
+    its S(n), so a second scan solves nothing.
     """
     return scan_instances((mps,), len_a, len_c, b_max_limit, k, factors)[0]
 

@@ -634,14 +634,14 @@ def test_spectrum_of_a_gapless_instance_exits_3_with_one_stderr_line(tmp_path, c
     "payload_message",
     [
         ({"d_s": "3"}, "d_s must be int, not '3'"),
-        ({"threshold": 1e-12}, "unexpected keyword argument 'threshold'"),
-        ({"peripheral_tol": 1e-8}, "unexpected keyword argument 'peripheral_tol'"),
-        ({"burn_in": 3}, "unexpected keyword argument 'burn_in'"),
+        ({"threshold": 1e-12}, "config.json: not a config field: threshold\n"),
+        ({"peripheral_tol": 1e-8}, "config.json: not a config field: peripheral_tol\n"),
+        ({"burn_in": 3}, "config.json: not a config field: burn_in\n"),
         ({"n_instances": True}, "n_instances must be int, not True"),
         ({"k": 12.0}, "k must be int, not 12.0"),
         ({"case_tag": None}, "case_tag must be str, not None"),
         ({"save_kraus": 1}, "save_kraus must be bool, not 1"),
-        ({"no_such_key": 1}, "unexpected keyword argument 'no_such_key'"),
+        ({"no_such_key": 1}, "config.json: not a config field: no_such_key\n"),
         ([3], "must hold a JSON object"),
     ],
     ids=lambda case: json.dumps(case[0]),

@@ -488,9 +488,11 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     """Each region length solved exactly once, in the stacked solves of the
     scan's blocks of |B|, up to the end of the block holding the stop; every
     QCMI via experiments.qcmi; a second scan of the same instance solves
-    nothing.  One instance and a chunk of ``ENSEMBLE_CHUNK`` take the same
-    ``SCAN_BLOCK`` sizes per block: one ``PowerWindow.extend`` and one
-    stacked solve per block."""
+    nothing.  One instance plans its first block to ``PLAN_MARGIN`` past its
+    predicted stop k ln 10 / q, so a stop inside the plan takes one
+    ``PowerWindow.extend`` and one stacked solve; a chunk of
+    ``ENSEMBLE_CHUNK`` copies takes ``SCAN_BLOCK`` sizes per block, one
+    extend and one stacked solve per block, and gives the same curve."""
     import iumps.entropy as ent
     import iumps.experiments as exp
 
@@ -521,14 +523,14 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     b_stop = evaluated[-1]
     assert evaluated == list(range(2, b_stop + 1, 2))
     assert b_stop in (curve.b_max, curve.b_max + 2)
-    # blocks of |B| start at 2 and span 2 * SCAN_BLOCK; the scan stops at |B| = 40
-    width = 2 * exp.SCAN_BLOCK
-    blocks = (b_stop - 2) // width + 1
-    block_end = min(40, blocks * width)
-    # |A| = |C| = 1: the QCMI reads S(n) for n = 2 .. block_end + 2, and nothing else
-    assert sorted(mps.entropies) == list(range(2, block_end + 3))
-    assert len(extends) == len(solved) == blocks
-    assert sum(solved) == block_end + 1
+    # the plan: the even |B| at or above k ln 10 / q + PLAN_MARGIN, within 16..40
+    plan = 12 * math.log(10) / (2 * math.log(1 / curve.nu_gap)) + exp.PLAN_MARGIN
+    plan_end = min(40, max(2 * exp.SCAN_BLOCK, 2 * math.ceil(plan / 2)))
+    assert curve.b_max + 2 <= plan_end < 40  # the stop lies inside the plan
+    # |A| = |C| = 1: the QCMI reads S(n) for n = 2 .. plan_end + 2, and nothing else
+    assert sorted(mps.entropies) == list(range(2, plan_end + 3))
+    assert len(extends) == len(solved) == 1
+    assert sum(solved) == plan_end + 1
     solved.clear()
     extends.clear()
     assert scan_instance(mps, 1, 1) == curve
@@ -537,6 +539,10 @@ def test_scan_computes_each_region_entropy_once(fixture, request, monkeypatch):
     evaluated.clear()
     chunk = [build_iumps(kraus) for _ in range(exp.ENSEMBLE_CHUNK)]
     assert exp.scan_instances(chunk, 1, 1) == [curve] * len(chunk)
+    # blocks of |B| start at 2 and span 2 * SCAN_BLOCK; the scan stops at |B| = 40
+    width = 2 * exp.SCAN_BLOCK
+    blocks = (b_stop - 2) // width + 1
+    block_end = min(40, blocks * width)
     # one copy's walk, then the others', block by block
     assert evaluated[-1] == b_stop
     for mps in chunk:

@@ -40,6 +40,7 @@ from iumps.experiments import (
     second_family_coefficients,
 )
 from iumps.mps import PowerWindow, powers
+from oracles import jordan_decay, reset_mixed_decay
 
 
 @pytest.fixture(scope="module")
@@ -507,6 +508,63 @@ def test_scan_with_factors_takes_one_instance():
     pair = [build_instance("case2", 3, 4, RandomStream(5, i)) for i in range(2)]
     with pytest.raises(ValueError, match="one instance"):
         scan_instances(pair, 1, 2, 40, 12, region_factors(pair[0].kraus, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "source, b_max",
+    [
+        ("case1_instance", 40),
+        ("case2_instance", 40),
+        ("case3_instance", 40),
+        ("golden", 40),
+        ("reset_mixed", 40),
+        ("case2_seed60", 80),
+    ],
+)
+def test_planned_first_block_never_changes_a_result(monkeypatch, request, source, b_max):
+    """A one-instance scan's planned first block changes its schedule, never
+    its curve: at ``PLAN_MARGIN`` -100 the scan takes several blocks (the
+    fixed blocks of |B| 2-16, 18-32, ..., where k ln 10 / q < 116; the
+    seed-60 instance, nu_gap 0.913, plans 2-52), and at +100 one block runs
+    to b_max_limit.  The points, b_max and QMI column are identical at
+    -100, 4 and +100."""
+    if source == "golden":
+        kraus = benchmark_kraus()
+    elif source == "reset_mixed":
+        kraus = reset_mixed_decay(0.5, 0.3, 0.05)
+    elif source == "case2_seed60":
+        kraus = build_instance("case2", 3, 4, RandomStream(60, 0)).kraus
+    else:
+        kraus = request.getfixturevalue(source).kraus
+    fill, blocks = iumps.experiments.fill_entropies_chunk, []
+
+    def counted(instances, missing, powers_n):
+        blocks.append(missing)
+        return fill(instances, missing, powers_n)
+
+    monkeypatch.setattr(iumps.experiments, "fill_entropies_chunk", counted)
+    curves = []
+    for margin in (-100, 4, 100):
+        monkeypatch.setattr(iumps.experiments, "PLAN_MARGIN", margin)
+        blocks.clear()
+        mps = build_iumps(kraus)  # fresh: no S(n) kept from another schedule
+        curve = scan_instance(mps, 1, 2, b_max, 12, region_factors(kraus, 1, 2))
+        curves.append((curve.nu_gap, curve.points, curve.b_max, curve.qmi))
+        if margin == -100:
+            assert len(blocks) > 1
+        if margin == 100:
+            assert len(blocks) == 1 and max(blocks[0]) == b_max + 3
+    assert curves[0] == curves[1] == curves[2]
+    assert curves[0][3] is not None and len(curves[0][3]) == len(curves[0][1])
+
+
+@pytest.mark.parametrize("margin", [-100, 4, 100])
+def test_planned_first_block_keeps_the_empty_curve(monkeypatch, margin):
+    """The Jordan-block set stops at |B| = 2 under any plan."""
+    monkeypatch.setattr(iumps.experiments, "PLAN_MARGIN", margin)
+    kraus = jordan_decay(0.5, 0.3)
+    with pytest.raises(EmptyCurve, match=r"already at \|B\| = 2"):
+        scan_instance(build_iumps(kraus), 1, 1, 200, 12, region_factors(kraus, 1, 1))
 
 
 @pytest.mark.parametrize("case, path", [("case1", ()), ("case2", (1,)), ("case3", (1,))])
