@@ -78,6 +78,7 @@ from .numerics import (
     HermitianEigenDecomposition,
     RandomStream,
     eig_general,
+    eig_values,
     eig_hermitian,
     eigvals_hermitian,
     haar_unitaries,

@@ -29,7 +29,7 @@ from .mps import (
     sample_iumps,
     spectral_gap,
     transfer_operators,
-    transfer_spectrum,
+    transfer_values,
 )
 from .numerics import RandomStream
 
@@ -50,6 +50,12 @@ SCAN_BLOCK = 8
 # block on none of 6,081 Case-1 to Case-3 plans that ended before 40.  One
 # block then holds the whole curve: one power chain and one stacked solve.
 PLAN_MARGIN = 4
+# |B| values a planned first block holds at most (|B| <= 64).  The plan
+# follows k ln 10 / q, not the stop, so a slow gap could plan one stack far
+# past it: nu_gap = 0.99 at b_max_limit 3000 planned 690 values and stopped at
+# |B| = 986, at twice the tracemalloc peak of blocks of 8.  No scan at the
+# default b_max_limit 40 (20 values) reaches the cap.
+PLAN_BLOCK_MAX = 32
 # Instances gap_statistics samples and eigensolves together.  16 is the
 # fastest size at flat peak memory: 8 ran about 3% slower, and 32 ran 1-2%
 # faster but raised peak memory by 0.7 MB.
@@ -132,9 +138,10 @@ def scan_instances(
     one instance plans its first block instead: from |B| = 2 to the even |B|
     at or above its predicted stop k ln 10 / q plus ``PLAN_MARGIN``
     (q = 2 ln(1/nu_gap)), never below 2 ``SCAN_BLOCK`` nor above
-    b_max_limit, so its scan usually takes one block; later blocks take
-    ``SCAN_BLOCK`` sizes.  A stack of several instances, which stop at
-    different |B|, keeps ``SCAN_BLOCK`` sizes from the start.  The blocks
+    b_max_limit, and of at most ``PLAN_BLOCK_MAX`` sizes, so its scan
+    usually takes one block; later blocks take ``SCAN_BLOCK`` sizes.  A
+    stack of several instances, which stop at different |B|, keeps
+    ``SCAN_BLOCK`` sizes from the start.  The blocks
     never change a result: each S(n) carries the bits of its own solve.
 
     On entering a block the scan grows E^n for every instance still scanning
@@ -171,7 +178,7 @@ def scan_instances(
     end = 2 * SCAN_BLOCK
     if len(instances) == 1:  # the first block ends just past the predicted stop
         plan = k * math.log(10.0) / q[0] + PLAN_MARGIN
-        end = max(end, 2 * math.ceil(min(plan, b_max_limit) / 2))
+        end = max(end, 2 * math.ceil(min(plan, b_max_limit, 2 * PLAN_BLOCK_MAX) / 2))
     block = range(2, min(end, b_max_limit) + 1, 2)
     while live and block:
         # the S(n) the block's QCMI reads, and the QMI's S(|A|), S(|C|)
@@ -540,10 +547,11 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     Instance i draws from ``RandomStream(master_seed, i)``.  The instances go
     in chunks of ``GAP_CHUNK``: per chunk, one stacked Haar draw and QR
     (``sample_case1``), one stacked transfer contraction and one stacked
-    ``transfer_spectrum``.  Every row carries the bits of ``build_case1`` +
-    ``transfer_matrix`` on its own, so the samples do not depend on the chunk
-    size.  d_M must be at least 2, for E to have the three eigenvalues the
-    gaps need.
+    ``transfer_values``, which checks every eigenpair's residual but reads
+    no eigenvector.  Every row carries the values of ``build_case1`` +
+    ``transfer_matrix`` on its own, bit for bit, so the samples do not
+    depend on the chunk size.  d_M must be at least 2, for E to have the
+    three eigenvalues the gaps need.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -553,8 +561,8 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     for start in range(0, n, GAP_CHUNK):
         stop = min(start + GAP_CHUNK, n)
         streams = [RandomStream(master_seed, i) for i in range(start, stop)]
-        spectrum = transfer_spectrum(transfer_operators(sample_case1(d_s, d_m, streams)))
-        mags[start:stop] = np.abs(spectrum.values[:, :3])
+        values = transfer_values(transfer_operators(sample_case1(d_s, d_m, streams)))
+        mags[start:stop] = np.abs(values[:, :3])
     return GapStatistics(
         one_minus_nu1=np.sort(np.abs(1.0 - mags[:, 0])),
         nu1_minus_nu2=np.sort(np.abs(mags[:, 0] - mags[:, 1])),

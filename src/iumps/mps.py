@@ -9,7 +9,8 @@ E maps vec(X) to vec(sum_s M^s X M^s†), a map that keeps Hermitian X
 Hermitian.  In the orthonormal Hermitian basis of ``hermitian_basis``
 (columns vec(G_k) of a unitary U) it is therefore the real matrix
 R = U† E U (``real_form``), and every transfer spectrum is solved from R in
-real arithmetic (``transfer_spectrum``), with eigenvectors U V_R.
+real arithmetic: ``transfer_spectrum`` with eigenvectors U V_R, or
+``transfer_values`` for the values alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .numerics import (
     EigenDecomposition,
     RandomStream,
     eig_general,
+    eig_values,
     flagged_at,
     haar_unitaries,
 )
@@ -353,12 +355,19 @@ def transfer_spectrum(e: np.ndarray) -> EigenDecomposition:
     """``eig_general`` of each transfer matrix of a stack ``(..., d_M^2,
     d_M^2)``, solved in real arithmetic: one real ``eig_general`` of
     ``real_form(e)``, whose eigenvectors V_R map back as U V_R.  The values,
-    and the residual, are R's; U is unitary, so they are E's.  Every
-    transfer spectrum, from ``transfer_matrices`` and ``gap_statistics``,
-    is solved here."""
+    and the residual, are R's; U is unitary, so they are E's.  It serves
+    ``transfer_matrices``, which reads the vectors; ``transfer_values``
+    reads the values of the same solve."""
     spectrum = eig_general(real_form(e))
     u, _ = hermitian_basis(math.isqrt(e.shape[-1]))
     return EigenDecomposition(spectrum.values, u @ spectrum.vectors, spectrum.residual)
+
+
+def transfer_values(e: np.ndarray) -> np.ndarray:
+    """``transfer_spectrum(e).values``, bit for bit: ``eig_values`` of
+    ``real_form(e)``, the same checked solve, with every residual checked,
+    but no eigenvector sorted, renormalised or mapped back through U."""
+    return eig_values(real_form(e))
 
 
 def transfer_matrices(matrices: np.ndarray) -> list[TransferMatrix]:

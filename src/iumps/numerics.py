@@ -2,16 +2,23 @@
 
 Everything here operates on plain ``numpy`` arrays at desk scale (matrices up
 to 64x64).  The eigensolvers wrap LAPACK but pin down the ordering, residual,
-and error contracts the rest of the package relies on.  ``eig_general``
-follows its input's dtype: the transfer spectra reach it as real matrices
-(``mps.real_form``) and take real LAPACK; it returns complex fields either
-way.
+and error contracts the rest of the package relies on.  A general spectrum is
+one checked solve (``np.linalg.eig`` and its residual check over every
+eigenpair) read by one of two readers: ``eig_values`` sorts the values only,
+and ``eig_general`` also sorts, renormalises and returns the vectors, for the
+callers that read them.  Both follow their input's dtype: the transfer
+spectra reach them as real matrices (``mps.real_form``) and take real LAPACK;
+they return complex fields either way.
 
-The Haar sampler, ``eig_general`` and ``eigvals_hermitian`` also take
+The Haar sampler, both general readers and ``eigvals_hermitian`` also take
 stacks: at these sizes much of a single call is per-call numpy overhead
 around the LAPACK routine, which a stack pays once.  A stack returns, row by
 row, the bits of one call per matrix, and ``haar_unitary`` and a
 single-matrix ``eig_general`` are the one-element case of the stacked code.
+Each stream of a Haar call draws through the call's one ``Philox`` generator:
+the stream's key is set from the words of its coordinates
+(``RandomStream.entropy_words``) with the counter at 0, so each draw has the
+bits of the stream's own ``RandomStream.generator()``.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .exceptions import NonConvergence, NotHermitian
 
 MAX_EIG_DIM = 64
 EIG_RESIDUAL_TOL = 1e-11
+_WORD = 2**32 - 1
 
 
 class _StreamCoordinates(NamedTuple):
@@ -40,7 +48,8 @@ class RandomStream(_StreamCoordinates):
     execution order; distinct stream indices give statistically independent
     streams.  ``substream`` derives further independent streams for
     constructions that need more than one draw.  A ``master_seed`` outside
-    [0, 2^64) is refused when the stream is made.
+    [0, 2^64), or a negative ``stream_index`` or path element, is refused
+    when the stream is made.
     """
 
     __slots__ = ()
@@ -48,7 +57,23 @@ class RandomStream(_StreamCoordinates):
     def __new__(cls, master_seed: int, stream_index: int, path: tuple[int, ...] = ()):
         if not 0 <= master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
+        if stream_index < 0 or min(path, default=0) < 0:
+            raise ValueError("stream_index and path elements must be >= 0")
         return super().__new__(cls, master_seed, stream_index, path)
+
+    def entropy_words(self) -> np.ndarray:
+        """The 32-bit words ``SeedSequence(master_seed, spawn_key=(stream_index,
+        *path))`` assembles, as ``uint32``: master_seed's words zero-padded to
+        the pool size 4, then each key element's words, each least
+        significant first.  A master_seed below 2^64 has at most two words,
+        so its four are its low word, its high word and two zeros.
+        ``SeedSequence(entropy_words())`` has the pool of that SeedSequence."""
+        words = [self.master_seed & _WORD, self.master_seed >> 32, 0, 0]
+        for k in (self.stream_index, *self.path):
+            words.append(k & _WORD)  # 0 is one word
+            while k := k >> 32:
+                words.append(k & _WORD)
+        return np.array(words, dtype=np.uint32)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(
@@ -91,13 +116,26 @@ def haar_unitaries(dim: int, streams: Sequence[RandomStream]) -> np.ndarray:
     of R is real positive.  Without the phase fix the QR convention would
     bias the distribution.  Each stream draws its real and imaginary parts
     in one ``standard_normal((2, dim, dim))``; the whole stack then goes
-    through one QR.  Row i is, bit for bit, ``haar_unitary(dim, streams[i])``.
+    through one QR.  Row i is, bit for bit, ``haar_unitary(dim, streams[i])``,
+    and its draw that of ``streams[i].generator()``: the streams share one
+    ``Philox`` and ``Generator``, built on the first stream's key, and each
+    later stream sets its own key, with the counter at 0 and an empty
+    buffer, before it draws.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     draws = np.empty((len(streams), 2, dim, dim))
+    bitgen = None
     for out, stream in zip(draws, streams):
-        stream.generator().standard_normal(out=out)
+        seq = np.random.SeedSequence(stream.entropy_words())
+        if bitgen is None:  # built on the first stream's key: no placeholder to build
+            bitgen = np.random.Philox(seq)
+            gen = np.random.Generator(bitgen)
+            state = bitgen.state  # counter 0 and an empty buffer, kept for the rest
+        else:
+            state["state"]["key"] = seq.generate_state(2, np.uint64)
+            bitgen.state = state
+        gen.standard_normal(out=out)
     z = draws[:, 0] + 1j * draws[:, 1]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -111,9 +149,12 @@ def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
     return haar_unitaries(dim, (stream,))[0]
 
 
-def _sort_spectrum(values: np.ndarray) -> np.ndarray:
+def _spectrum_order(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The index that sorts each row of ``values`` (a spectrum or a stack of
+    them) into ``EigenDecomposition`` order."""
     # lexsort uses the last key as primary; each row of a stack sorts alone
-    return np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    return (*(i[..., None] for i in np.indices(order.shape[:-1], sparse=True)), order)
 
 
 def flagged_at(bad: np.ndarray) -> str:
@@ -123,6 +164,47 @@ def flagged_at(bad: np.ndarray) -> str:
         return ""
     index = tuple(int(i) for i in np.argwhere(bad)[0])
     return f" (matrix {index[0] if len(index) == 1 else index})"
+
+
+def _eig_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one checked solve behind ``eig_values`` and ``eig_general``: the
+    values, vectors and residual of a square matrix (dimension <= 64) or of
+    each matrix of a stack ``(..., m, m)``, in LAPACK's order, the vectors as
+    LAPACK returns them (unit-norm columns), all complex.  The residual is
+    ``max_i ||A v_i - nu_i v_i||_2`` over every eigenpair; one above
+    ``EIG_RESIDUAL_TOL`` times the matrix's Frobenius norm raises
+    ``NonConvergence`` naming the first failing matrix."""
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise ValueError("matrix must be square")
+    if n > MAX_EIG_DIM:
+        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_EIG_DIM}")
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+    # numpy hands back real arrays when a real stack has only real eigenvalues
+    values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
+    residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=-2).max(axis=-1)
+    norm_a = np.linalg.norm(a, axis=(-2, -1))
+    bad = (norm_a > 0) & (residual > EIG_RESIDUAL_TOL * norm_a)
+    if bad.any():
+        worst = float(np.max(residual, where=bad, initial=0.0))
+        raise NonConvergence(
+            f"eigenvector residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.1e}*||a||{flagged_at(bad)}"
+        )
+    return values, vectors, residual
+
+
+def eig_values(a: np.ndarray) -> np.ndarray:
+    """``eig_general(a).values``, bit for bit, from the same checked solve,
+    without the vector bookkeeping: the eigenvalues of a square matrix, or of
+    each matrix of a stack, in ``EigenDecomposition`` order.  Every
+    eigenpair's residual is checked as ``eig_general`` checks it, and a
+    failing one raises the same ``NonConvergence``."""
+    values, _, _ = _eig_checked(a)
+    return values[_spectrum_order(values)]
 
 
 def eig_general(a: np.ndarray) -> EigenDecomposition:
@@ -137,41 +219,21 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
     A stack gives ``values`` of shape ``(..., m)``, ``vectors`` of shape
     ``(..., m, m)`` and ``residual`` of shape ``(...)``, row by row the bits of
     one call per matrix, from one LAPACK-looping ``eig``; the ordering,
-    normalisation and residual contract hold for every matrix.  A residual
-    above ``EIG_RESIDUAL_TOL`` times the matrix's Frobenius norm raises
+    normalisation and residual contract hold for every matrix.  The residual
+    is that of the checked solve (``_eig_checked``), taken on LAPACK's
+    vectors before they are sorted and renormalised; a residual above
+    ``EIG_RESIDUAL_TOL`` times the matrix's Frobenius norm raises
     ``NonConvergence`` naming the first failing matrix.
     """
-    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
-        raise ValueError("matrix must be square")
-    if n > MAX_EIG_DIM:
-        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_EIG_DIM}")
-    try:
-        values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
-    # numpy hands back real arrays when a real stack has only real eigenvalues
-    values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
-    order = _sort_spectrum(values)
-    index = (*(i[..., None] for i in np.indices(order.shape[:-1], sparse=True)), order)
-    values = values[index]
+    values, vectors, residual = _eig_checked(a)
+    index = _spectrum_order(values)
     # gathered as rows of V^T, each matrix's columns end up contiguous, the
-    # layout ``vectors[:, order]`` has for one matrix: the norms and the
-    # residual then sum in the same order whether or not the matrix is stacked
+    # layout ``vectors[:, order]`` has for one matrix: the norms then sum in
+    # the same order whether or not the matrix is stacked
     vectors = vectors.swapaxes(-1, -2)[index].swapaxes(-1, -2)
     vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
-    residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=-2).max(axis=-1)
-    norm_a = np.linalg.norm(a, axis=(-2, -1))
-    bad = (norm_a > 0) & (residual > EIG_RESIDUAL_TOL * norm_a)
-    if bad.any():
-        worst = float(np.max(residual, where=bad, initial=0.0))
-        raise NonConvergence(
-            f"eigenvector residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.1e}*||a||{flagged_at(bad)}"
-        )
-    return EigenDecomposition(
-        values=values, vectors=vectors, residual=residual if a.ndim > 2 else float(residual)
-    )
+    residual = residual if residual.ndim else float(residual)
+    return EigenDecomposition(values=values[index], vectors=vectors, residual=residual)
 
 
 def _frobenius(a: np.ndarray, conj_a: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -526,8 +526,9 @@ def test_planned_first_block_never_changes_a_result(monkeypatch, request, source
     its curve: at ``PLAN_MARGIN`` -100 the scan takes several blocks (the
     fixed blocks of |B| 2-16, 18-32, ..., where k ln 10 / q < 116; the
     seed-60 instance, nu_gap 0.913, plans 2-52), and at +100 one block runs
-    to b_max_limit.  The points, b_max and QMI column are identical at
-    -100, 4 and +100."""
+    to b_max_limit, or to ``PLAN_BLOCK_MAX`` sizes (|B| = 64) and on in
+    blocks of ``SCAN_BLOCK`` at b_max_limit 80.  The points, b_max and QMI
+    column are identical at -100, 4 and +100."""
     if source == "golden":
         kraus = benchmark_kraus()
     elif source == "reset_mixed":
@@ -553,9 +554,36 @@ def test_planned_first_block_never_changes_a_result(monkeypatch, request, source
         if margin == -100:
             assert len(blocks) > 1
         if margin == 100:
-            assert len(blocks) == 1 and max(blocks[0]) == b_max + 3
+            first_end = min(b_max, 2 * iumps.experiments.PLAN_BLOCK_MAX)
+            assert max(blocks[0]) == first_end + 3
+            assert (len(blocks) == 1) == (first_end == b_max)
     assert curves[0] == curves[1] == curves[2]
     assert curves[0][3] is not None and len(curves[0][3]) == len(curves[0][1])
+
+
+def test_a_slow_gap_caps_its_planned_first_block():
+    """nu_gap = 0.99 plans |B| up to 1,380 but stops at |B| = 986: the first
+    block holds ``PLAN_BLOCK_MAX`` sizes, so the QMI-column scan's
+    ``tracemalloc`` peak stays near that of blocks of 8 (6.4 MB measured; an
+    uncapped first block solving to 1,382 peaked at 13.3 MB).  Its points
+    are, bit for bit, those it gets in a two-instance stack, which takes
+    blocks of 8 from the start."""
+    import tracemalloc
+
+    kraus = analytic_family("first", 0.01)
+    mps = build_iumps(kraus)
+    factors = region_factors(kraus, 1, 1)
+    tracemalloc.start()
+    try:
+        curve = scan_instance(mps, 1, 1, 3000, 12, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.b_max == 984 and len(curve.qmi) == len(curve.points)
+    assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
+    pair = scan_instances([build_iumps(kraus), build_iumps(kraus)], 1, 1, 3000, 12)
+    for stacked in pair:
+        assert stacked.points == curve.points and stacked.b_max == curve.b_max
 
 
 @pytest.mark.parametrize("margin", [-100, 4, 100])

@@ -34,9 +34,11 @@ from iumps.mps import (
     hermitian_basis,
     kraus_reach,
     real_form,
+    sample_case,
     sample_iumps,
     transfer_matrices,
     transfer_spectrum,
+    transfer_values,
 )
 from iumps.numerics import EigenDecomposition
 from oracles import (
@@ -420,6 +422,45 @@ def test_real_form_spectrum_matches_the_complex_route(ks):
     # every non-real eigenvalue's conjugate is there, bit for bit
     for nu in values[values.imag != 0]:
         assert np.any(values == nu.conjugate())
+
+
+def test_transfer_values_are_the_bits_of_transfer_spectrum_values():
+    """Seeded Case 1-3 stacks, the golden instance and both analytic
+    families: the values reader gives every value of the vector reader, bit
+    for bit, stacked or alone."""
+    stacks = [
+        transfer_operators(sample_case(case, 3, 4, [RandomStream(20231, i) for i in range(5)]))
+        for case in ("case1", "case2", "case3")
+    ]
+    singles = [
+        transfer_matrix(ks).e
+        for ks in (benchmark_kraus(), analytic_family("first", 0.1), analytic_family("second", 0.3))
+    ]
+    for e in stacks + singles:
+        values = transfer_values(e)
+        assert values.dtype == complex
+        assert values.tobytes() == transfer_spectrum(e).values.tobytes()
+    for e in stacks[0]:
+        assert transfer_values(e).tobytes() == transfer_spectrum(e).values.tobytes()
+
+
+def test_both_transfer_readers_raise_the_same_nonconvergence(monkeypatch):
+    real_eig = np.linalg.eig
+
+    def second_vectors_off(a):
+        values, vectors = real_eig(a)
+        vectors = vectors.astype(complex)
+        vectors[1, :, 0] += 1e-3  # breaks one eigenpair of the second matrix only
+        return values, vectors
+
+    e = transfer_operators(sample_case1(3, 4, [RandomStream(5, i) for i in range(3)]))
+    monkeypatch.setattr(np.linalg, "eig", second_vectors_off)
+    messages = []
+    for reader in (transfer_values, transfer_spectrum):
+        with pytest.raises(NonConvergence, match=r"\(matrix 1\)") as info:
+            reader(e)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_real_form_rejects_a_map_that_breaks_hermiticity():

@@ -8,6 +8,7 @@ from iumps import (
     RandomStream,
     eig_general,
     eig_hermitian,
+    eig_values,
     eigvals_hermitian,
     haar_unitaries,
     haar_unitary,
@@ -88,6 +89,66 @@ def test_haar_unitary_keeps_the_two_draw_construction():
         q, r = np.linalg.qr(z)
         d = np.diagonal(r)
         assert haar_unitary(12, RandomStream(23, i)).tobytes() == (q * (d / np.abs(d))).tobytes()
+
+
+def unitary_from_draw(draw):
+    """The Haar construction of ``haar_unitaries`` on one stream's draw."""
+    z = draw[0] + 1j * draw[1]
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+EDGE_STREAMS = [
+    RandomStream(seed, index, path)
+    for seed in (0, 2**32 - 1, 2**32, 2**64 - 1)
+    for index in (0, 2**32)
+    for path in ((), (1,), (0, 1))
+]
+
+
+def test_haar_unitaries_draw_what_each_stream_generator_draws():
+    """At the edge coordinates of the word assembly (seeds at and around the
+    32-bit and 64-bit limits, an index of two words, paths of length 0-2,
+    mixed in one call), each row is built from its stream's own
+    ``generator()`` draw, and ``entropy_words`` gives that generator's
+    pool."""
+    dim = 4
+    stack = haar_unitaries(dim, EDGE_STREAMS)
+    for row, stream in zip(stack, EDGE_STREAMS, strict=True):
+        seq = np.random.SeedSequence(
+            stream.master_seed, spawn_key=(stream.stream_index, *stream.path)
+        )
+        assert np.array_equal(np.random.SeedSequence(stream.entropy_words()).pool, seq.pool)
+        draw = stream.generator().standard_normal((2, dim, dim))
+        assert row.tobytes() == unitary_from_draw(draw).tobytes()
+        assert row.tobytes() == haar_unitary(dim, stream).tobytes()
+
+
+def test_entropy_words_are_the_assembled_seed_words():
+    assert RandomStream(0, 0).entropy_words().tolist() == [0, 0, 0, 0, 0]
+    assert RandomStream(2**32, 2**32, (0, 1)).entropy_words().tolist() == [0, 1, 0, 0, 0, 1, 0, 1]
+    words = RandomStream(2**64 - 1, 7, (2**40 + 3,)).entropy_words()
+    assert words.dtype == np.uint32
+    assert words.tolist() == [2**32 - 1, 2**32 - 1, 0, 0, 7, 3, 2**8]
+
+
+def test_a_negative_stream_coordinate_is_refused():
+    for index, path in [(-1, ()), (0, (-1,)), (3, (0, -2)), (-(2**32), (1,))]:
+        with pytest.raises(ValueError, match="must be >= 0"):
+            RandomStream(7, index, path)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        RandomStream(7, 0).substream(-1)
+
+
+def test_eig_values_are_the_bits_of_eig_general_values():
+    rng = np.random.default_rng(8)
+    complex_stack = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))
+    real_stack = rng.standard_normal((4, 16, 16))
+    ties = np.diag([1j, -1j, 1.0, -1.0])
+    for a in (complex_stack, real_stack, complex_stack[0], real_stack[1], ties, np.eye(4)):
+        assert eig_values(a).tobytes() == eig_general(a).values.tobytes()
 
 
 def test_eig_general_identity():
