@@ -68,6 +68,7 @@ from .mps import (
     fixed_point,
     sample_case1,
     spectral_gap,
+    transfer_magnitudes,
     transfer_matrix,
     transfer_operators,
     unvec,
@@ -78,8 +79,8 @@ from .numerics import (
     HermitianEigenDecomposition,
     RandomStream,
     eig_general,
-    eig_values,
     eig_hermitian,
+    eig_magnitudes,
     eigvals_hermitian,
     haar_unitaries,
     haar_unitary,

@@ -46,7 +46,8 @@ stacks of one from ``mps.powers``.  Each instance keeps its S(n) in
 The QMI is one instance at a time: only ``iumps scan``'s QMI column and the
 golden benchmark read it.  ``qmi_of_powers`` takes rho_AC over many |B| from
 ``_rho_ac``'s one multiply of one |B|-independent end by every E^|B| and one
-matmul with the other end, then one stacked ``eigvalsh``.  ``iumps scan``
+matmul with the other end, then one stacked ``eigvalsh``, a slice of at most
+``QMI_SLICE`` |B| at a time, so a long curve holds no more.  ``iumps scan``
 calls it once its scan is done, on the E^|B| the scan's window multiplied
 out and the S(|A|), S(|C|) the scan's first stack solved;
 ``qmi_curve`` calls it on E^n from one ``mps.powers`` call, with the same
@@ -74,6 +75,11 @@ from .numerics import eig_hermitian, eigvals_hermitian
 
 THRESHOLD = 1e-12
 BRUTE_FORCE_CAP = 1024
+# |B| values whose rho_AC one QMI solve stacks.  rho_AC reaches 1024 x 1024,
+# so a stack of a whole curve grew with the curve (361 MB at 120 points of
+# 256 x 256); a slice bounds the peak, and each S(AC) keeps the bits of its
+# own solve.  32 is the most |B| values a planned first block of a scan holds.
+QMI_SLICE = 32
 
 
 class SupportProjection(NamedTuple):
@@ -348,12 +354,16 @@ def qmi_of_powers(
 ) -> list[float]:
     """I(A:C) = S(A) + S(C) - S(AC) across B at each E^|B| of ``powers_b``,
     from one ``_rho_ac`` on the ``region_factors`` ``factors`` and one
-    stacked ``eigvalsh``.  S(A) and S(C) are the S(|A|) and S(|C|) the
-    instance keeps, which the caller has solved."""
-    rho = _rho_ac(mps, factors[0], powers_b, factors[1])
-    lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
-    s_ac = _support_entropies(lam, lam > 0)
-    return (mps.entropies[len_a] + mps.entropies[len_c] - s_ac).tolist()
+    stacked ``eigvalsh`` per slice of at most ``QMI_SLICE`` |B|, so the
+    memory held does not grow with the curve.  S(A) and S(C) are the S(|A|)
+    and S(|C|) the instance keeps, which the caller has solved."""
+    s_ac = []
+    for start in range(0, len(powers_b), QMI_SLICE):
+        rho = _rho_ac(mps, factors[0], powers_b[start : start + QMI_SLICE], factors[1])
+        lam = np.clip(np.linalg.eigvalsh(rho), 0, None)
+        del rho  # freed before the next slice's is built
+        s_ac.append(_support_entropies(lam, lam > 0))
+    return (mps.entropies[len_a] + mps.entropies[len_c] - np.concatenate(s_ac)).tolist()
 
 
 def qmi_curve(mps: IuMps, len_a: int, sizes: Sequence[int], len_c: int) -> list[float]:

@@ -28,8 +28,8 @@ from .mps import (
     sample_case1,
     sample_iumps,
     spectral_gap,
+    transfer_magnitudes,
     transfer_operators,
-    transfer_values,
 )
 from .numerics import RandomStream
 
@@ -547,11 +547,12 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     Instance i draws from ``RandomStream(master_seed, i)``.  The instances go
     in chunks of ``GAP_CHUNK``: per chunk, one stacked Haar draw and QR
     (``sample_case1``), one stacked transfer contraction and one stacked
-    ``transfer_values``, which checks every eigenpair's residual but reads
-    no eigenvector.  Every row carries the values of ``build_case1`` +
-    ``transfer_matrix`` on its own, bit for bit, so the samples do not
-    depend on the chunk size.  d_M must be at least 2, for E to have the
-    three eigenvalues the gaps need.
+    ``transfer_magnitudes``, which checks every eigenpair's residual, in
+    real arithmetic, but sorts no complex spectrum and reads no
+    eigenvector; the gaps read its columns 0-2.  Every row carries the
+    magnitudes of ``build_case1`` + ``transfer_matrix`` on its own, bit for
+    bit, so the samples do not depend on the chunk size.  d_M must be at
+    least 2, for E to have the three eigenvalues the gaps need.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -561,8 +562,8 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     for start in range(0, n, GAP_CHUNK):
         stop = min(start + GAP_CHUNK, n)
         streams = [RandomStream(master_seed, i) for i in range(start, stop)]
-        values = transfer_values(transfer_operators(sample_case1(d_s, d_m, streams)))
-        mags[start:stop] = np.abs(values[:, :3])
+        e = transfer_operators(sample_case1(d_s, d_m, streams))
+        mags[start:stop] = transfer_magnitudes(e)[:, :3]
     return GapStatistics(
         one_minus_nu1=np.sort(np.abs(1.0 - mags[:, 0])),
         nu1_minus_nu2=np.sort(np.abs(mags[:, 0] - mags[:, 1])),

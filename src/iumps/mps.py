@@ -10,7 +10,8 @@ Hermitian.  In the orthonormal Hermitian basis of ``hermitian_basis``
 (columns vec(G_k) of a unitary U) it is therefore the real matrix
 R = U† E U (``real_form``), and every transfer spectrum is solved from R in
 real arithmetic: ``transfer_spectrum`` with eigenvectors U V_R, or
-``transfer_values`` for the values alone.
+``transfer_magnitudes`` for the eigenvalue magnitudes alone.  Either solve
+checks every eigenpair's residual in real arithmetic too (``numerics``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .numerics import (
     EigenDecomposition,
     RandomStream,
     eig_general,
-    eig_values,
+    eig_magnitudes,
     flagged_at,
     haar_unitaries,
 )
@@ -215,12 +216,21 @@ class IuMps:
         return root
 
 
+@functools.cache
+def _case1_isometry(d_s: int, d_m: int) -> np.ndarray:
+    """Psi = (1/sqrt(d_s)) * ones(d_s) kron I, ``(d_s*d_M, d_M)``, complex
+    (the type its product with a unitary is taken in); built once per
+    (d_s, d_M) and read-only."""
+    psi = (np.tile(np.eye(d_m), (d_s, 1)) / np.sqrt(d_s)).astype(complex)
+    psi.flags.writeable = False
+    return psi
+
+
 def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:
     """M^s from a Haar unitary on dimension d_s*d_M applied to the fixed
-    isometry Psi = (1/sqrt(d_s)) * ones(d_s) kron I; a stack
-    ``(..., d_s*d_M, d_s*d_M)`` of unitaries gives a stack
-    ``(..., d_s, d_M, d_M)`` of Kraus sets."""
-    mu = u @ (np.tile(np.eye(d_m), (d_s, 1)) / np.sqrt(d_s))  # rows: composite (s, i)
+    isometry ``_case1_isometry``; a stack ``(..., d_s*d_M, d_s*d_M)`` of
+    unitaries gives a stack ``(..., d_s, d_M, d_M)`` of Kraus sets."""
+    mu = u @ _case1_isometry(d_s, d_m)  # rows: composite (s, i)
     return mu.reshape(*u.shape[:-2], d_s, d_m, d_m)
 
 
@@ -355,19 +365,22 @@ def transfer_spectrum(e: np.ndarray) -> EigenDecomposition:
     """``eig_general`` of each transfer matrix of a stack ``(..., d_M^2,
     d_M^2)``, solved in real arithmetic: one real ``eig_general`` of
     ``real_form(e)``, whose eigenvectors V_R map back as U V_R.  The values,
-    and the residual, are R's; U is unitary, so they are E's.  It serves
-    ``transfer_matrices``, which reads the vectors; ``transfer_values``
-    reads the values of the same solve."""
+    and the residual, are R's, the residual taken in real arithmetic; U is
+    unitary, so they are E's.  It serves ``transfer_matrices``, which reads
+    the vectors; ``transfer_magnitudes`` reads the magnitudes of the same
+    solve."""
     spectrum = eig_general(real_form(e))
     u, _ = hermitian_basis(math.isqrt(e.shape[-1]))
     return EigenDecomposition(spectrum.values, u @ spectrum.vectors, spectrum.residual)
 
 
-def transfer_values(e: np.ndarray) -> np.ndarray:
-    """``transfer_spectrum(e).values``, bit for bit: ``eig_values`` of
-    ``real_form(e)``, the same checked solve, with every residual checked,
-    but no eigenvector sorted, renormalised or mapped back through U."""
-    return eig_values(real_form(e))
+def transfer_magnitudes(e: np.ndarray) -> np.ndarray:
+    """``np.abs(transfer_spectrum(e).values)``, bit for bit: the eigenvalue
+    magnitudes, descending, of each transfer matrix of a stack, from
+    ``eig_magnitudes`` of ``real_form(e)``, the same checked solve, with
+    every residual checked, but no complex value sorted and no eigenvector
+    sorted, renormalised or mapped back through U."""
+    return eig_magnitudes(real_form(e))
 
 
 def transfer_matrices(matrices: np.ndarray) -> list[TransferMatrix]:

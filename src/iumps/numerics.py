@@ -4,11 +4,13 @@ Everything here operates on plain ``numpy`` arrays at desk scale (matrices up
 to 64x64).  The eigensolvers wrap LAPACK but pin down the ordering, residual,
 and error contracts the rest of the package relies on.  A general spectrum is
 one checked solve (``np.linalg.eig`` and its residual check over every
-eigenpair) read by one of two readers: ``eig_values`` sorts the values only,
-and ``eig_general`` also sorts, renormalises and returns the vectors, for the
-callers that read them.  Both follow their input's dtype: the transfer
-spectra reach them as real matrices (``mps.real_form``) and take real LAPACK;
-they return complex fields either way.
+eigenpair) read by one of two readers: ``eig_magnitudes`` sorts the
+eigenvalue magnitudes only, and ``eig_general`` sorts the values, then
+renormalises and returns the vectors, for the callers that read them.  Both
+follow their input's dtype: the transfer spectra reach them as real matrices
+(``mps.real_form``) and take real LAPACK, and the residual of a real matrix
+is checked in real arithmetic; ``eig_general`` returns complex fields either
+way.
 
 The Haar sampler, both general readers and ``eigvals_hermitian`` also take
 stacks: at these sizes much of a single call is per-call numpy overhead
@@ -115,12 +117,13 @@ def haar_unitaries(dim: int, streams: Sequence[RandomStream]) -> np.ndarray:
     the phase of the corresponding diagonal entry of R so that the diagonal
     of R is real positive.  Without the phase fix the QR convention would
     bias the distribution.  Each stream draws its real and imaginary parts
-    in one ``standard_normal((2, dim, dim))``; the whole stack then goes
-    through one QR.  Row i is, bit for bit, ``haar_unitary(dim, streams[i])``,
-    and its draw that of ``streams[i].generator()``: the streams share one
-    ``Philox`` and ``Generator``, built on the first stream's key, and each
-    later stream sets its own key, with the counter at 0 and an empty
-    buffer, before it draws.
+    in one ``standard_normal((2, dim, dim))``, assigned as the real and
+    imaginary parts of one complex stack, which then goes through one QR.
+    Row i is, bit for bit, ``haar_unitary(dim, streams[i])``, and its draw
+    that of ``streams[i].generator()``: the streams share one ``Philox``
+    and ``Generator``, built on the first stream's key, and each later
+    stream sets its own key, with the counter at 0 and an empty buffer,
+    before it draws.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -136,7 +139,8 @@ def haar_unitaries(dim: int, streams: Sequence[RandomStream]) -> np.ndarray:
             state["state"]["key"] = seq.generate_state(2, np.uint64)
             bitgen.state = state
         gen.standard_normal(out=out)
-    z = draws[:, 0] + 1j * draws[:, 1]
+    z = np.empty((len(streams), dim, dim), dtype=complex)
+    z.real, z.imag = draws[:, 0], draws[:, 1]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -167,13 +171,16 @@ def flagged_at(bad: np.ndarray) -> str:
 
 
 def _eig_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one checked solve behind ``eig_values`` and ``eig_general``: the
-    values, vectors and residual of a square matrix (dimension <= 64) or of
-    each matrix of a stack ``(..., m, m)``, in LAPACK's order, the vectors as
-    LAPACK returns them (unit-norm columns), all complex.  The residual is
+    """The one checked solve behind ``eig_magnitudes`` and ``eig_general``:
+    the values, vectors and residual of a square matrix (dimension <= 64) or
+    of each matrix of a stack ``(..., m, m)``, in LAPACK's order, the vectors
+    as LAPACK returns them (unit-norm columns), all complex.  The residual is
     ``max_i ||A v_i - nu_i v_i||_2`` over every eigenpair; one above
     ``EIG_RESIDUAL_TOL`` times the matrix's Frobenius norm raises
-    ``NonConvergence`` naming the first failing matrix."""
+    ``NonConvergence`` naming the first failing matrix.  A real matrix's
+    residual is taken in real arithmetic: A V is one real matmul on the
+    ``float64`` view of V, whose columns alternate the real and imaginary
+    parts of V's, and each column norm sums the squares of both parts."""
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     n = a.shape[-1]
     if a.ndim < 2 or a.shape[-2] != n:
@@ -185,8 +192,17 @@ def _eig_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver failed: {exc}") from exc
     # numpy hands back real arrays when a real stack has only real eigenvalues
-    values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
-    residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=-2).max(axis=-1)
+    values = values.astype(complex, copy=False)
+    vectors = np.ascontiguousarray(vectors, dtype=complex)
+    scaled = vectors * values[..., None, :]
+    if a.dtype == complex:
+        residual = np.linalg.norm(a @ vectors - scaled, axis=-2)
+    else:
+        diff = a @ vectors.view(np.float64)
+        diff -= scaled.view(np.float64)
+        sq = np.square(diff, out=diff).sum(axis=-2)
+        residual = np.sqrt(sq.reshape(*sq.shape[:-1], n, 2).sum(axis=-1))
+    residual = residual.max(axis=-1)
     norm_a = np.linalg.norm(a, axis=(-2, -1))
     bad = (norm_a > 0) & (residual > EIG_RESIDUAL_TOL * norm_a)
     if bad.any():
@@ -197,14 +213,17 @@ def _eig_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, vectors, residual
 
 
-def eig_values(a: np.ndarray) -> np.ndarray:
-    """``eig_general(a).values``, bit for bit, from the same checked solve,
-    without the vector bookkeeping: the eigenvalues of a square matrix, or of
-    each matrix of a stack, in ``EigenDecomposition`` order.  Every
-    eigenpair's residual is checked as ``eig_general`` checks it, and a
-    failing one raises the same ``NonConvergence``."""
+def eig_magnitudes(a: np.ndarray) -> np.ndarray:
+    """``np.abs(eig_general(a).values)``, bit for bit, from the same checked
+    solve: the eigenvalue magnitudes of a square matrix, or of each matrix of
+    a stack, descending.  Only the magnitudes are sorted; no value is
+    gathered and no eigenvector sorted or renormalised.  Every eigenpair's
+    residual is checked as ``eig_general`` checks it, and a failing one
+    raises the same ``NonConvergence``."""
     values, _, _ = _eig_checked(a)
-    return values[_spectrum_order(values)]
+    mags = np.abs(values)
+    mags.sort(axis=-1)
+    return mags[..., ::-1]
 
 
 def eig_general(a: np.ndarray) -> EigenDecomposition:

@@ -35,6 +35,7 @@ from iumps.entropy import (
     entropy_from_eigenvalues,
     fill_entropies_chunk,
     qmi_curve,
+    region_factors,
 )
 from iumps.mps import PowerWindow, build_case, powers
 from iumps.numerics import eigvals_hermitian, haar_unitary, mat_power
@@ -373,6 +374,35 @@ def test_qmi_curve_solves_its_regions_from_its_own_powers(monkeypatch, case_inst
     for mps in fresh:
         for n in (la, lc):
             assert mps.entropies[n] == region_entropy(build_iumps(mps.kraus), n).entropy
+
+
+def test_the_qmi_column_memory_does_not_grow_with_the_curve(monkeypatch):
+    """nu_gap = 0.99 scans to its b_max_limit, so 40 and 80 kept |B| of
+    81 x 81 rho_AC (|A| = |C| = 2): one stack of every |B| peaked at 13.1 and
+    26.0 MB (tracemalloc), slices of ``QMI_SLICE`` at 10.5 and 10.7 MB.  The
+    sliced QMI is, bit for bit, ``qmi_curve``'s and that of one stack."""
+    import tracemalloc
+
+    import iumps.entropy
+
+    kraus = analytic_family("first", 0.01)
+    factors = region_factors(kraus, 2, 2)
+    peaks, curves = [], []
+    for b_max in (80, 160):
+        mps = build_iumps(kraus)
+        tracemalloc.start()
+        try:
+            curves.append(scan_instance(mps, 2, 2, b_max, 12, factors))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [c.b_max for c in curves] == [80, 160]
+    assert peaks[1] < 1.25 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
+    sizes = [p.b_len for p in curves[1].points]
+    assert curves[1].qmi == qmi_curve(build_iumps(kraus), 2, sizes, 2)
+    assert curves[0].qmi == curves[1].qmi[: len(curves[0].qmi)]
+    monkeypatch.setattr(iumps.entropy, "QMI_SLICE", len(sizes))
+    assert curves[1].qmi == qmi_curve(build_iumps(kraus), 2, sizes, 2)
 
 
 def test_region_factor_is_site_products_until_they_outnumber_d_m_squared(case_instances):

@@ -243,6 +243,25 @@ def test_gap_statistics_equals_per_instance_reference(n):
     assert stats.nu2_minus_nu3.tobytes() == np.sort(g[:, 2]).tobytes()
 
 
+def test_gap_statistics_sorts_no_complex_spectrum(monkeypatch):
+    """The gaps read magnitudes only: with the complex spectrum order
+    refused, ``gap_statistics`` gives the same bits, while the vector reader
+    cannot run."""
+    import iumps.numerics
+
+    before = gap_statistics(20, 11)
+
+    def refused(values):
+        raise AssertionError("a complex spectrum was sorted")
+
+    monkeypatch.setattr(iumps.numerics, "_spectrum_order", refused)
+    after = gap_statistics(20, 11)
+    for field in before._fields:
+        assert getattr(after, field).tobytes() == getattr(before, field).tobytes(), field
+    with pytest.raises(AssertionError, match="complex spectrum was sorted"):
+        transfer_matrix(build_case1(3, 4, RandomStream(11, 0)))
+
+
 def test_gap_statistics_rejects_bond_dimension_one():
     # E is 1x1 at d_M = 1: one eigenvalue, no gaps
     with pytest.raises(ValueError, match="d_M >= 2"):

@@ -37,8 +37,8 @@ from iumps.mps import (
     sample_case,
     sample_iumps,
     transfer_matrices,
+    transfer_magnitudes,
     transfer_spectrum,
-    transfer_values,
 )
 from iumps.numerics import EigenDecomposition
 from oracles import (
@@ -424,10 +424,10 @@ def test_real_form_spectrum_matches_the_complex_route(ks):
         assert np.any(values == nu.conjugate())
 
 
-def test_transfer_values_are_the_bits_of_transfer_spectrum_values():
-    """Seeded Case 1-3 stacks, the golden instance and both analytic
-    families: the values reader gives every value of the vector reader, bit
-    for bit, stacked or alone."""
+def test_transfer_magnitudes_are_the_bits_of_transfer_spectrum_magnitudes():
+    """Seeded Case 1-3 stacks, the golden instance, both analytic families
+    and a stack of one: the magnitudes reader gives the magnitude of every
+    value of the vector reader, bit for bit, stacked or alone."""
     stacks = [
         transfer_operators(sample_case(case, 3, 4, [RandomStream(20231, i) for i in range(5)]))
         for case in ("case1", "case2", "case3")
@@ -436,12 +436,23 @@ def test_transfer_values_are_the_bits_of_transfer_spectrum_values():
         transfer_matrix(ks).e
         for ks in (benchmark_kraus(), analytic_family("first", 0.1), analytic_family("second", 0.3))
     ]
-    for e in stacks + singles:
-        values = transfer_values(e)
-        assert values.dtype == complex
-        assert values.tobytes() == transfer_spectrum(e).values.tobytes()
+    for e in stacks + singles + [stacks[1][:1]]:
+        mags = transfer_magnitudes(e)
+        assert mags.dtype == np.float64 and mags.shape == e.shape[:-1]
+        assert mags.tobytes() == np.abs(transfer_spectrum(e).values).tobytes()
     for e in stacks[0]:
-        assert transfer_values(e).tobytes() == transfer_spectrum(e).values.tobytes()
+        assert transfer_magnitudes(e).tobytes() == np.abs(transfer_spectrum(e).values).tobytes()
+
+
+def test_the_case1_isometry_is_built_once_and_read_only():
+    from iumps.mps import _case1_isometry
+
+    psi = _case1_isometry(3, 4)
+    assert _case1_isometry(3, 4) is psi and not psi.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        psi[0, 0] = 0
+    assert np.array_equal(psi, np.tile(np.eye(4), (3, 1)) / np.sqrt(3))
+    assert _case1_isometry(2, 4).shape == (8, 4)
 
 
 def test_both_transfer_readers_raise_the_same_nonconvergence(monkeypatch):
@@ -456,7 +467,7 @@ def test_both_transfer_readers_raise_the_same_nonconvergence(monkeypatch):
     e = transfer_operators(sample_case1(3, 4, [RandomStream(5, i) for i in range(3)]))
     monkeypatch.setattr(np.linalg, "eig", second_vectors_off)
     messages = []
-    for reader in (transfer_values, transfer_spectrum):
+    for reader in (transfer_magnitudes, transfer_spectrum):
         with pytest.raises(NonConvergence, match=r"\(matrix 1\)") as info:
             reader(e)
         messages.append(str(info.value))
