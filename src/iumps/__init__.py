@@ -6,7 +6,7 @@ information through support projection, and test the exponential decay of
 the conditional mutual information against its spectral bounding function.
 """
 
-from .bounds import BoundConstants, jordan_constants, qcmi_error_estimate, sufficient_b, decay_bound
+from .bounds import BoundConstants, jordan_constants, sufficient_b, decay_bound
 from .entropy import (
     EntropyReport,
     SupportProjection,

@@ -163,12 +163,3 @@ def sufficient_b(constants: BoundConstants, d_s: int) -> int:
             return b
         b += 2
     raise Unsupported(f"no sufficient |B| found below {SUFFICIENT_B_CAP}")
-
-
-def qcmi_error_estimate(d_m: int, lambda_min: float, delta_lambda: float) -> float:
-    """Worst-case entropy error d_M^2 * delta_lambda * ln(1/lambda_min)."""
-    if not 0 < lambda_min <= 1:
-        raise ValueError("lambda_min must lie in (0, 1]")
-    if delta_lambda < 0:
-        raise ValueError("delta_lambda must be nonnegative")
-    return float(d_m**2 * delta_lambda * np.log(1.0 / lambda_min))

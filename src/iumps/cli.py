@@ -11,8 +11,6 @@ Exit codes: 0 ok, 1 benchmark failure, 2 numerical failure, 3 degenerate input,
 on stdout; the others end in a one-line stderr message.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -37,6 +35,7 @@ from .experiments import (
     analytic_family,
     benchmark_kraus,
     golden_benchmark,
+    check_scan_args,
     distinct_magnitudes,
     gap_statistics,
     run_ensemble,
@@ -69,16 +68,6 @@ FIRST_FAMILY_TOL = 1e-10
 _CASES = {"1": CASE1, "2": CASE2, "3": CASE3, "a": "golden", "golden": "golden"}
 
 
-# Value types each RunConfig annotation accepts: a bool is valid only for a
-# bool field, and None only for kraus_path.
-_ACCEPTED_TYPES = {
-    "int": int,
-    "str": str,
-    "bool": bool,
-    "str | None": (str, type(None)),
-}
-
-
 class RunConfig(NamedTuple):
     """Flat run configuration; defaults reproduce the standard parameter set."""
 
@@ -97,10 +86,9 @@ class RunConfig(NamedTuple):
 
     def validate(self) -> None:
         for name, value in zip(self._fields, self):
-            hint = RunConfig.__annotations__[name]  # typing keeps "int" as ForwardRef("int")
-            kind = getattr(hint, "__forward_arg__", hint)
-            accepted = _ACCEPTED_TYPES[kind]
-            if not isinstance(value, accepted) or (isinstance(value, bool) and accepted is not bool):
+            kind = RunConfig.__annotations__[name]  # a bool is valid only for a bool field
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                kind = getattr(kind, "__name__", kind)  # "int", or the union "str | None"
                 raise ValueError(f"config: {name} must be {kind}, not {value!r}")
         if self.b_max_limit % 2 != 0:
             raise ValueError("b_max_limit must be even")
@@ -213,6 +201,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_scan(config: RunConfig) -> int:
+    check_scan_args(config.len_a, config.len_c, config.b_max_limit, config.k)  # before the draw
     mps = build_iumps(_kraus(config, 0))
     # rho_AC's cap is checked here, before the scan, not after it
     factors = region_factors(mps.kraus, config.len_a, config.len_c)
@@ -298,7 +287,9 @@ def cmd_gapstats(config: RunConfig) -> int:
 
 
 def cmd_benchmark(config: RunConfig) -> int:
-    # sampled first: a config it rejects (d_M < 2) then ends before any output
+    # a k the golden scan rejects (k > 307), then a sample gap_statistics
+    # rejects (d_M < 2), ends before any draw or output
+    check_scan_args(1, 1, 40, config.k)
     stats = gap_statistics(200, config.master_seed, config.d_s, config.d_M)
     try:
         report = golden_benchmark(k=config.k)

@@ -118,6 +118,8 @@ def check_scan_args(len_a: int, len_c: int, b_max_limit: int, k: int) -> None:
         raise ValueError("b_max_limit must be even and >= 2")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > 307:  # 10^-308 is subnormal, and from k = 324 the floor is 0.0
+        raise ValueError("k must be <= 307, for a floor 10^-k that is a normal double")
 
 
 def scan_instances(

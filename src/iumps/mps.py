@@ -234,6 +234,12 @@ def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:
     return mu.reshape(*u.shape[:-2], d_s, d_m, d_m)
 
 
+# Largest Haar dimension d_s*d_M sampled.  One GAP_CHUNK draw of 16 unitaries
+# peaks (tracemalloc) at 21.9 MB at 128, the most the tests and ROADMAP tables
+# sample, at 84 MB at 256 and at 336 MB at 512: about 1.3 kB * dimension^2.
+MAX_HAAR_DIM = 256
+
+
 def _check_dims(d_s: int, d_m: int) -> None:
     """Refuse dimensions below 1, and a d_M whose d_M^2 x d_M^2 transfer
     matrix ``eig_general`` cannot solve, before any draw or E is allocated."""
@@ -252,22 +258,26 @@ def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndar
     checks them: one stacked Haar draw and one vectorised canonical check.
     Every sampled case draws its Kraus sets here.  Row i is, bit for bit,
     what a call on ``streams[i]`` alone gives."""
-    _check_dims(d_s, d_m)
+    check_case(CASE1, d_s, d_m)
     matrices = _case1_matrices(d_s, d_m, haar_unitaries(d_s * d_m, streams))
     check_canonical(matrices)
     return matrices
 
 
 def check_case(case_tag: str, d_s: int, d_m: int) -> None:
-    """Raise ``ValueError`` unless ``case_tag`` is a sampled case that can be
-    drawn at d_s x d_M: an unknown case first, then an odd d_M for a
-    two-block case, then ``_check_dims``."""
+    """Raise ``ValueError``, before anything is drawn, unless ``case_tag`` is
+    a sampled case that can be drawn at d_s x d_M: an unknown case first,
+    then an odd d_M for a two-block case, then ``_check_dims``, then a Haar
+    dimension d_s*d_M above ``MAX_HAAR_DIM``.  A loaded Kraus set draws
+    nothing, so ``KrausSet.validate`` checks ``_check_dims`` only."""
     if case_tag != CASE1 and case_tag not in _BLOCK_LAYOUT:
         cases = sorted((CASE1, *_BLOCK_LAYOUT))
         raise ValueError(f"unknown case {case_tag!r}; expected one of {cases}")
     if case_tag in _BLOCK_LAYOUT and d_m % 2 != 0:
         raise ValueError("d_M must be even")
     _check_dims(d_s, d_m)
+    if d_s * d_m > MAX_HAAR_DIM:
+        raise ValueError(f"d_s * d_M = {d_s * d_m} exceeds the Haar dimension cap {MAX_HAAR_DIM}")
 
 
 def sample_case(case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndarray:

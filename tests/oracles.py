@@ -2,7 +2,8 @@
 
 Each one rebuilds an object the library computes by another route, at
 oracle scale only, or builds an instance whose spectrum is known in closed
-form; none is called by the library itself.
+form; ``qcmi_error_estimate`` is the worst-case entropy error criterion 7
+checks.  None is called by the library itself.
 """
 
 import numpy as np
@@ -94,3 +95,12 @@ def direct_sum(first: KrausSet, second: KrausSet) -> KrausSet:
     kraus = KrausSet(d_s=first.d_s, d_M=d1 + d2, matrices=mats, case_tag="explicit")
     kraus.validate()
     return kraus
+
+
+def qcmi_error_estimate(d_m: int, lambda_min: float, delta_lambda: float) -> float:
+    """Worst-case entropy error d_M^2 * delta_lambda * ln(1/lambda_min)."""
+    if not 0 < lambda_min <= 1:
+        raise ValueError("lambda_min must lie in (0, 1]")
+    if delta_lambda < 0:
+        raise ValueError("delta_lambda must be nonnegative")
+    return float(d_m**2 * delta_lambda * np.log(1.0 / lambda_min))

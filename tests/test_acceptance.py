@@ -25,7 +25,6 @@ from iumps import (
     gap_statistics,
     jordan_constants,
     qcmi,
-    qcmi_error_estimate,
     region_entropy,
     rho_disjoint,
     support_decomposition,
@@ -34,7 +33,7 @@ from iumps import (
     analytic_family,
 )
 from iumps.cli import main as cli_main
-from oracles import materialize_isometry
+from oracles import materialize_isometry, qcmi_error_estimate
 
 ACCEPT_SEED = 20250809
 ENSEMBLE_N = 500

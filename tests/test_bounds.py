@@ -17,13 +17,12 @@ from iumps import (
     eig_general,
     jordan_constants,
     qcmi,
-    qcmi_error_estimate,
     sufficient_b,
     decay_bound,
 )
 from iumps.bounds import DEGENERACY_TOL, BoundConstants, distinct_clusters
 from iumps.mps import PERIPHERAL_TOL, build_case
-from oracles import channel_apply, jordan_decay, reset_mixed_decay
+from oracles import channel_apply, jordan_decay, qcmi_error_estimate, reset_mixed_decay
 
 
 def pauli_channel_mps(p=0.7, q=0.2, r=0.1):

@@ -4,13 +4,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import iumps.cli as cli
-from iumps import RandomStream, benchmark_kraus, build_case1, build_iumps
+import iumps.mps
+from iumps import BoundConstants, RandomStream, benchmark_kraus, build_case1, build_iumps
 from iumps.cli import RunConfig, main
 from oracles import jordan_decay
 
@@ -128,6 +130,7 @@ def test_ensemble_outputs(tmp_path):
     assert cdf_all == sorted(cdf_all)
     assert set(cdf_full) <= set(cdf_all)
     summary = json.loads(read(tmp_path / "summary.json"))
+    assert set(summary["config"]) == set(RunConfig._fields)
     assert summary["config"]["master_seed"] == 5
     assert summary["n_instances"] == 10
     assert summary["n_completed"] + summary["n_skipped"] == 10
@@ -156,6 +159,8 @@ def test_bound_subcommand(tmp_path, capsys):
     assert payload["big_q"] == pytest.approx(
         16 * 4**3 * payload["c2"] ** 2 / payload["sigma_min"] ** 3
     )
+    # a NamedTuple dumps as a bare list: the payload keeps BoundConstants' keys
+    assert set(payload) == {*BoundConstants._fields, "sufficient_b", "sufficient_b_within_scan"}
 
 
 def test_bound_takes_d_s_from_the_instance(tmp_path, monkeypatch):
@@ -939,3 +944,48 @@ def test_a_kraus_file_above_the_eigensolver_cap_exits_4_before_its_transfer_matr
     assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# Configs refused before anything is drawn or written: a two-block case at an
+# odd d_M, a Haar dimension d_s * d_M above the cap (a 4.66 TiB draw at
+# d_s = 100000), and a k whose floor 10^-k is not a normal double.
+HAAR_CAP = "d_s * d_M = 400000 exceeds the Haar dimension cap 256"
+K_CAP = "k must be <= 307, for a floor 10^-k that is a normal double"
+REFUSED = [
+    pytest.param(("ensemble", "--case", "2", "--n", "8"), {"d_M": 3}, "d_M must be even",
+                 id="ensemble case2 d_M=3"),
+    *[
+        pytest.param((command,), {"d_s": 100_000}, HAAR_CAP, id=f"{command} d_s=100000")
+        for command in ("spectrum", "scan", "ensemble", "gapstats", "benchmark")
+    ],
+    *[
+        pytest.param((command, "--k", str(k), *extra), {}, K_CAP, id=f"{command} k={name}")
+        for command, extra in (("scan", ("--save-kraus",)), ("ensemble", ()), ("benchmark", ()))
+        for k, name in ((308, "308"), (10**400, "10^400"))
+    ],
+]
+
+
+@pytest.mark.parametrize("argv, payload, message", REFUSED)
+def test_a_config_refused_before_any_draw_exits_4_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, argv, payload, message
+):
+    def no_draw(*args):
+        raise AssertionError("drew before the config was refused")
+
+    monkeypatch.setattr(iumps.mps, "haar_unitaries", no_draw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out_dir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--config", str(config), "--out", str(out_dir)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: ValueError: {message}\n"
+    assert not out_dir.exists()
+    assert peak < 1e6, f"{peak / 1e6:.2f} MB"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from iumps.experiments import (
     CurvePoint,
     DecayCurve,
     bin_shifted,
+    check_scan_args,
     scan_instances,
     second_family_coefficients,
 )
@@ -92,6 +94,16 @@ def test_scan_empty_curve():
     assert qcmi(mps, 1, 2, 1) <= 0.1
     with pytest.raises(EmptyCurve):
         scan_instance(mps, 1, 1, 40, 1)
+
+
+def test_k_is_refused_where_its_floor_is_not_a_normal_double(case1_instance):
+    """10^-307 is the smallest power of ten that is a normal double; 10^-308
+    is subnormal, 10^-324 is 0.0, and 10.0 ** -(10^400) overflows."""
+    assert 10.0**-307 >= sys.float_info.min > 10.0**-308 and 10.0**-324 == 0.0
+    check_scan_args(1, 1, 40, 307)
+    for k in (308, 324, 10**400):
+        with pytest.raises(ValueError, match="^k must be <= 307, for a floor 10"):
+            scan_instance(case1_instance, 1, 1, 40, k)
 
 
 def test_shift_graph_contains_origin(sample_curve):

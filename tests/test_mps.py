@@ -539,6 +539,30 @@ def test_a_bond_dimension_above_the_eigensolver_cap_is_refused_before_any_alloca
     check_case("case1", 3, 8)
 
 
+def test_a_haar_dimension_above_the_cap_is_refused_before_any_draw(monkeypatch):
+    """d_s * d_M above MAX_HAAR_DIM = 256 is one ValueError, raised before any
+    Haar draw by the case check, which ``sample_case1`` (the draw of every
+    sampled path) also runs; 256 passes it.  A loaded Kraus set draws
+    nothing, so it validates above the cap."""
+    import iumps.mps
+    from iumps.mps import MAX_HAAR_DIM, check_case
+
+    def no_draw(*args):
+        raise AssertionError("drew before the Haar dimension check")
+
+    monkeypatch.setattr(iumps.mps, "haar_unitaries", no_draw)
+    assert MAX_HAAR_DIM == 256
+    message = r"^d_s \* d_M = 260 exceeds the Haar dimension cap 256$"
+    with pytest.raises(ValueError, match=message):
+        check_case("case2", 65, 4)
+    with pytest.raises(ValueError, match=message):
+        sample_case1(65, 4, [RandomStream(3, 0)])
+    check_case("case1", 64, 4)
+    check_case("case2", 32, 8)
+    identity = np.repeat(np.eye(4, dtype=complex)[None] / np.sqrt(65), 65, axis=0)
+    KrausSet(d_s=65, d_M=4, matrices=identity, case_tag="explicit").validate()
+
+
 # Case 2 and the golden instance: the two diagonal 2 x 2 blocks of d_M = 4
 TWO_BLOCKS = np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool))
 
