@@ -48,6 +48,7 @@ from .mps import (
     KrausSet,
     build_case,
     build_iumps,
+    check_case,
     spectral_gap,
     transfer_matrices,
     transfer_matrix,
@@ -90,12 +91,6 @@ class RunConfig(NamedTuple):
             if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                 kind = getattr(kind, "__name__", kind)  # "int", or the union "str | None"
                 raise ValueError(f"config: {name} must be {kind}, not {value!r}")
-        if self.b_max_limit % 2 != 0:
-            raise ValueError("b_max_limit must be even")
-        if self.b_max_limit < 2:
-            raise ValueError("b_max_limit must be even and >= 2")
-        if self.n_instances < 1:
-            raise ValueError("n_instances must be >= 1")
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -129,11 +124,16 @@ _READS = {
     "gapstats": {"master_seed", "d_s", "d_M", "n_instances"},
     "benchmark": {"master_seed", "d_s", "d_M", "k"},
 }
+# The memory a run of many instances may hold; an instance count above it is
+# refused (``_check_run``).
+RUN_MEMORY_BUDGET = 2**30
 
 
-def _check_reads(command: str, config: RunConfig) -> None:
-    """Raise ValueError naming a field ``command`` does not read whose value
-    is not its default."""
+def _check_run(command: str, config: RunConfig) -> None:
+    """Raise ValueError, before ``command`` draws or writes, at a field it
+    does not read that is not at its default (every default passes), then at
+    the scan fields (``check_scan_args``), the instance count, a sampled
+    case (``check_case``) and a run above ``RUN_MEMORY_BUDGET``."""
     reads, what = _READS[command] | {"output_dir"}, command
     if "kraus_path" in reads and (config.kraus_path is not None or config.case_tag == "golden"):
         reads -= {"master_seed", "d_s", "d_M", "n_instances"}
@@ -143,6 +143,27 @@ def _check_reads(command: str, config: RunConfig) -> None:
     for name, value in zip(config._fields, config):
         if name not in reads and value != RunConfig._field_defaults[name]:
             raise ValueError(f"{what} does not read {name}, so {name} = {value!r} does not apply")
+    check_scan_args(config.len_a, config.len_c, config.b_max_limit, config.k)
+    n, d_s, d_m = config.n_instances, config.d_s, config.d_M
+    if n < 1:
+        raise ValueError("n_instances must be >= 1")
+    if "d_M" in reads:  # a sampled run; its dimensions then bound the bytes below
+        check_case(config.case_tag, d_s, d_m)
+    # Bytes a run holds per instance (tracemalloc, d_M 2-8, d_s up to the Haar
+    # cap): spectrum keeps each instance's transfer matrix, spectrum, Kraus set
+    # and rows, under ten d_M^2 x d_M^2 and four d_s x d_M x d_M complex arrays
+    # (24 kB at the defaults, 394 kB at d_M = 8); gapstats and ensemble keep a
+    # few numbers (0.26 and 0.3 kB) over a base set by the chunk, not the count.
+    per_instance = {
+        "spectrum": 160 * d_m**4 + 64 * d_s * d_m**2,
+        "ensemble": 300,
+        "gapstats": 300,
+    }.get(command, 0)
+    if n * per_instance > RUN_MEMORY_BUDGET:
+        raise ValueError(
+            f"n_instances = {n} exceeds {RUN_MEMORY_BUDGET // per_instance}, "
+            f"the most a {command} run fits in the {RUN_MEMORY_BUDGET >> 30} GiB memory budget"
+        )
 
 
 def _fmt(x: float) -> str:
@@ -201,7 +222,6 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_scan(config: RunConfig) -> int:
-    check_scan_args(config.len_a, config.len_c, config.b_max_limit, config.k)  # before the draw
     mps = build_iumps(_kraus(config, 0))
     # rho_AC's cap is checked here, before the scan, not after it
     factors = region_factors(mps.kraus, config.len_a, config.len_c)
@@ -287,9 +307,6 @@ def cmd_gapstats(config: RunConfig) -> int:
 
 
 def cmd_benchmark(config: RunConfig) -> int:
-    # a k the golden scan rejects (k > 307), then a sample gap_statistics
-    # rejects (d_M < 2), ends before any draw or output
-    check_scan_args(1, 1, 40, config.k)
     stats = gap_statistics(200, config.master_seed, config.d_s, config.d_M)
     try:
         report = golden_benchmark(k=config.k)
@@ -395,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     overrides["case_tag"] = _CASES.get(overrides["case_tag"])
     try:
         config = load_config(config_path, overrides)
-        _check_reads(command, config)
+        _check_run(command, config)
         return _COMMANDS[command](config)
     except (DegenerateSpectrum, EmptyCurve, NearDegenerate) as exc:
         return _fail(EXIT_DEGENERATE, "degenerate input", exc)

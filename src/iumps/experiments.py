@@ -17,6 +17,7 @@ from .exceptions import (
     TooFewPoints,
 )
 from .mps import (
+    CASE1,
     CASE2,
     EXPLICIT,
     IuMps,
@@ -112,9 +113,12 @@ class EnsembleSummary(NamedTuple):
 
 
 def check_scan_args(len_a: int, len_c: int, b_max_limit: int, k: int) -> None:
+    """Raise ValueError at the first scan-argument rule broken; the CLI's too."""
     if len_a < 1 or len_c < 1:
         raise ValueError("scan requires len_a, len_c >= 1")
-    if b_max_limit % 2 != 0 or b_max_limit < 2:
+    if b_max_limit % 2 != 0:
+        raise ValueError("b_max_limit must be even")
+    if b_max_limit < 2:
         raise ValueError("b_max_limit must be even and >= 2")
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -554,12 +558,14 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     eigenvector; the gaps read its columns 0-2.  Every row carries the
     magnitudes of ``build_case1`` + ``transfer_matrix`` on its own, bit for
     bit, so the samples do not depend on the chunk size.  d_M must be at
-    least 2, for E to have the three eigenvalues the gaps need.
+    least 2, for E to have the three eigenvalues the gaps need, and the
+    dimensions pass ``check_case`` before anything is allocated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if d_m < 2:
         raise ValueError(f"gap statistics need d_M >= 2 (three transfer eigenvalues), not {d_m}")
+    check_case(CASE1, d_s, d_m)
     mags = np.empty((n, 3))
     for start in range(0, n, GAP_CHUNK):
         stop = min(start + GAP_CHUNK, n)

@@ -33,7 +33,6 @@ from .exceptions import (
     NotPositive,
 )
 from .numerics import (
-    MAX_EIG_DIM,
     EigenDecomposition,
     RandomStream,
     eig_general,
@@ -234,6 +233,10 @@ def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:
     return mu.reshape(*u.shape[:-2], d_s, d_m, d_m)
 
 
+# Largest transfer dimension d_M^2 built (d_M <= 8), a memory cap: at d_M = 40
+# one gapstats chunk held 625 MiB.  No eigensolver limit; ``eig_general``
+# solves 256 x 256.
+MAX_TRANSFER_DIM = 64
 # Largest Haar dimension d_s*d_M sampled.  One GAP_CHUNK draw of 16 unitaries
 # peaks (tracemalloc) at 21.9 MB at 128, the most the tests and ROADMAP tables
 # sample, at 84 MB at 256 and at 336 MB at 512: about 1.3 kB * dimension^2.
@@ -242,13 +245,13 @@ MAX_HAAR_DIM = 256
 
 def _check_dims(d_s: int, d_m: int) -> None:
     """Refuse dimensions below 1, and a d_M whose d_M^2 x d_M^2 transfer
-    matrix ``eig_general`` cannot solve, before any draw or E is allocated."""
+    matrix is above ``MAX_TRANSFER_DIM``, before any draw or E is allocated."""
     if d_s < 1 or d_m < 1:
         raise ValueError("d_s and d_M must be >= 1")
-    if d_m * d_m > MAX_EIG_DIM:
+    if d_m * d_m > MAX_TRANSFER_DIM:
         raise ValueError(
-            f"d_M = {d_m} exceeds {math.isqrt(MAX_EIG_DIM)}: its {d_m * d_m} x {d_m * d_m} "
-            f"transfer matrix is above the eigensolver's maximum dimension {MAX_EIG_DIM}"
+            f"d_M = {d_m} exceeds {math.isqrt(MAX_TRANSFER_DIM)}: its {d_m * d_m} x {d_m * d_m} "
+            f"transfer matrix is above the transfer dimension cap {MAX_TRANSFER_DIM}"
         )
 
 

@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels and deterministic random streams.
 
-Everything here operates on plain ``numpy`` arrays at desk scale (matrices up
-to 64x64).  The eigensolvers wrap LAPACK but pin down the ordering, residual,
-and error contracts the rest of the package relies on.  A general spectrum is
-one checked solve (``np.linalg.eig`` and its residual check over every
-eigenpair) read by one of two readers: ``eig_magnitudes`` sorts the
+Everything here operates on plain ``numpy`` arrays, of any size (``mps`` caps
+the transfer size).  The eigensolvers wrap LAPACK but pin down the ordering,
+residual, and error contracts the rest of the package relies on.  A general
+spectrum is one checked solve (``np.linalg.eig`` and its residual check over
+every eigenpair) read by one of two readers: ``eig_magnitudes`` sorts the
 eigenvalue magnitudes only, and ``eig_general`` sorts the values, then
 renormalises and returns the vectors, for the callers that read them.  Both
 follow their input's dtype: the transfer spectra reach them as real matrices
@@ -32,7 +32,6 @@ import numpy as np
 
 from .exceptions import NonConvergence, NotHermitian
 
-MAX_EIG_DIM = 64
 EIG_RESIDUAL_TOL = 1e-11
 _WORD = 2**32 - 1
 
@@ -172,8 +171,8 @@ def flagged_at(bad: np.ndarray) -> str:
 
 def _eig_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one checked solve behind ``eig_magnitudes`` and ``eig_general``:
-    the values, vectors and residual of a square matrix (dimension <= 64) or
-    of each matrix of a stack ``(..., m, m)``, in LAPACK's order, the vectors
+    the values, vectors and residual of a square matrix, or of each matrix
+    of a stack ``(..., m, m)``, of any size, in LAPACK's order, the vectors
     as LAPACK returns them (unit-norm columns), all complex.  The residual is
     ``max_i ||A v_i - nu_i v_i||_2`` over every eigenpair; one above
     ``EIG_RESIDUAL_TOL`` times the matrix's Frobenius norm raises
@@ -185,8 +184,6 @@ def _eig_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = a.shape[-1]
     if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError("matrix must be square")
-    if n > MAX_EIG_DIM:
-        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_EIG_DIM}")
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -227,8 +224,8 @@ def eig_magnitudes(a: np.ndarray) -> np.ndarray:
 
 
 def eig_general(a: np.ndarray) -> EigenDecomposition:
-    """Full spectrum of a square matrix (dimension <= 64), or of each matrix
-    of a stack ``(..., m, m)``.
+    """Full spectrum of a square matrix, or of each matrix of a stack
+    ``(..., m, m)``, of any dimension.
 
     The arithmetic follows the input's dtype: a real matrix goes to real
     LAPACK (``dgeev``), a complex one to complex LAPACK (``zgeev``).

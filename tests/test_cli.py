@@ -948,9 +948,12 @@ def test_a_kraus_file_above_the_eigensolver_cap_exits_4_before_its_transfer_matr
 
 # Configs refused before anything is drawn or written: a two-block case at an
 # odd d_M, a Haar dimension d_s * d_M above the cap (a 4.66 TiB draw at
-# d_s = 100000), and a k whose floor 10^-k is not a normal double.
+# d_s = 100000), a k whose floor 10^-k is not a normal double, an instance
+# count above the memory budget's share (a 224 GiB gapstats array at 10^10),
+# and scan arguments refused by the CLI's one pass, not by the command.
 HAAR_CAP = "d_s * d_M = 400000 exceeds the Haar dimension cap 256"
 K_CAP = "k must be <= 307, for a floor 10^-k that is a normal double"
+BUDGET = "the most a {} run fits in the 1 GiB memory budget"
 REFUSED = [
     pytest.param(("ensemble", "--case", "2", "--n", "8"), {"d_M": 3}, "d_M must be even",
                  id="ensemble case2 d_M=3"),
@@ -963,6 +966,21 @@ REFUSED = [
         for command, extra in (("scan", ("--save-kraus",)), ("ensemble", ()), ("benchmark", ()))
         for k, name in ((308, "308"), (10**400, "10^400"))
     ],
+    *[
+        pytest.param((command, "--n", str(n)), {}, f"n_instances = {n} exceeds {limit}, "
+                     + BUDGET.format(command), id=f"{command} n={n}")
+        for command, n, limit in (
+            ("spectrum", 10**8, 24_385),
+            ("gapstats", 10**10, 3_579_139),
+            ("ensemble", 3_579_140, 3_579_139),
+        )
+    ],
+    pytest.param(("benchmark", "--k", "0"), {}, "k must be >= 1", id="benchmark k=0"),
+    pytest.param(("bound", "--b-max", "13"), {}, "b_max_limit must be even", id="bound b_max=13"),
+    pytest.param(("scan", "--save-kraus"), {"len_a": 0}, "scan requires len_a, len_c >= 1",
+                 id="scan len_a=0"),
+    pytest.param(("ensemble",), {"len_c": 0}, "scan requires len_a, len_c >= 1",
+                 id="ensemble len_c=0"),
 ]
 
 
@@ -989,3 +1007,26 @@ def test_a_config_refused_before_any_draw_exits_4_and_writes_nothing(
     assert captured.err == f"invalid input: ValueError: {message}\n"
     assert not out_dir.exists()
     assert peak < 1e6, f"{peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize(
+    "command, payload, limit",
+    [
+        ("spectrum", {}, 24_385),
+        ("spectrum", {"d_M": 8}, 1_608),
+        ("gapstats", {}, 3_579_139),
+        ("ensemble", {}, 3_579_139),
+    ],
+    ids=["spectrum", "spectrum d_M=8", "gapstats", "ensemble"],
+)
+def test_the_instance_limit_is_the_memory_budget_share(
+    tmp_path, handled, capsys, command, payload, limit
+):
+    """Each instance-counting command takes up to its share of the 1 GiB
+    budget, far above the documented runs (ensemble 60000, gapstats 20000),
+    and refuses one instance more; spectrum's share falls with d_M^4."""
+    assert run_config(tmp_path, command, {**payload, "n_instances": limit}) == 0
+    assert run_config(tmp_path, command, {**payload, "n_instances": limit + 1}) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: ValueError: n_instances = {limit + 1} exceeds {limit}, ")
+    assert [config.n_instances for config in handled] == [limit]

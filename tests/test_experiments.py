@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ def test_k_is_refused_where_its_floor_is_not_a_normal_double(case1_instance):
     for k in (308, 324, 10**400):
         with pytest.raises(ValueError, match="^k must be <= 307, for a floor 10"):
             scan_instance(case1_instance, 1, 1, 40, k)
+
+
+def test_scan_args_name_an_odd_b_max_apart_from_one_below_two():
+    for b_max in (13, -3):
+        with pytest.raises(ValueError, match="^b_max_limit must be even$"):
+            check_scan_args(1, 1, b_max, 12)
+    for b_max in (0, -4):
+        with pytest.raises(ValueError, match="^b_max_limit must be even and >= 2$"):
+            check_scan_args(1, 1, b_max, 12)
+    check_scan_args(1, 1, 2, 12)
 
 
 def test_shift_graph_contains_origin(sample_curve):
@@ -278,6 +289,19 @@ def test_gap_statistics_rejects_bond_dimension_one():
     # E is 1x1 at d_M = 1: one eigenvalue, no gaps
     with pytest.raises(ValueError, match="d_M >= 2"):
         gap_statistics(3, 0, d_m=1)
+
+
+def test_gap_statistics_checks_the_case_before_it_allocates():
+    """The Haar cap refuses d_s = 100000 before the (n, 3) array of a
+    million samples (24 MB) is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^d_s \\* d_M = 400000 exceeds the Haar"):
+            gap_statistics(10**6, 7, d_s=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"{peak / 1e6:.2f} MB"
 
 
 def test_analytic_family_first_structure():

@@ -506,8 +506,8 @@ def test_sample_iumps_raises_when_one_fixed_point_fails(monkeypatch):
 
 
 def test_a_bond_dimension_above_the_eigensolver_cap_is_refused_before_any_allocation(monkeypatch):
-    """d_M^2 above MAX_EIG_DIM = 64 (d_M > 8) is one ValueError, raised
-    before any Haar draw or transfer matrix: by the case check every
+    """d_M^2 above mps.MAX_TRANSFER_DIM = 64 (d_M > 8) is one ValueError,
+    raised before any Haar draw or transfer matrix: by the case check every
     sampled path shares, and by KrausSet.validate."""
     import iumps.experiments
     import iumps.mps
@@ -520,7 +520,9 @@ def test_a_bond_dimension_above_the_eigensolver_cap_is_refused_before_any_alloca
     monkeypatch.setattr(iumps.mps, "haar_unitaries", no_allocation)
     monkeypatch.setattr(iumps.mps, "transfer_operators", no_allocation)
     monkeypatch.setattr(iumps.experiments, "transfer_operators", no_allocation)
-    message = "d_M = 9 exceeds 8: its 81 x 81 transfer matrix is above"
+    message = (
+        "^d_M = 9 exceeds 8: its 81 x 81 transfer matrix is above the transfer dimension cap 64$"
+    )
     stream, identity = RandomStream(3, 0), np.eye(9, dtype=complex)[None]
     refused = [
         lambda: check_case("case1", 3, 9),

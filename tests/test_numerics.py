@@ -14,6 +14,7 @@ from iumps import (
     haar_unitary,
     mat_power,
 )
+from iumps.numerics import EIG_RESIDUAL_TOL
 
 
 def gram_schmidt_unitary(rng):
@@ -287,9 +288,21 @@ def test_a_real_residual_in_real_arithmetic_matches_the_complex_route():
         np.testing.assert_array_max_ulp(residual, complex_route.max(axis=-1), maxulp=4)
 
 
-def test_eig_general_rejects_large_matrix():
-    with pytest.raises(ValueError):
-        eig_general(np.eye(65))
+def test_eig_readers_solve_past_the_transfer_size_cap():
+    """The eigensolvers refuse no size: an 81 x 81 real stack (the transfer
+    dimension of d_M = 9) and a 256 x 256 real matrix are solved with
+    every eigenpair's residual under the tolerance, and the magnitudes are
+    the bits of ``np.abs(eig_general(a).values)``."""
+    rng = np.random.default_rng(13)
+    real_stack = rng.standard_normal((2, 81, 81))
+    real_one = rng.standard_normal((256, 256))
+    for a in (real_stack, real_one):
+        dec = eig_general(a)
+        norm = np.linalg.norm(a, axis=(-2, -1))
+        pairs = np.linalg.norm(a @ dec.vectors - dec.vectors * dec.values[..., None, :], axis=-2)
+        assert np.all(pairs.max(axis=-1) <= EIG_RESIDUAL_TOL * norm)
+        assert np.all(dec.residual <= EIG_RESIDUAL_TOL * norm)
+        assert eig_magnitudes(a).tobytes() == np.abs(dec.values).tobytes()
 
 
 def test_eig_hermitian_diagonal():
