@@ -32,6 +32,7 @@ from .exceptions import (
     Unsupported,
 )
 from .experiments import (
+    GAP_CHUNK,
     analytic_family,
     benchmark_kraus,
     golden_benchmark,
@@ -150,12 +151,12 @@ def _check_run(command: str, config: RunConfig) -> None:
     if "d_M" in reads:  # a sampled run; its dimensions then bound the bytes below
         check_case(config.case_tag, d_s, d_m)
     # Bytes a run holds per instance (tracemalloc, d_M 2-8, d_s up to the Haar
-    # cap): spectrum keeps each instance's transfer matrix, spectrum, Kraus set
-    # and rows, under ten d_M^2 x d_M^2 and four d_s x d_M x d_M complex arrays
-    # (24 kB at the defaults, 394 kB at d_M = 8); gapstats and ensemble keep a
-    # few numbers (0.26 and 0.3 kB) over a base set by the chunk, not the count.
+    # cap), over a base set by the chunk, not the count: spectrum keeps only
+    # its instances' d_M^2 rows of spectrum.csv, which peak with their text
+    # when it is written (227-262 B a row); gapstats and ensemble keep a few
+    # numbers (0.26 and 0.3 kB).
     per_instance = {
-        "spectrum": 160 * d_m**4 + 64 * d_s * d_m**2,
+        "spectrum": 400 * d_m**2,
         "ensemble": 300,
         "gapstats": 300,
     }.get(command, 0)
@@ -198,17 +199,21 @@ def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
 
 def cmd_spectrum(config: RunConfig) -> int:
     out = Path(config.output_dir)
-    matrices = np.stack([_kraus(config, i).matrices for i in range(config.n_instances)])
-    transfers = transfer_matrices(matrices)
     rows = ["instance_id,eig_index,re,im,abs,is_peripheral"]
-    for i, transfer in enumerate(transfers):
-        peripheral = set(transfer.peripheral_indices.tolist())
-        rows += [
-            f"{i},{idx},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))},{int(idx in peripheral)}"
-            for idx, v in enumerate(transfer.spectrum.values)
-        ]
+    # solved GAP_CHUNK instances at a time, keeping only their rows; each row
+    # carries the bits of its instance's transfer_matrix alone
+    for start in range(0, config.n_instances, GAP_CHUNK):
+        ids = range(start, min(start + GAP_CHUNK, config.n_instances))
+        transfers = transfer_matrices(np.stack([_kraus(config, i).matrices for i in ids]))
+        for i, transfer in zip(ids, transfers):
+            peripheral = set(transfer.peripheral_indices.tolist())
+            rows += [
+                f"{i},{idx},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))},{int(idx in peripheral)}"
+                for idx, v in enumerate(transfer.spectrum.values)
+            ]
+        if start == 0:
+            first = transfers[0]
     _write(out / "spectrum.csv", rows)
-    first = transfers[0]
     gap_payload = {"nu_gap": first.nu_gap, "peripheral_count": len(first.peripheral_indices)}
     try:  # instance 0's gap, by the rule of scan and bound
         spectral_gap(first)

@@ -256,15 +256,16 @@ def shift_graph(curve: DecayCurve) -> list[tuple[float, float]]:
 def extract_rate(curve: DecayCurve) -> float:
     """Negated least-squares slope of f versus |B| after the first ``BURN_IN`` points.
 
-    A curve decaying exactly at the bounding-function rate yields 1.0.
+    A curve decaying exactly at the bounding-function rate yields 1.0.  The
+    slope is the closed form sum(dx dy) / sum(dx^2) about the means.
     """
     pts = curve.points[BURN_IN:]
     if len(pts) < 2:
         raise TooFewPoints(f"need at least {BURN_IN + 2} points, have {len(curve.points)}")
-    xs = np.array([p.b_len for p in pts], dtype=float)
-    ys = np.array([p.f for p in pts], dtype=float)
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope)
+    xs, ys = [p.b_len for p in pts], [p.f for p in pts]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    return -sum(d * (y - y_mean) for d, y in zip(dx, ys)) / sum(d * d for d in dx)
 
 
 def bin_shifted(points: list[tuple[float, float]]) -> tuple[np.ndarray, int]:

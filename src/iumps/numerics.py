@@ -12,6 +12,12 @@ follow their input's dtype: the transfer spectra reach them as real matrices
 is checked in real arithmetic; ``eig_general`` returns complex fields either
 way.
 
+The Hermitian solvers check their input, and do not symmetrise it: every
+matrix must be Hermitian to 1e-10 relative asymmetry (Frobenius) or
+``NotHermitian`` is raised, and LAPACK then reads one triangle of the
+checked matrix (``eigvalsh`` of ``k h k`` for ``eigvals_hermitian``).  The
+check's one buffer of the input's size holds h - h† and then takes k h k.
+
 The Haar sampler, both general readers and ``eigvals_hermitian`` also take
 stacks: at these sizes much of a single call is per-call numpy overhead
 around the LAPACK routine, which a stack pays once.  A stack returns, row by
@@ -252,43 +258,38 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values[index], vectors=vectors, residual=residual)
 
 
-def _frobenius(a: np.ndarray, conj_a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of ``a``, given its conjugate, as
-    ``np.linalg.norm(a, axis=(-2, -1))`` computes it; ``out`` takes the
-    products."""
-    return np.sqrt(np.add.reduce(np.multiply(conj_a, a, out=out).real, axis=(-2, -1)))
+def _check_hermitian(a: np.ndarray) -> np.ndarray:
+    """Raise ``NotHermitian`` unless every matrix of ``a``, a C-contiguous
+    complex matrix or stack ``(..., m, m)``, is Hermitian to a relative
+    asymmetry ||a - a†||_F / ||a||_F of 1e-10; a zero matrix passes.
 
-
-def _hermitized(a: np.ndarray) -> np.ndarray:
-    """(a + a†)/2 for a matrix or a stack ``(..., m, m)`` of them, after checking
-    that every matrix is Hermitian to 1e-10 relative asymmetry (Frobenius);
-    raises ``NotHermitian`` otherwise.
-
-    Two buffers of the size of ``a`` hold every intermediate, the second of
-    which is returned; the bits are those of ``(a + a_h) / 2`` with the
-    norms of ``np.linalg.norm``.
+    Makes no Hermitian copy: the one buffer of ``a``'s size holds a - a†, and
+    is returned for the caller to overwrite.  The norms are dot products of
+    the ``float64`` views, which make no temporary of that size.
     """
-    a = np.asarray(a, dtype=complex)
-    conj = np.conjugate(a)
-    work = np.empty_like(a)
-    norm_a = _frobenius(a, conj, work)
-    diff = np.subtract(a, conj.swapaxes(-1, -2), out=work)
-    asym = _frobenius(diff, np.conjugate(diff, out=conj), conj)
+    # the transposed copy, then conjugated in place: a ufunc reading the
+    # transpose would add a buffer of its own
+    diff = a.swapaxes(-1, -2).copy()
+    np.subtract(a, np.conjugate(diff, out=diff), out=diff)
+    flat = [x.reshape(*x.shape[:-2], -1).view(np.float64) for x in (a, diff)]
+    norm_a, asym = (np.sqrt(np.einsum("...i,...i->...", v, v)) for v in flat)
     bad = (norm_a > 0) & (asym > 1e-10 * norm_a)
     if np.any(bad):
         worst = float((asym[bad] / norm_a[bad]).max())
         raise NotHermitian(f"relative asymmetry {worst:.3e} exceeds 1e-10")
-    a_h = np.conjugate(a, out=conj).swapaxes(-1, -2)
-    return np.divide(np.add(a, a_h, out=work), 2, out=work)
+    return diff
 
 
 def eig_hermitian(a: np.ndarray) -> HermitianEigenDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
-    The caller is expected to Hermitize first; a relative asymmetry above
-    1e-10 (Frobenius) raises ``NotHermitian``.
+    A relative asymmetry above 1e-10 (Frobenius) raises ``NotHermitian``.
+    ``a`` is checked, not symmetrised: LAPACK's ``eigh`` reads its lower
+    triangle.
     """
-    values, vectors = np.linalg.eigh(_hermitized(a))
+    a = np.ascontiguousarray(a, dtype=complex)
+    _check_hermitian(a)
+    values, vectors = np.linalg.eigh(a)
     return HermitianEigenDecomposition(values=values[::-1], vectors=vectors[:, ::-1])
 
 
@@ -297,15 +298,15 @@ def eigvals_hermitian(h: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     ``h`` is one matrix or a stack ``(..., m, m)``; the result then has shape
     ``(..., m)``, row by row the eigenvalues of one call per matrix.
-    Eigenvalues only, no eigenvectors.  Every matrix of ``h`` gets the guard
+    Eigenvalues only, no eigenvectors.  Every matrix of ``h`` gets the check
     of ``eig_hermitian``: a relative asymmetry above 1e-10 (Frobenius) raises
     ``NotHermitian``.  ``k`` is trusted to be Hermitian, and broadcasts
-    against ``h`` without enlarging it.  The Hermitized copy of ``h`` takes
-    the product, and ``h`` itself is dropped once copied, so a caller that
-    keeps no reference to ``h`` frees it before the solve.
+    against ``h`` without enlarging it.  No symmetrised copy is made: the
+    check's buffer takes ``k h k`` of the checked ``h``, and LAPACK's
+    ``eigvalsh`` reads its lower triangle.
     """
-    h = _hermitized(h)
-    return np.linalg.eigvalsh(np.matmul(k @ h, k, out=h))[..., ::-1]
+    h = np.ascontiguousarray(h, dtype=complex)
+    return np.linalg.eigvalsh(np.matmul(k @ h, k, out=_check_hermitian(h)))[..., ::-1]
 
 
 def mat_power(a: np.ndarray, n: int) -> np.ndarray:

@@ -49,7 +49,7 @@ RUNS = {
 DERIVED = ("cdf_all.csv", "cdf_full.csv")
 
 
-def _cell(text: str) -> int | float | str | None:
+def _parse(text: str) -> int | float | str | None:
     if text == "":
         return None
     for kind in (int, float):
@@ -66,7 +66,7 @@ def _read(path: Path) -> dict | list:
         payload.get("config", {}).pop("output_dir", None)
         return payload
     header, *rows = csv.reader(io.StringIO(path.read_text()))
-    return {"header": header, "rows": [[_cell(c) for c in row] for row in rows]}
+    return {"header": header, "rows": [[_parse(c) for c in row] for row in rows]}
 
 
 def capture(argv: list[str]) -> dict:

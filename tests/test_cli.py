@@ -904,7 +904,7 @@ def test_spectrum_of_a_jordan_block_at_the_gap_writes_its_gap(tmp_path, capsys):
     assert gap["peripheral_count"] == 1
 
 
-def test_a_bond_dimension_above_the_eigensolver_cap_exits_4_before_sampling(
+def test_a_bond_dimension_above_the_transfer_size_cap_exits_4_before_sampling(
     tmp_path, capsys, monkeypatch
 ):
     import iumps.mps
@@ -924,7 +924,7 @@ def test_a_bond_dimension_above_the_eigensolver_cap_exits_4_before_sampling(
     assert not out_dir.exists()
 
 
-def test_a_kraus_file_above_the_eigensolver_cap_exits_4_before_its_transfer_matrix(
+def test_a_kraus_file_above_the_transfer_size_cap_exits_4_before_its_transfer_matrix(
     tmp_path, capsys, monkeypatch
 ):
     import iumps.mps
@@ -970,7 +970,7 @@ REFUSED = [
         pytest.param((command, "--n", str(n)), {}, f"n_instances = {n} exceeds {limit}, "
                      + BUDGET.format(command), id=f"{command} n={n}")
         for command, n, limit in (
-            ("spectrum", 10**8, 24_385),
+            ("spectrum", 10**8, 167_772),
             ("gapstats", 10**10, 3_579_139),
             ("ensemble", 3_579_140, 3_579_139),
         )
@@ -1012,8 +1012,8 @@ def test_a_config_refused_before_any_draw_exits_4_and_writes_nothing(
 @pytest.mark.parametrize(
     "command, payload, limit",
     [
-        ("spectrum", {}, 24_385),
-        ("spectrum", {"d_M": 8}, 1_608),
+        ("spectrum", {}, 167_772),
+        ("spectrum", {"d_M": 8}, 41_943),
         ("gapstats", {}, 3_579_139),
         ("ensemble", {}, 3_579_139),
     ],
@@ -1024,9 +1024,25 @@ def test_the_instance_limit_is_the_memory_budget_share(
 ):
     """Each instance-counting command takes up to its share of the 1 GiB
     budget, far above the documented runs (ensemble 60000, gapstats 20000),
-    and refuses one instance more; spectrum's share falls with d_M^4."""
+    and refuses one instance more; spectrum's share falls with d_M^2."""
     assert run_config(tmp_path, command, {**payload, "n_instances": limit}) == 0
     assert run_config(tmp_path, command, {**payload, "n_instances": limit + 1}) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: ValueError: n_instances = {limit + 1} exceeds {limit}, ")
     assert [config.n_instances for config in handled] == [limit]
+
+
+def test_a_spectrum_run_peaks_under_its_instance_envelope(tmp_path):
+    """spectrum solves GAP_CHUNK instances at a time and keeps only their
+    rows, so 512 instances at the defaults peak under 1 MB plus 512 times
+    the bytes per instance the budget charges them, 400 d_M^2 (measured
+    2.3 MB; holding every instance's transfer matrix took 24 kB each)."""
+    argv = ["spectrum", "--case", "1", "--n", "512", "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 + 512 * 400 * 4**2, f"{peak / 1e6:.2f} MB"

@@ -130,12 +130,22 @@ def test_shift_graph_exact_exponential_is_diagonal():
         assert y == pytest.approx(-x, abs=1e-9)
 
 
+def assert_polyfit_rate(curve):
+    """``extract_rate`` is the negated ``np.polyfit`` slope over the same
+    window, within 1e-12 relative."""
+    pts = curve.points[iumps.experiments.BURN_IN:]
+    slope = np.polyfit([p.b_len for p in pts], [p.f for p in pts], 1)[0]
+    assert abs(extract_rate(curve) + slope) <= 1e-12 * abs(slope)
+
+
 def test_extract_rate_recovers_planted_rates():
     nu = 0.6
     full = extract_rate(synthetic_curve(nu, 2 * math.log(1 / nu)))
     assert abs(full - 1.0) <= 1e-9
     half = extract_rate(synthetic_curve(nu, math.log(1 / nu)))
     assert abs(half - 0.5) <= 1e-9
+    for rate_per_site in (2 * math.log(1 / nu), math.log(1 / nu)):
+        assert_polyfit_rate(synthetic_curve(nu, rate_per_site))
 
 
 def test_extract_rate_too_few_points():
@@ -148,6 +158,10 @@ def test_extract_rate_benchmark_instance():
     mps = build_iumps(benchmark_kraus())
     curve = scan_instance(mps, 1, 1, 40, 12)
     assert extract_rate(curve) >= 0.95
+    assert_polyfit_rate(curve)
+    for i in range(4):  # and seeded Case-1 curves
+        mps = build_instance("case1", 3, 4, RandomStream(20231, i))
+        assert_polyfit_rate(scan_instance(mps, 1, 1))
 
 
 def test_bin_shifted_edges():

@@ -17,12 +17,15 @@ the goldens by these rules:
 - every other number matches within ``RTOL`` relative (absolute below 1),
   plus one unit of its last printed digit for numbers printed short.
 
-The tolerances come from the noise measured when the S(n) solve stopped
-symmetrising its input (eigvalsh then reads the checked matrix's lower
-triangle as it is): S(n) moved by at most 1.8e-15, QCMI and QMI by at most
-1.6e-15, and a rate at an unchanged b_max by at most 8.2e-5 (the fit's last
-points sit near the 1e-12 floor, where 1.6e-15 is 1.6e-3 relative).  No other
-number moved.
+The tolerances come from the noise measured, over every curve of the four
+ensembles and the two scans, when the S(n) solve stopped symmetrising its
+input (eigvalsh then reads the checked matrix's lower triangle as it is):
+S(n) moved by at most 1.8e-15; a QCMI by at most 4.4e-15 (2.5e-3 relative,
+near the 1e-12 floor), the printed scan's by 1.6e-15 and the QMI not at
+all; a rate at an unchanged b_max by at most 8.2e-5 (the fit's last points
+sit near the floor); a shifted y by at most 2.6e-3.  One b_max flipped:
+instance 52 of the 500-instance run, whose QCMI at |B| = 32 was 1.000089e-12.
+No other number moved.
 """
 
 from __future__ import annotations
@@ -38,15 +41,15 @@ import iumps.experiments
 from golden.regenerate import DERIVED, GOLDEN_DIR, RUNS, capture
 from iumps import RandomStream, build_instance, qcmi, scan_instance
 
-# A QCMI sums four S(n): at the measured 1.8e-15 each that is 7.2e-15, and a
-# margin of 1.4 gives 1e-14.  The measured QCMI and QMI noise was 1.6e-15.
+# A QCMI sums four S(n): at the measured 1.8e-15 each that is at most
+# 7.2e-15, and 1e-14 leaves a margin of 1.4 on it (2.3 on the measured 4.4e-15).
 QCMI_ATOL = 1e-14
 # The measured 8.2e-5, with a margin of 2.4.
 RATE_ATOL = 2e-4
 # The only b_max flip seen was at 1.000089e-12 against the 1e-12 floor.
 FLOOR_BAND = 1e-14
-# A y within this of an edge 2j may change bins; near the floor the noise of
-# f(b_max) is about 1.6e-3 / q.
+# A y within this of an edge 2j may change bins: the measured 2.6e-3, with a
+# margin of 3.8.
 EDGE_BAND = 1e-2
 # What the entropy solve does not feed, and what the text prints, moved by
 # nothing; this allows other builds their roundoff.
@@ -128,19 +131,21 @@ def _assert_curve(new: dict, old: dict, k: int) -> None:
         q = math.log(qc0) / f0
         f_tol = QCMI_ATOL / (qc0 - QCMI_ATOL) / abs(q) + 1e-15 * abs(f0)
         assert abs(f - f0) <= f_tol, f"f at |B| = {b}: {f} vs {f0}"
-        assert bound == bound0 or _rclose(bound, bound0), f"bound at |B| = {b}"
+        assert _rclose(bound, bound0), f"bound at |B| = {b}"
+
+
+def _cell(x: float, y: float) -> tuple[int, int] | str:
+    """The histogram cell of a shifted point, or "out": bins (-(2i+1),
+    -(2i-1)) x [2j, 2j+2), i and j below ``HISTOGRAM_BINS``."""
+    i, j = int(round(-x / 2.0)), math.floor(y / 2.0)
+    bins = iumps.experiments.HISTOGRAM_BINS
+    return (i, j) if 0 <= i < bins and 0 <= j < bins else "out"
 
 
 def _cells(x: float, y: float) -> set:
-    """The histogram cells (or "out") a shifted point may fall in when its y
-    moves by up to ``EDGE_BAND``, as ``bin_shifted`` bins."""
-    bins = iumps.experiments.HISTOGRAM_BINS
-    i = int(round(-x / 2.0))
-    cells = set()
-    for y_moved in (y - EDGE_BAND, y, y + EDGE_BAND):
-        j = math.floor(y_moved / 2.0)
-        cells.add((i, j) if 0 <= i < bins and 0 <= j < bins else "out")
-    return cells
+    """The cells a shifted point may fall in when its y moves by up to
+    ``EDGE_BAND``."""
+    return {_cell(x, y + dy) for dy in (-EDGE_BAND, 0.0, EDGE_BAND)}
 
 
 def _assert_ensemble(new: dict, old: dict, curves: list) -> None:
@@ -182,10 +187,9 @@ def _assert_ensemble(new: dict, old: dict, curves: list) -> None:
 
     # the new run's histogram is the binning of the points its curves shifted
     shifted = [iumps.experiments.shift_graph(curve) for curve in curves]
-    counts, out = iumps.experiments.bin_shifted([pt for pts in shifted for pt in pts])
     hist = {(i, j): c for i, j, c in files_new["histogram.csv"]["rows"]}
-    assert hist == {(i, j): int(counts[i, j]) for i, j in zip(*counts.nonzero())}
-    assert summary["out_of_range"] == out
+    hist["out"] = summary["out_of_range"]
+    assert Counter(hist) == Counter(_cell(x, y) for pts in shifted for x, y in pts)
     # each golden count lies between the new points that stay in its cell
     # and those plus every point that may have moved into it
     firm, loose = Counter(), Counter()

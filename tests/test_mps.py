@@ -505,7 +505,7 @@ def test_sample_iumps_raises_when_one_fixed_point_fails(monkeypatch):
         sample_iumps("case1", 3, 4, streams)
 
 
-def test_a_bond_dimension_above_the_eigensolver_cap_is_refused_before_any_allocation(monkeypatch):
+def test_a_bond_dimension_above_the_transfer_size_cap_is_refused_before_any_allocation(monkeypatch):
     """d_M^2 above mps.MAX_TRANSFER_DIM = 64 (d_M > 8) is one ValueError,
     raised before any Haar draw or transfer matrix: by the case check every
     sampled path shares, and by KrausSet.validate."""
