@@ -98,6 +98,10 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
     delta = min(
         abs(p - c) for p in peripheral.tolist() for c in cs if abs(p - c) > DEGENERACY_TOL
     )
+    try:
+        growth = (2.0 / delta) ** (d_cap - k - 1)
+    except OverflowError:  # past the double range, as at d_M = 20, d_cap = 400
+        growth = np.inf
     c3 = (
         16.0
         * np.e**2
@@ -105,7 +109,7 @@ def jordan_constants(mps: IuMps) -> BoundConstants:
         * (d_cap + 1)
         / (np.sqrt(2.0) * (1 - nu_gap) ** 1.5)
         * (1 - nu_gap**2) ** (k + 1)
-        * (2.0 / delta) ** (d_cap - k - 1)
+        * growth
     )
 
     d_m = mps.kraus.d_M

@@ -38,6 +38,7 @@ from .experiments import (
     golden_benchmark,
     check_scan_args,
     distinct_magnitudes,
+    each_instance,
     gap_statistics,
     run_ensemble,
     scan_instance,
@@ -125,16 +126,13 @@ _READS = {
     "gapstats": {"master_seed", "d_s", "d_M", "n_instances"},
     "benchmark": {"master_seed", "d_s", "d_M", "k"},
 }
-# The memory a run of many instances may hold; an instance count above it is
-# refused (``_check_run``).
-RUN_MEMORY_BUDGET = 2**30
 
 
 def _check_run(command: str, config: RunConfig) -> None:
     """Raise ValueError, before ``command`` draws or writes, at a field it
     does not read that is not at its default (every default passes), then at
     the scan fields (``check_scan_args``), the instance count, a sampled
-    case (``check_case``) and a run above ``RUN_MEMORY_BUDGET``."""
+    case (``check_case``), charged its instances' results too."""
     reads, what = _READS[command] | {"output_dir"}, command
     if "kraus_path" in reads and (config.kraus_path is not None or config.case_tag == "golden"):
         reads -= {"master_seed", "d_s", "d_M", "n_instances"}
@@ -145,26 +143,18 @@ def _check_run(command: str, config: RunConfig) -> None:
         if name not in reads and value != RunConfig._field_defaults[name]:
             raise ValueError(f"{what} does not read {name}, so {name} = {value!r} does not apply")
     check_scan_args(config.len_a, config.len_c, config.b_max_limit, config.k)
-    n, d_s, d_m = config.n_instances, config.d_s, config.d_M
-    if n < 1:
+    if config.n_instances < 1:
         raise ValueError("n_instances must be >= 1")
-    if "d_M" in reads:  # a sampled run; its dimensions then bound the bytes below
-        check_case(config.case_tag, d_s, d_m)
-    # Bytes a run holds per instance (tracemalloc, d_M 2-8, d_s up to the Haar
-    # cap), over a base set by the chunk, not the count: spectrum keeps only
-    # its instances' d_M^2 rows of spectrum.csv, which peak with their text
-    # when it is written (227-262 B a row); gapstats and ensemble keep a few
-    # numbers (0.26 and 0.3 kB).
-    per_instance = {
-        "spectrum": 400 * d_m**2,
-        "ensemble": 300,
-        "gapstats": 300,
-    }.get(command, 0)
-    if n * per_instance > RUN_MEMORY_BUDGET:
-        raise ValueError(
-            f"n_instances = {n} exceeds {RUN_MEMORY_BUDGET // per_instance}, "
-            f"the most a {command} run fits in the {RUN_MEMORY_BUDGET >> 30} GiB memory budget"
-        )
+    if "d_M" in reads:  # a sampled run
+        # Bytes a run holds per instance: spectrum keeps only its instances'
+        # d_M^2 rows of spectrum.csv (112-125 B a row over d_M 2-20, written
+        # line by line), gapstats and ensemble a few numbers (0.26, 0.3 kB).
+        per_instance = {
+            "spectrum": 150 * config.d_M**2,
+            "ensemble": 300,
+            "gapstats": 300,
+        }.get(command, 0)
+        check_case(config.case_tag, config.d_s, config.d_M, config.n_instances * per_instance)
 
 
 def _fmt(x: float) -> str:
@@ -172,8 +162,10 @@ def _fmt(x: float) -> str:
 
 
 def _write(path: Path, lines: list[str]) -> None:
+    """The lines, each ended by a newline, written through the open file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.writelines(f"{line}\n" for line in lines)
 
 
 def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
@@ -204,7 +196,8 @@ def cmd_spectrum(config: RunConfig) -> int:
     # carries the bits of its instance's transfer_matrix alone
     for start in range(0, config.n_instances, GAP_CHUNK):
         ids = range(start, min(start + GAP_CHUNK, config.n_instances))
-        transfers = transfer_matrices(np.stack([_kraus(config, i).matrices for i in ids]))
+        matrices = np.stack([_kraus(config, i).matrices for i in ids])
+        transfers = each_instance(transfer_matrices, matrices, start)
         for i, transfer in zip(ids, transfers):
             peripheral = set(transfer.peripheral_indices.tolist())
             rows += [

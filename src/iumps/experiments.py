@@ -296,18 +296,30 @@ def build_instance(case_tag: str, d_s: int, d_m: int, stream: RandomStream) -> I
     return build_iumps(build_case(case_tag, d_s, d_m, stream))
 
 
-def _each(step: Callable[[list], list], items: list) -> list:
+def _each(step: Callable[[Sequence], Sequence], items: Sequence) -> Sequence:
     """``step(items)``, one result per item; if it raises, ``step`` of each
-    item alone, so an item gets the ``IumpsError`` of its own step as its
-    result, or raises its own ``ValueError``."""
+    item alone (``items[i : i + 1]``, a list or a stack of one), so an item
+    gets the ``IumpsError`` of its own step as its result, or raises its own
+    ``ValueError``."""
     try:
         return step(items)
     except (IumpsError, ValueError) as exc:
         if len(items) > 1:
-            return [r for item in items for r in _each(step, [item])]
+            return [r for i in range(len(items)) for r in _each(step, items[i : i + 1])]
         if isinstance(exc, IumpsError):
             return [exc]
         raise
+
+
+def each_instance(step: Callable[[Sequence], Sequence], items: Sequence, first: int) -> Sequence:
+    """``_each(step, items)`` of instances ``first``, ``first + 1``, ...: the
+    first whose own step fails raises its ``IumpsError`` prefixed with
+    ``instance i: ``, so a chunked solve names the instance, not its place."""
+    results = _each(step, items)
+    for i, res in enumerate(results, first):
+        if isinstance(res, IumpsError):
+            raise type(res)(f"instance {i}: {res}") from res
+    return results
 
 
 def _scan_chunk(
@@ -558,7 +570,8 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     real arithmetic, but sorts no complex spectrum and reads no
     eigenvector; the gaps read its columns 0-2.  Every row carries the
     magnitudes of ``build_case1`` + ``transfer_matrix`` on its own, bit for
-    bit, so the samples do not depend on the chunk size.  d_M must be at
+    bit, so the samples do not depend on the chunk size; a failing solve
+    names its instance (``each_instance``).  d_M must be at
     least 2, for E to have the three eigenvalues the gaps need, and the
     dimensions pass ``check_case`` before anything is allocated.
     """
@@ -572,7 +585,7 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
         stop = min(start + GAP_CHUNK, n)
         streams = [RandomStream(master_seed, i) for i in range(start, stop)]
         e = transfer_operators(sample_case1(d_s, d_m, streams))
-        mags[start:stop] = transfer_magnitudes(e)[:, :3]
+        mags[start:stop] = np.asarray(each_instance(transfer_magnitudes, e, start))[:, :3]
     return GapStatistics(
         one_minus_nu1=np.sort(np.abs(1.0 - mags[:, 0])),
         nu1_minus_nu2=np.sort(np.abs(mags[:, 0] - mags[:, 1])),

@@ -12,6 +12,10 @@ R = U† E U (``real_form``), and every transfer spectrum is solved from R in
 real arithmetic: ``transfer_spectrum`` with eigenvectors U V_R, or
 ``transfer_magnitudes`` for the eigenvalue magnitudes alone.  Either solve
 checks every eigenpair's residual in real arithmetic too (``numerics``).
+
+One memory budget, ``MEMORY_BUDGET``, is the only size rule: ``_check_dims``
+refuses a run that ``run_charge`` puts above it, sampled or loaded, before
+any draw or E is allocated.
 """
 
 from __future__ import annotations
@@ -233,25 +237,34 @@ def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:
     return mu.reshape(*u.shape[:-2], d_s, d_m, d_m)
 
 
-# Largest transfer dimension d_M^2 built (d_M <= 8), a memory cap: at d_M = 40
-# one gapstats chunk held 625 MiB.  No eigensolver limit; ``eig_general``
-# solves 256 x 256.
-MAX_TRANSFER_DIM = 64
-# Largest Haar dimension d_s*d_M sampled.  One GAP_CHUNK draw of 16 unitaries
-# peaks (tracemalloc) at 21.9 MB at 128, the most the tests and ROADMAP tables
-# sample, at 84 MB at 256 and at 336 MB at 512: about 1.3 kB * dimension^2.
-MAX_HAAR_DIM = 256
+# The bytes a run may hold; ``_check_dims`` refuses a run that ``run_charge``
+# puts above it before any draw or E.  The charge bounds the tracemalloc peak
+# of every command at |A| = |C| = 1 over d_M 2-20 and d_s * d_M up to 512: per
+# d_M^4 at most 4.95 kB (ensemble --n 4, d_M = 8; 4.72 kB at d_M = 20), per
+# (d_s d_M)^2 of one chunk of Haar draws at most 1.35 kB, and at small d_M the
+# ~1.2 MB a first call allocates, so the margins are 17%, 18% and 2 MiB.
+MEMORY_BUDGET = 2**30
+RUN_BASE = 2**21
+TRANSFER_BYTES = 5800
+HAAR_BYTES = 1600
 
 
-def _check_dims(d_s: int, d_m: int) -> None:
-    """Refuse dimensions below 1, and a d_M whose d_M^2 x d_M^2 transfer
-    matrix is above ``MAX_TRANSFER_DIM``, before any draw or E is allocated."""
+def run_charge(d_s: int, d_m: int, extra: int = 0) -> int:
+    """Bytes charged a run at d_s x d_M holding ``extra`` bytes of results."""
+    return RUN_BASE + TRANSFER_BYTES * d_m**4 + HAAR_BYTES * (d_s * d_m) ** 2 + extra
+
+
+def _check_dims(d_s: int, d_m: int, extra: int = 0) -> None:
+    """Refuse dimensions below 1, and a run whose ``run_charge`` is above
+    ``MEMORY_BUDGET``, before any draw or E is allocated."""
     if d_s < 1 or d_m < 1:
         raise ValueError("d_s and d_M must be >= 1")
-    if d_m * d_m > MAX_TRANSFER_DIM:
+    charge = run_charge(d_s, d_m, extra)
+    if charge > MEMORY_BUDGET:
+        held = f" holding {extra:,} bytes of instance results" if extra else ""
         raise ValueError(
-            f"d_M = {d_m} exceeds {math.isqrt(MAX_TRANSFER_DIM)}: its {d_m * d_m} x {d_m * d_m} "
-            f"transfer matrix is above the transfer dimension cap {MAX_TRANSFER_DIM}"
+            f"a run at d_s = {d_s}, d_M = {d_m}{held} charges {charge:,} bytes, "
+            f"above the {MEMORY_BUDGET >> 30} GiB memory budget"
         )
 
 
@@ -267,20 +280,18 @@ def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndar
     return matrices
 
 
-def check_case(case_tag: str, d_s: int, d_m: int) -> None:
+def check_case(case_tag: str, d_s: int, d_m: int, extra: int = 0) -> None:
     """Raise ``ValueError``, before anything is drawn, unless ``case_tag`` is
     a sampled case that can be drawn at d_s x d_M: an unknown case first,
-    then an odd d_M for a two-block case, then ``_check_dims``, then a Haar
-    dimension d_s*d_M above ``MAX_HAAR_DIM``.  A loaded Kraus set draws
-    nothing, so ``KrausSet.validate`` checks ``_check_dims`` only."""
+    then an odd d_M for a two-block case, then ``_check_dims`` of the run,
+    which holds ``extra`` bytes besides.  A loaded Kraus set draws nothing;
+    ``KrausSet.validate`` checks ``_check_dims`` only."""
     if case_tag != CASE1 and case_tag not in _BLOCK_LAYOUT:
         cases = sorted((CASE1, *_BLOCK_LAYOUT))
         raise ValueError(f"unknown case {case_tag!r}; expected one of {cases}")
     if case_tag in _BLOCK_LAYOUT and d_m % 2 != 0:
         raise ValueError("d_M must be even")
-    _check_dims(d_s, d_m)
-    if d_s * d_m > MAX_HAAR_DIM:
-        raise ValueError(f"d_s * d_M = {d_s * d_m} exceeds the Haar dimension cap {MAX_HAAR_DIM}")
+    _check_dims(d_s, d_m, extra)
 
 
 def sample_case(case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndarray:

@@ -168,8 +168,8 @@ def _spectrum_order(values: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def flagged_at(bad: np.ndarray) -> str:
     """Where the first flagged matrix of a stack sits, as ``" (matrix i)"``;
-    ``""`` for a single matrix, whose flag ``bad`` is 0-d."""
-    if bad.ndim == 0:
+    ``""`` for a single matrix or a stack of one, where a place names nothing."""
+    if bad.size == 1:
         return ""
     index = tuple(int(i) for i in np.argwhere(bad)[0])
     return f" (matrix {index[0] if len(index) == 1 else index})"

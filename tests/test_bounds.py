@@ -341,3 +341,19 @@ def test_distinct_clusters_and_delta_keep_the_numpy_scalar_bits():
         assert constants.delta_spec == float(delta)
         deltas += 1
     assert deltas == len(kraus_sets) - 1  # the first family at beta = 0 has no gap
+
+
+def test_c3_past_the_double_range_is_inf():
+    """c3's factor (2/delta)^(d_cap - 1) can pass the double range at large
+    d_M (it did for Case 1 at d_s = 2, d_M = 20, seed 0): a d_M = 12 Haar set
+    mixed with the identity, nu_gap near 0.995, has d_cap = 144 clusters.
+    c3 is then inf, not an OverflowError; Q and the bound do not read it."""
+    haar = build_case("case1", 3, 12, RandomStream(5, 0)).matrices
+    p = 0.99
+    mats = np.concatenate([np.sqrt(p) * np.eye(12, dtype=complex)[None], np.sqrt(1 - p) * haar])
+    kraus = KrausSet(d_s=4, d_M=12, matrices=mats, case_tag="explicit")
+    kraus.validate()
+    constants = jordan_constants(build_iumps(kraus))
+    assert constants.d_cap == 144 and constants.nu_gap > 0.99
+    assert constants.c3 == np.inf and np.isfinite(constants.big_q)
+    assert 0 < decay_bound(constants, 10) < np.inf

@@ -914,12 +914,12 @@ def test_a_bond_dimension_above_the_transfer_size_cap_exits_4_before_sampling(
 
     monkeypatch.setattr(iumps.mps, "haar_unitaries", no_draw)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"d_M": 9}))
+    config.write_text(json.dumps({"d_M": 40}))
     out_dir = tmp_path / "out"
     assert main(["gapstats", "--n", "16", "--config", str(config), "--out", str(out_dir)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("invalid input: ValueError: d_M = 9 exceeds 8: ")
+    assert captured.err == f"invalid input: ValueError: {over_budget(3, 40, 16 * 300)}\n"
     assert captured.err.count("\n") == 1
     assert not out_dir.exists()
 
@@ -935,30 +935,43 @@ def test_a_kraus_file_above_the_transfer_size_cap_exits_4_before_its_transfer_ma
 
     monkeypatch.setattr(iumps.mps, "transfer_operators", no_transfer)
     kraus_file = tmp_path / "kraus.json"
-    identity = np.eye(9, dtype=complex)[None]
-    kraus_file.write_text(KrausSet(d_s=1, d_M=9, matrices=identity, case_tag="explicit").to_json())
+    identity = np.eye(40, dtype=complex)[None]
+    kraus_file.write_text(KrausSet(d_s=1, d_M=40, matrices=identity, case_tag="explicit").to_json())
     assert run(tmp_path / "out", "spectrum", "--kraus", str(kraus_file)) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    prefix = f"invalid input: ValueError: Kraus file {kraus_file}: d_M = 9 exceeds 8: "
-    assert captured.err.startswith(prefix)
-    assert captured.err.count("\n") == 1
+    message = f"invalid input: ValueError: Kraus file {kraus_file}: {over_budget(1, 40)}\n"
+    assert captured.err == message
     assert not (tmp_path / "out").exists()
 
 
+def over_budget(d_s, d_m, extra=0):
+    """The memory-budget refusal of a run at d_s x d_M holding ``extra``
+    bytes of instance results besides."""
+    held = f" holding {extra:,} bytes of instance results" if extra else ""
+    charge = iumps.mps.run_charge(d_s, d_m, extra)
+    return (
+        f"a run at d_s = {d_s}, d_M = {d_m}{held} charges {charge:,} bytes, "
+        "above the 1 GiB memory budget"
+    )
+
+
 # Configs refused before anything is drawn or written: a two-block case at an
-# odd d_M, a Haar dimension d_s * d_M above the cap (a 4.66 TiB draw at
-# d_s = 100000), a k whose floor 10^-k is not a normal double, an instance
-# count above the memory budget's share (a 224 GiB gapstats array at 10^10),
-# and scan arguments refused by the CLI's one pass, not by the command.
-HAAR_CAP = "d_s * d_M = 400000 exceeds the Haar dimension cap 256"
+# odd d_M, a Haar dimension d_s * d_M above the memory budget (a 4.66 TiB draw
+# at d_s = 100000), a k whose floor 10^-k is not a normal double, an instance
+# count above the memory budget (a 224 GiB gapstats array at 10^10), and scan
+# arguments refused by the CLI's one pass, not by the command.  The bytes each
+# instance charges: spectrum SPECTRUM_ROW_BYTES d_M^2, gapstats and ensemble 300.
+SPECTRUM_ROW_BYTES = 150
 K_CAP = "k must be <= 307, for a floor 10^-k that is a normal double"
-BUDGET = "the most a {} run fits in the 1 GiB memory budget"
+INSTANCE_BYTES = {"spectrum": SPECTRUM_ROW_BYTES * 4**2, "gapstats": 300, "ensemble": 300}
 REFUSED = [
     pytest.param(("ensemble", "--case", "2", "--n", "8"), {"d_M": 3}, "d_M must be even",
                  id="ensemble case2 d_M=3"),
     *[
-        pytest.param((command,), {"d_s": 100_000}, HAAR_CAP, id=f"{command} d_s=100000")
+        pytest.param((command,), {"d_s": 100_000},
+                     over_budget(100_000, 4, INSTANCE_BYTES.get(command, 0)),
+                     id=f"{command} d_s=100000")
         for command in ("spectrum", "scan", "ensemble", "gapstats", "benchmark")
     ],
     *[
@@ -967,13 +980,9 @@ REFUSED = [
         for k, name in ((308, "308"), (10**400, "10^400"))
     ],
     *[
-        pytest.param((command, "--n", str(n)), {}, f"n_instances = {n} exceeds {limit}, "
-                     + BUDGET.format(command), id=f"{command} n={n}")
-        for command, n, limit in (
-            ("spectrum", 10**8, 167_772),
-            ("gapstats", 10**10, 3_579_139),
-            ("ensemble", 3_579_140, 3_579_139),
-        )
+        pytest.param((command, "--n", str(n)), {}, over_budget(3, 4, n * INSTANCE_BYTES[command]),
+                     id=f"{command} n={n}")
+        for command, n in (("spectrum", 10**8), ("gapstats", 10**10), ("ensemble", 3_579_140))
     ],
     pytest.param(("benchmark", "--k", "0"), {}, "k must be >= 1", id="benchmark k=0"),
     pytest.param(("bound", "--b-max", "13"), {}, "b_max_limit must be even", id="bound b_max=13"),
@@ -1012,31 +1021,36 @@ def test_a_config_refused_before_any_draw_exits_4_and_writes_nothing(
 @pytest.mark.parametrize(
     "command, payload, limit",
     [
-        ("spectrum", {}, 167_772),
-        ("spectrum", {"d_M": 8}, 41_943),
-        ("gapstats", {}, 3_579_139),
-        ("ensemble", {}, 3_579_139),
+        ("spectrum", {}, 445_803),
+        ("spectrum", {"d_M": 8}, 109_058),
+        ("gapstats", {}, 3_566_431),
+        ("ensemble", {}, 3_566_431),
     ],
     ids=["spectrum", "spectrum d_M=8", "gapstats", "ensemble"],
 )
 def test_the_instance_limit_is_the_memory_budget_share(
     tmp_path, handled, capsys, command, payload, limit
 ):
-    """Each instance-counting command takes up to its share of the 1 GiB
-    budget, far above the documented runs (ensemble 60000, gapstats 20000),
-    and refuses one instance more; spectrum's share falls with d_M^2."""
+    """Each instance-counting command takes as many instances as fit in the
+    1 GiB budget besides the run's own charge, far above the documented runs
+    (ensemble 60000, gapstats 20000), and refuses one instance more;
+    spectrum's share grows with d_M^2."""
+    d_m = payload.get("d_M", 4)
+    share = SPECTRUM_ROW_BYTES * d_m**2 if command == "spectrum" else INSTANCE_BYTES[command]
+    assert (iumps.mps.MEMORY_BUDGET - iumps.mps.run_charge(3, d_m)) // share == limit
     assert run_config(tmp_path, command, {**payload, "n_instances": limit}) == 0
     assert run_config(tmp_path, command, {**payload, "n_instances": limit + 1}) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"invalid input: ValueError: n_instances = {limit + 1} exceeds {limit}, ")
+    assert err == f"invalid input: ValueError: {over_budget(3, d_m, (limit + 1) * share)}\n"
     assert [config.n_instances for config in handled] == [limit]
 
 
 def test_a_spectrum_run_peaks_under_its_instance_envelope(tmp_path):
-    """spectrum solves GAP_CHUNK instances at a time and keeps only their
-    rows, so 512 instances at the defaults peak under 1 MB plus 512 times
-    the bytes per instance the budget charges them, 400 d_M^2 (measured
-    2.3 MB; holding every instance's transfer matrix took 24 kB each)."""
+    """spectrum solves GAP_CHUNK instances at a time, keeps only their rows
+    and writes them line by line, so 512 instances at the defaults peak
+    under 1 MB plus 512 times the bytes per instance the budget charges
+    them, 150 d_M^2 (measured 1.6 MB; 2.3 MB when the file's whole text was
+    built before writing, and holding every instance's E took 24 kB each)."""
     argv = ["spectrum", "--case", "1", "--n", "512", "--seed", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
     tracemalloc.start()
@@ -1045,4 +1059,62 @@ def test_a_spectrum_run_peaks_under_its_instance_envelope(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1e6 + 512 * 400 * 4**2, f"{peak / 1e6:.2f} MB"
+    assert peak < 1e6 + 512 * SPECTRUM_ROW_BYTES * 4**2, f"{peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "gapstats"])
+def test_a_failing_spectrum_is_named_by_its_instance(tmp_path, capsys, monkeypatch, command):
+    """A chunk whose stacked solve fails is redone one instance at a time, and
+    the error names the failing instance, 17, not its place in its chunk."""
+    import iumps.experiments
+
+    bad = iumps.mps.sample_case1(3, 4, [RandomStream(0, 17)])[0]
+    transfer_operators = iumps.mps.transfer_operators
+
+    def breaking_17(matrices):
+        e = transfer_operators(matrices)
+        for row, kraus in zip(e.reshape(-1, 16, 16), matrices.reshape(-1, 3, 4, 4)):
+            if np.array_equal(kraus, bad):
+                row[1, 0] += 1e-6  # E_00 -> Phi(E_00) + 1e-6 E_01, not Hermitian
+        return e
+
+    monkeypatch.setattr(iumps.mps, "transfer_operators", breaking_17)
+    monkeypatch.setattr(iumps.experiments, "transfer_operators", breaking_17)
+    assert run(tmp_path / "out", command, "--n", "20") == 2
+    err = capsys.readouterr().err
+    prefix = "numerical failure: NotHermitian: instance 17: transfer matrix does not preserve "
+    assert err.startswith(prefix)
+    assert "(matrix" not in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_command_peaks_under_its_charge_at_d_m_12(tmp_path, monkeypatch):
+    """The memory model, checked rather than guessed: at d_M = 12 each
+    command exits 0 with a tracemalloc peak under what ``mps._check_dims``
+    charges its run, its dimensions and its instances' results."""
+    check_case, charged = cli.check_case, []
+
+    def recorded(case_tag, d_s, d_m, extra=0):
+        charged.append(iumps.mps.run_charge(d_s, d_m, extra))
+        check_case(case_tag, d_s, d_m, extra)
+
+    monkeypatch.setattr(cli, "check_case", recorded)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"d_M": 12}))
+    for argv in (
+        ("ensemble", "--n", "4"),
+        ("scan", "--case", "1"),
+        ("scan", "--case", "2"),
+        ("gapstats", "--n", "16"),
+        ("spectrum", "--n", "16"),
+        ("bound",),
+    ):
+        charged.clear()
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--config", str(config), "--out", str(tmp_path / argv[0])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(charged) == 1, argv
+        assert peak < charged[0], f"{argv}: {peak / 1e6:.1f} MB above {charged[0] / 1e6:.1f} MB"

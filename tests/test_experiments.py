@@ -27,7 +27,10 @@ from iumps import (
     build_case2,
     build_case3,
     gap_statistics,
+    jordan_constants,
     qcmi,
+    region_entropy,
+    brute_force_entropy,
     run_ensemble,
     scan_instance,
     shift_graph,
@@ -306,11 +309,11 @@ def test_gap_statistics_rejects_bond_dimension_one():
 
 
 def test_gap_statistics_checks_the_case_before_it_allocates():
-    """The Haar cap refuses d_s = 100000 before the (n, 3) array of a
+    """The memory budget refuses d_s = 100000 before the (n, 3) array of a
     million samples (24 MB) is allocated."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^d_s \\* d_M = 400000 exceeds the Haar"):
+        with pytest.raises(ValueError, match="^a run at d_s = 100000, d_M = 4 charges [0-9,]+ bytes"):
             gap_statistics(10**6, 7, d_s=100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -684,7 +687,8 @@ def test_non_canonical_draw_raises_the_same_message(monkeypatch, case, path):
     builder = {"case1": build_case1, "case2": build_case2, "case3": build_case3}[case]
     with pytest.raises(ValueError, match="canonical-form deviation 1.250e") as direct:
         builder(3, 4, RandomStream(77, 2))
-    assert str(direct.value).endswith(f"(matrix {len(path)})")
+    # a one-set stack names no place; a two-block set names its half
+    assert str(direct.value).endswith("(matrix 1)" if path else "1.0e-10")
     with pytest.raises(ValueError) as ensemble:
         run_ensemble(6, case, 1, 1, 77, b_max_limit=12)
     assert str(ensemble.value) == str(direct.value)
@@ -751,3 +755,43 @@ def test_scan_instances_raises_for_an_empty_curve_in_the_first_block(monkeypatch
     with pytest.raises(EmptyCurve, match=r"QCMI <= 1e-1 already at \|B\| = 2"):
         scan_instances(instances, 1, 1, 40, 1)
     assert len(blocks) == 1
+
+
+@pytest.mark.parametrize("case, reach", [("case1", 144), ("case2", 72)])
+def test_an_instance_at_d_m_12_scans_to_its_stop_and_matches_brute_force(case, reach):
+    """Past the old d_M <= 8 limit: a d_M = 12 instance builds with every
+    canonical, residual and Hermitian check passing, scans to its 10^-12
+    stop, gives ``jordan_constants``, and each S(n), n <= 5, solved on its
+    reach of 144 (Case 1) or 72 (Case 2) coordinates, lies within 1e-9 of
+    the entropy of the explicit reduced density."""
+    mps = build_instance(case, 3, 12, RandomStream(20231, 0))
+    assert int(mps.reach.sum()) == reach
+    curve = scan_instance(mps, 1, 1, 40, 12)
+    assert curve.b_max < 40 and qcmi(mps, 1, curve.b_max + 2, 1) <= 1e-12
+    constants = jordan_constants(mps)
+    assert constants.d_M == 12 and constants.nu_gap == curve.nu_gap and constants.big_q > 0
+    for n in range(1, 6):
+        assert abs(region_entropy(mps, n).entropy - brute_force_entropy(mps, n)) <= 1e-9
+
+
+def test_a_failed_one_stream_build_names_no_place(monkeypatch):
+    """The ensemble redoes a failing chunk one stream at a time; the skipped
+    instance's message then names no place in a one-instance stack."""
+    import iumps.mps
+
+    bad = iumps.mps.sample_case1(3, 4, [RandomStream(3, 5)])[0]
+    transfer_operators = iumps.mps.transfer_operators
+
+    def breaking_5(matrices):
+        e = transfer_operators(matrices)
+        for row, kraus in zip(e.reshape(-1, 16, 16), matrices.reshape(-1, 3, 4, 4)):
+            if np.array_equal(kraus, bad):
+                row[1, 0] += 1e-6  # not Hermiticity preserving
+        return e
+
+    monkeypatch.setattr(iumps.mps, "transfer_operators", breaking_5)
+    summary = run_ensemble(8, "case1", 1, 1, 3)
+    assert [i for i, _ in summary.skipped] == [5] and len(summary.records) == 7
+    message = summary.skipped[0][1]
+    assert message.startswith("NotHermitian: transfer matrix does not preserve Hermiticity")
+    assert message.endswith("times its largest entry")

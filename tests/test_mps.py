@@ -34,6 +34,7 @@ from iumps.mps import (
     hermitian_basis,
     kraus_reach,
     real_form,
+    run_charge,
     sample_case,
     sample_iumps,
     transfer_matrices,
@@ -505,10 +506,17 @@ def test_sample_iumps_raises_when_one_fixed_point_fails(monkeypatch):
         sample_iumps("case1", 3, 4, streams)
 
 
+def _over_budget(d_s, d_m):
+    """The memory-budget refusal of a run at d_s x d_M."""
+    charge = run_charge(d_s, d_m)
+    return f"^a run at d_s = {d_s}, d_M = {d_m} charges {charge:,} bytes, above the 1 GiB memory"
+
+
 def test_a_bond_dimension_above_the_transfer_size_cap_is_refused_before_any_allocation(monkeypatch):
-    """d_M^2 above mps.MAX_TRANSFER_DIM = 64 (d_M > 8) is one ValueError,
-    raised before any Haar draw or transfer matrix: by the case check every
-    sampled path shares, and by KrausSet.validate."""
+    """A d_M whose transfer matrices put the run above mps.MEMORY_BUDGET
+    (d_M = 40: 14.9 GB charged) is one ValueError, raised before any Haar draw
+    or transfer matrix: by the case check every sampled path shares, and by
+    KrausSet.validate.  d_M = 20, the largest admitted at d_s = 3, passes."""
     import iumps.experiments
     import iumps.mps
     from iumps.experiments import run_ensemble
@@ -520,45 +528,48 @@ def test_a_bond_dimension_above_the_transfer_size_cap_is_refused_before_any_allo
     monkeypatch.setattr(iumps.mps, "haar_unitaries", no_allocation)
     monkeypatch.setattr(iumps.mps, "transfer_operators", no_allocation)
     monkeypatch.setattr(iumps.experiments, "transfer_operators", no_allocation)
-    message = (
-        "^d_M = 9 exceeds 8: its 81 x 81 transfer matrix is above the transfer dimension cap 64$"
-    )
-    stream, identity = RandomStream(3, 0), np.eye(9, dtype=complex)[None]
+    stream, identity = RandomStream(3, 0), np.eye(40, dtype=complex)[None]
     refused = [
-        lambda: check_case("case1", 3, 9),
-        lambda: sample_case1(3, 9, [stream]),
-        lambda: build_case("case1", 3, 9, stream),
-        lambda: sample_iumps("case1", 3, 9, [stream]),
-        lambda: run_ensemble(2, "case1", 1, 1, 3, d_m=9),
-        lambda: iumps.experiments.gap_statistics(16, 3, 3, 9),
-        lambda: KrausSet(d_s=1, d_M=9, matrices=identity, case_tag="explicit").validate(),
+        lambda: check_case("case1", 3, 40),
+        lambda: sample_case1(3, 40, [stream]),
+        lambda: build_case("case1", 3, 40, stream),
+        lambda: sample_iumps("case1", 3, 40, [stream]),
+        lambda: run_ensemble(2, "case1", 1, 1, 3, d_m=40),
+        lambda: iumps.experiments.gap_statistics(16, 3, 3, 40),
     ]
     for call in refused:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=_over_budget(3, 40)):
             call()
-    with pytest.raises(ValueError, match="d_M = 10 exceeds 8"):
-        check_case("case2", 3, 10)
-    check_case("case1", 3, 8)
+    with pytest.raises(ValueError, match=_over_budget(1, 40)):
+        KrausSet(d_s=1, d_M=40, matrices=identity, case_tag="explicit").validate()
+    with pytest.raises(ValueError, match=_over_budget(3, 22)):
+        check_case("case2", 3, 22)
+    with pytest.raises(ValueError, match=_over_budget(3, 21)):
+        check_case("case1", 3, 21)
+    check_case("case1", 3, 20)
+    check_case("case2", 3, 20)
 
 
 def test_a_haar_dimension_above_the_cap_is_refused_before_any_draw(monkeypatch):
-    """d_s * d_M above MAX_HAAR_DIM = 256 is one ValueError, raised before any
-    Haar draw by the case check, which ``sample_case1`` (the draw of every
-    sampled path) also runs; 256 passes it.  A loaded Kraus set draws
-    nothing, so it validates above the cap."""
+    """A Haar dimension d_s * d_M that puts the run above mps.MEMORY_BUDGET
+    (d_s = 100000 at d_M = 4: 2.56e14 bytes charged) is one ValueError,
+    raised before any Haar draw by the case check, which ``sample_case1``
+    (the draw of every sampled path) also runs; 800 passes it at d_M = 4.
+    A loaded Kraus set draws nothing, and validates at d_s * d_M = 260."""
     import iumps.mps
-    from iumps.mps import MAX_HAAR_DIM, check_case
+    from iumps.mps import check_case
 
     def no_draw(*args):
         raise AssertionError("drew before the Haar dimension check")
 
     monkeypatch.setattr(iumps.mps, "haar_unitaries", no_draw)
-    assert MAX_HAAR_DIM == 256
-    message = r"^d_s \* d_M = 260 exceeds the Haar dimension cap 256$"
-    with pytest.raises(ValueError, match=message):
-        check_case("case2", 65, 4)
-    with pytest.raises(ValueError, match=message):
-        sample_case1(65, 4, [RandomStream(3, 0)])
+    with pytest.raises(ValueError, match=_over_budget(100_000, 4)):
+        check_case("case2", 100_000, 4)
+    with pytest.raises(ValueError, match=_over_budget(100_000, 4)):
+        sample_case1(100_000, 4, [RandomStream(3, 0)])
+    with pytest.raises(ValueError, match=_over_budget(205, 4)):
+        check_case("case1", 205, 4)
+    check_case("case1", 200, 4)
     check_case("case1", 64, 4)
     check_case("case2", 32, 8)
     identity = np.repeat(np.eye(4, dtype=complex)[None] / np.sqrt(65), 65, axis=0)

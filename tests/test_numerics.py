@@ -288,7 +288,7 @@ def test_a_real_residual_in_real_arithmetic_matches_the_complex_route():
         np.testing.assert_array_max_ulp(residual, complex_route.max(axis=-1), maxulp=4)
 
 
-def test_eig_readers_solve_past_the_transfer_size_cap():
+def test_eig_readers_refuse_no_size():
     """The eigensolvers refuse no size: an 81 x 81 real stack (the transfer
     dimension of d_M = 9) and a 256 x 256 real matrix are solved with
     every eigenpair's residual under the tolerance, and the magnitudes are
