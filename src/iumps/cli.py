@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import jordan_constants, sufficient_b, decay_bound
-from .entropy import region_factors
+from .entropy import QMI_SLICE, check_rho_ac, region_factors
 from .exceptions import (
     BenchmarkFailed,
     DegenerateSpectrum,
@@ -32,6 +32,7 @@ from .exceptions import (
     Unsupported,
 )
 from .experiments import (
+    ENSEMBLE_CHUNK,
     GAP_CHUNK,
     analytic_family,
     benchmark_kraus,
@@ -128,11 +129,23 @@ _READS = {
 }
 
 
+# Bytes a sampled scan or ensemble holds past |A| = |C| = 1, which the
+# run's own charge covers: per region site past one and per instance of a
+# chunk, the window's E^n, 52 d_M^4 (tracemalloc peaks at most 43.8 d_M^4,
+# ensemble --n 4 at |C| = 16, d_M = 16); and per |B| of a scan's one slice
+# of rho_AC and per entry past its size at |A| = |C| = 1, 56 (at most 44.1,
+# and three complex copies are 48).  Measured over d_M 4-16, d_s 2 and 3.
+REGION_POWER_BYTES = 52
+RHO_AC_BYTES = 56
+
+
 def _check_run(command: str, config: RunConfig) -> None:
-    """Raise ValueError, before ``command`` draws or writes, at a field it
+    """Raise, before ``command`` draws or writes, a ValueError at a field it
     does not read that is not at its default (every default passes), then at
-    the scan fields (``check_scan_args``), the instance count, a sampled
-    case (``check_case``), charged its instances' results too."""
+    the scan fields (``check_scan_args``) and the instance count; then, for a
+    sampled run, a scan's ``TooLarge`` rho_AC (``check_rho_ac``) and the
+    case (``check_case``), charged what the run holds besides: its
+    instances' results, and a scan's or ensemble's longer regions."""
     reads, what = _READS[command] | {"output_dir"}, command
     if "kraus_path" in reads and (config.kraus_path is not None or config.case_tag == "golden"):
         reads -= {"master_seed", "d_s", "d_M", "n_instances"}
@@ -154,7 +167,20 @@ def _check_run(command: str, config: RunConfig) -> None:
             "ensemble": 300,
             "gapstats": 300,
         }.get(command, 0)
-        check_case(config.case_tag, config.d_s, config.d_M, config.n_instances * per_instance)
+        held = {"instance results": config.n_instances * per_instance}
+        if command in ("scan", "ensemble"):
+            sites = config.len_a + config.len_c - 2
+            chunk = min(config.n_instances, ENSEMBLE_CHUNK)  # 1 for a scan
+            held[f"E^n for {sites} region sites past one"] = (
+                REGION_POWER_BYTES * chunk * sites * config.d_M**4
+            )
+        if command == "scan":
+            dim = check_rho_ac(config.d_s, config.d_M, config.len_a, config.len_c)
+            one_site = check_rho_ac(config.d_s, config.d_M, 1, 1)
+            held[f"{dim} x {dim} rho_AC"] = (
+                RHO_AC_BYTES * min(QMI_SLICE, config.b_max_limit // 2) * (dim**2 - one_site**2)
+            )
+        check_case(config.case_tag, config.d_s, config.d_M, held)
 
 
 def _fmt(x: float) -> str:
@@ -168,9 +194,10 @@ def _write(path: Path, lines: list[str]) -> None:
         f.writelines(f"{line}\n" for line in lines)
 
 
-def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
+def _kraus(config: RunConfig, instance_id: int, check=lambda kraus: None) -> KrausSet:
     """The instance's Kraus set: a ``--kraus`` file, the golden instance, or a
-    sampled case; written to ``kraus_<id>.json`` under ``--save-kraus``."""
+    sampled case; once ``check`` of it passes, written to ``kraus_<id>.json``
+    under ``--save-kraus``."""
     if config.kraus_path is not None:
         text = Path(config.kraus_path).read_text()
         try:
@@ -182,6 +209,7 @@ def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
     else:
         stream = RandomStream(config.master_seed, instance_id)
         kraus = build_case(config.case_tag, config.d_s, config.d_M, stream)
+    check(kraus)
     if config.save_kraus:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -192,12 +220,18 @@ def _kraus(config: RunConfig, instance_id: int) -> KrausSet:
 def cmd_spectrum(config: RunConfig) -> int:
     out = Path(config.output_dir)
     rows = ["instance_id,eig_index,re,im,abs,is_peripheral"]
-    # solved GAP_CHUNK instances at a time, keeping only their rows; each row
-    # carries the bits of its instance's transfer_matrix alone
+    # drawn and solved GAP_CHUNK instances at a time in one step, which names
+    # a failing instance, keeping only their rows; each row carries the bits
+    # of its instance's transfer_matrix alone.  A --kraus file is loaded, or
+    # refused under its own name, before that step.
+    loaded = _kraus(config, 0) if config.kraus_path is not None else None
+
+    def draw_and_solve(ids):
+        return transfer_matrices(np.stack([(loaded or _kraus(config, i)).matrices for i in ids]))
+
     for start in range(0, config.n_instances, GAP_CHUNK):
         ids = range(start, min(start + GAP_CHUNK, config.n_instances))
-        matrices = np.stack([_kraus(config, i).matrices for i in ids])
-        transfers = each_instance(transfer_matrices, matrices, start)
+        transfers = each_instance(draw_and_solve, ids, start)
         for i, transfer in zip(ids, transfers):
             peripheral = set(transfer.peripheral_indices.tolist())
             rows += [
@@ -220,8 +254,9 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_scan(config: RunConfig) -> int:
-    mps = build_iumps(_kraus(config, 0))
-    # rho_AC's cap is checked here, before the scan, not after it
+    # rho_AC's cap before E (a sampled instance's passed _check_run already)
+    check = lambda kraus: check_rho_ac(kraus.d_s, kraus.d_M, config.len_a, config.len_c)
+    mps = build_iumps(_kraus(config, 0, check))
     factors = region_factors(mps.kraus, config.len_a, config.len_c)
     curve = scan_instance(mps, config.len_a, config.len_c, config.b_max_limit, config.k, factors)
     try:

@@ -55,9 +55,12 @@ bits, and ``qmi`` is ``qmi_curve``'s one-|B| case.  The ends are bilinear
 in the rows vec(M_s) of the site products Phi, so a factor R with
 R† R = Phi† Phi (``_region_factor``, at most d_M^2 rows) changes rho_AC by
 an isometry only and keeps its nonzero spectrum.
-``region_factors`` builds both and holds rho_AC's one cap; ``iumps scan``
-builds them before it scans, so it fails on an oversized rho_AC first.
-``rho_disjoint`` is the explicit site-basis rho_AC, kept as an oracle.
+Each region so folds to min(d_s^n, d_M^2) matrices, so rho_AC's dimension
+needs only d_s, d_M, |A| and |C|: ``check_rho_ac`` holds rho_AC's one cap
+and needs no instance.  ``iumps scan`` runs it before it draws a sampled
+instance or builds a loaded one's E, and ``region_factors`` before it
+builds the factors.  ``rho_disjoint`` is the explicit site-basis rho_AC,
+kept as an oracle, with its own oracle-scale check.
 """
 
 from __future__ import annotations
@@ -298,31 +301,42 @@ def qcmi(mps: IuMps, len_a: int, len_b: int, len_c: int) -> float:
     return s(len_a + len_b) + s(len_b + len_c) - s(len_a + len_b + len_c) - s(len_b)
 
 
-def _capped(phi_a: np.ndarray, phi_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The region factors of A and C, once their rho_AC, of dimension
-    len(phi_a) len(phi_c), is known to fit: ``TooLarge`` when that is above
-    ``BRUTE_FORCE_CAP``, the one cap on rho_AC."""
-    dim = len(phi_a) * len(phi_c)
+def _cap(dim: int) -> int:
     if dim > BRUTE_FORCE_CAP:
         raise TooLarge(f"rho_AC dimension {dim} exceeds {BRUTE_FORCE_CAP}")
-    return phi_a, phi_c
+    return dim
+
+
+def check_rho_ac(d_s: int, d_m: int, len_a: int, len_c: int) -> int:
+    """The dimension of the rho_AC that ``qmi_of_powers`` builds for regions
+    of ``len_a`` and ``len_c`` sites, each folded to min(d_s^n, d_M^2)
+    matrices (``_region_factor``); ``TooLarge`` when it is above
+    ``BRUTE_FORCE_CAP``, rho_AC's one cap.  It reads no instance, so a caller
+    can run it before any draw or E.  A dimension below 1 gives 0, for the
+    caller's own dimension check to refuse."""
+    if d_s < 1 or d_m < 1:
+        return 0
+    d2 = d_m * d_m
+    # d_s^bits > d2 once d_s >= 2, so no power past it is formed
+    rows = lambda n: min(d_s ** min(n, d2.bit_length()), d2)
+    return _cap(rows(len_a) * rows(len_c))
 
 
 def region_factors(kraus: KrausSet, len_a: int, len_c: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``_region_factor`` of A and of C that ``qmi_curve`` contracts,
-    checked against rho_AC's cap, so a caller can build them, and fail,
-    before any other work."""
-    return _capped(_region_factor(kraus, len_a), _region_factor(kraus, len_c))
+    built once ``check_rho_ac`` has passed their rho_AC."""
+    check_rho_ac(kraus.d_s, kraus.d_M, len_a, len_c)
+    return _region_factor(kraus, len_a), _region_factor(kraus, len_c)
 
 
 def _rho_ac(
     mps: IuMps, phi_a: np.ndarray, powers_b: Sequence[np.ndarray], phi_c: np.ndarray
 ) -> np.ndarray:
-    """rho_AC on the region factors ``phi_a``, ``phi_c`` (checked by
-    ``_capped``) across each |B| of ``powers_b``, a list of ``(d_M^2,
-    d_M^2)`` E^|B|, stacked ``(len(powers_b), dim, dim)`` with dim =
-    len(phi_a) len(phi_c): the two |B|-independent ends, one multiply of one
-    end by every E^|B| and one matmul with the other."""
+    """rho_AC on the region factors ``phi_a``, ``phi_c`` across each |B| of
+    ``powers_b``, a list of ``(d_M^2, d_M^2)`` E^|B|, stacked
+    ``(len(powers_b), dim, dim)`` with dim = len(phi_a) len(phi_c): the two
+    |B|-independent ends, one multiply of one end by every E^|B| and one
+    matmul with the other."""
     na, nc = len(phi_a), len(phi_c)
     # right[s, s'] = vec(M_s sigma M_s'†); left[t, t'] = vec(I)† (M_t kron conj(M_t'))
     right = np.einsum("pab,bc,qdc->pqad", phi_a, mps.sigma, phi_a.conj()).reshape(na, na, -1)
@@ -341,7 +355,8 @@ def rho_disjoint(mps: IuMps, len_a: int, len_b: int, len_c: int) -> np.ndarray:
     separation; d_s^(|A|+|C|) must stay at oracle scale."""
     if len_a < 1 or len_c < 1:
         raise ValueError("rho_disjoint requires len_a, len_c >= 1")
-    phi_a, phi_c = _capped(site_products(mps.kraus, len_a), site_products(mps.kraus, len_c))
+    phi_a, phi_c = site_products(mps.kraus, len_a), site_products(mps.kraus, len_c)
+    _cap(len(phi_a) * len(phi_c))
     return _rho_ac(mps, phi_a, powers(mps.transfer.e, (len_b,)), phi_c)[0]
 
 

@@ -312,14 +312,21 @@ def _each(step: Callable[[Sequence], Sequence], items: Sequence) -> Sequence:
 
 
 def each_instance(step: Callable[[Sequence], Sequence], items: Sequence, first: int) -> Sequence:
-    """``_each(step, items)`` of instances ``first``, ``first + 1``, ...: the
-    first whose own step fails raises its ``IumpsError`` prefixed with
-    ``instance i: ``, so a chunked solve names the instance, not its place."""
-    results = _each(step, items)
-    for i, res in enumerate(results, first):
-        if isinstance(res, IumpsError):
-            raise type(res)(f"instance {i}: {res}") from res
-    return results
+    """``step(items)``, one result per instance ``first``, ``first + 1``, ...;
+    if it raises, ``step`` of each item alone, and the first whose own step
+    raises an ``IumpsError`` or ``ValueError`` raises it prefixed with
+    ``instance i: ``, so a chunked draw or solve names the instance, not its
+    place."""
+    try:
+        return step(items)
+    except (IumpsError, ValueError):
+        results: list = []
+        for i in range(len(items)):
+            try:
+                results.extend(step(items[i : i + 1]))
+            except (IumpsError, ValueError) as exc:
+                raise type(exc)(f"instance {first + i}: {exc}") from exc
+        return results
 
 
 def _scan_chunk(
@@ -358,7 +365,7 @@ def run_ensemble(
     Instance i always draws from stream index i of ``master_seed``.  The
     scan's arguments and the case and its dimensions (``check_case``) are
     checked once, in that order, before the first chunk.  Nothing here reads
-    a QMI or builds a rho_AC, so no region length is too large, and each
+    a QMI or builds a rho_AC, so rho_AC's cap does not apply, and each
     instance solves only the S(n) its QCMI reads.  The instances are built
     and scanned in chunks of ``ENSEMBLE_CHUNK``: per chunk one stacked
     sample, transfer contraction and ``transfer_spectrum``
@@ -570,8 +577,8 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
     real arithmetic, but sorts no complex spectrum and reads no
     eigenvector; the gaps read its columns 0-2.  Every row carries the
     magnitudes of ``build_case1`` + ``transfer_matrix`` on its own, bit for
-    bit, so the samples do not depend on the chunk size; a failing solve
-    names its instance (``each_instance``).  d_M must be at
+    bit, so the samples do not depend on the chunk size; a failing draw or
+    solve names its instance (``each_instance``).  d_M must be at
     least 2, for E to have the three eigenvalues the gaps need, and the
     dimensions pass ``check_case`` before anything is allocated.
     """
@@ -581,11 +588,13 @@ def gap_statistics(n: int, master_seed: int, d_s: int = 3, d_m: int = 4) -> GapS
         raise ValueError(f"gap statistics need d_M >= 2 (three transfer eigenvalues), not {d_m}")
     check_case(CASE1, d_s, d_m)
     mags = np.empty((n, 3))
+    draw_and_solve = lambda streams: transfer_magnitudes(
+        transfer_operators(sample_case1(d_s, d_m, streams))
+    )
     for start in range(0, n, GAP_CHUNK):
         stop = min(start + GAP_CHUNK, n)
         streams = [RandomStream(master_seed, i) for i in range(start, stop)]
-        e = transfer_operators(sample_case1(d_s, d_m, streams))
-        mags[start:stop] = np.asarray(each_instance(transfer_magnitudes, e, start))[:, :3]
+        mags[start:stop] = np.asarray(each_instance(draw_and_solve, streams, start))[:, :3]
     return GapStatistics(
         one_minus_nu1=np.sort(np.abs(1.0 - mags[:, 0])),
         nu1_minus_nu2=np.sort(np.abs(mags[:, 0] - mags[:, 1])),

@@ -243,6 +243,8 @@ def _case1_matrices(d_s: int, d_m: int, u: np.ndarray) -> np.ndarray:
 # d_M^4 at most 4.95 kB (ensemble --n 4, d_M = 8; 4.72 kB at d_M = 20), per
 # (d_s d_M)^2 of one chunk of Haar draws at most 1.35 kB, and at small d_M the
 # ~1.2 MB a first call allocates, so the margins are 17%, 18% and 2 MiB.
+# What a run holds besides, such as its instances' results or the powers and
+# rho_AC of longer regions, its caller passes to ``check_case`` as ``held``.
 MEMORY_BUDGET = 2**30
 RUN_BASE = 2**21
 TRANSFER_BYTES = 5800
@@ -254,16 +256,19 @@ def run_charge(d_s: int, d_m: int, extra: int = 0) -> int:
     return RUN_BASE + TRANSFER_BYTES * d_m**4 + HAAR_BYTES * (d_s * d_m) ** 2 + extra
 
 
-def _check_dims(d_s: int, d_m: int, extra: int = 0) -> None:
+def _check_dims(d_s: int, d_m: int, held: dict[str, int] | None = None) -> None:
     """Refuse dimensions below 1, and a run whose ``run_charge`` is above
-    ``MEMORY_BUDGET``, before any draw or E is allocated."""
+    ``MEMORY_BUDGET``, before any draw or E is allocated; ``held`` maps what
+    the run holds besides, such as ``"instance results"``, to its bytes."""
     if d_s < 1 or d_m < 1:
         raise ValueError("d_s and d_M must be >= 1")
-    charge = run_charge(d_s, d_m, extra)
+    held = {what: n for what, n in (held or {}).items() if n}
+    charge = run_charge(d_s, d_m, sum(held.values()))
     if charge > MEMORY_BUDGET:
-        held = f" holding {extra:,} bytes of instance results" if extra else ""
+        holding = " and ".join(f"{n:,} bytes of {what}" for what, n in held.items())
+        holding = f" holding {holding}" if holding else ""
         raise ValueError(
-            f"a run at d_s = {d_s}, d_M = {d_m}{held} charges {charge:,} bytes, "
+            f"a run at d_s = {d_s}, d_M = {d_m}{holding} charges {charge:,} bytes, "
             f"above the {MEMORY_BUDGET >> 30} GiB memory budget"
         )
 
@@ -280,18 +285,18 @@ def sample_case1(d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndar
     return matrices
 
 
-def check_case(case_tag: str, d_s: int, d_m: int, extra: int = 0) -> None:
+def check_case(case_tag: str, d_s: int, d_m: int, held: dict[str, int] | None = None) -> None:
     """Raise ``ValueError``, before anything is drawn, unless ``case_tag`` is
     a sampled case that can be drawn at d_s x d_M: an unknown case first,
     then an odd d_M for a two-block case, then ``_check_dims`` of the run,
-    which holds ``extra`` bytes besides.  A loaded Kraus set draws nothing;
+    which holds the bytes of ``held`` besides.  A loaded Kraus set draws nothing;
     ``KrausSet.validate`` checks ``_check_dims`` only."""
     if case_tag != CASE1 and case_tag not in _BLOCK_LAYOUT:
         cases = sorted((CASE1, *_BLOCK_LAYOUT))
         raise ValueError(f"unknown case {case_tag!r}; expected one of {cases}")
     if case_tag in _BLOCK_LAYOUT and d_m % 2 != 0:
         raise ValueError("d_M must be even")
-    _check_dims(d_s, d_m, extra)
+    _check_dims(d_s, d_m, held)
 
 
 def sample_case(case_tag: str, d_s: int, d_m: int, streams: Sequence[RandomStream]) -> np.ndarray:

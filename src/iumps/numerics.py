@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels and deterministic random streams.
 
-Everything here operates on plain ``numpy`` arrays, of any size (``mps`` caps
-the transfer size).  The eigensolvers wrap LAPACK but pin down the ordering,
+Everything here operates on plain ``numpy`` arrays, of any size (``mps``
+refuses a run above its memory budget before any draw).  The eigensolvers wrap LAPACK but pin down the ordering,
 residual, and error contracts the rest of the package relies on.  A general
 spectrum is one checked solve (``np.linalg.eig`` and its residual check over
 every eigenpair) read by one of two readers: ``eig_magnitudes`` sorts the

@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 
 import iumps.cli as cli
+import iumps.experiments
 import iumps.mps
-from iumps import BoundConstants, RandomStream, benchmark_kraus, build_case1, build_iumps
+from iumps import (
+    BoundConstants,
+    KrausSet,
+    RandomStream,
+    benchmark_kraus,
+    build_case1,
+    build_iumps,
+)
 from iumps.cli import RunConfig, main
 from oracles import jordan_decay
 
@@ -256,20 +264,6 @@ def test_config_file_with_flag_override(tmp_path):
     assert summary["config"]["n_instances"] == 4
 
 
-def test_rejects_odd_b_max(tmp_path, capsys):
-    assert run(tmp_path, "scan", "--case", "1", "--b-max", "13") == 4
-    err = capsys.readouterr().err
-    assert err == "invalid input: ValueError: b_max_limit must be even\n"
-
-
-@pytest.mark.parametrize("b_max", ["0", "-4"])
-def test_bound_rejects_a_scan_range_below_two(tmp_path, capsys, b_max):
-    assert run(tmp_path, "bound", "--case", "1", "--b-max", b_max) == 4
-    captured = capsys.readouterr()
-    assert captured.err == "invalid input: ValueError: b_max_limit must be even and >= 2\n"
-    assert captured.out == ""
-
-
 def test_scan_and_ensemble_take_regions_past_the_old_cap(tmp_path, capsys):
     """d_s^(|A|+|C|) = 3^7: the ensemble builds no rho_AC, and the scan's QMI
     column folds each region to at most d_M^2 = 16 matrices."""
@@ -282,25 +276,6 @@ def test_scan_and_ensemble_take_regions_past_the_old_cap(tmp_path, capsys):
     summary = json.loads(read(tmp_path / "ensemble" / "summary.json"))
     assert summary["config"]["len_a"] == 6
     assert capsys.readouterr().err == ""
-
-
-def test_scan_rejects_a_folded_rho_ac_above_the_cap(tmp_path, capsys, monkeypatch):
-    """At d_M = 8 each region of 4 sites folds to d_M^2 = 64 matrices, so
-    rho_AC would be 4096 x 4096: exit 4 and no curve written, before the
-    scan is entered."""
-    import iumps.experiments
-
-    def no_scan(*args, **kwargs):
-        raise AssertionError("the scan ran before the rho_AC cap was checked")
-
-    monkeypatch.setattr(iumps.experiments, "scan_instances", no_scan)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"d_M": 8, "len_a": 4, "len_c": 4}))
-    assert run(tmp_path / "out", "scan", "--config", str(config)) == 4
-    captured = capsys.readouterr()
-    assert captured.err == "invalid input: TooLarge: rho_AC dimension 4096 exceeds 1024\n"
-    assert captured.out == ""
-    assert not (tmp_path / "out" / "curve_0.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -360,24 +335,6 @@ def test_scan_qmi_column_is_qmi_curve_of_a_fresh_instance(tmp_path, argv, len_a)
     assert np.array([float(row[1]) for row in rows]).tobytes() == np.array(expected).tobytes()
     if "--b-max" in argv:
         assert sizes[-1] > 2 * SCAN_BLOCK  # past the first block
-
-
-def test_rejects_zero_instances(tmp_path, capsys):
-    assert run(tmp_path, "ensemble", "--n", "0") == 4
-    err = capsys.readouterr().err
-    assert err == "invalid input: ValueError: n_instances must be >= 1\n"
-    assert not (tmp_path / "summary.json").exists()
-
-
-def test_rejects_non_canonical_kraus_file(tmp_path, capsys):
-    payload = json.loads(benchmark_kraus().to_json())
-    payload["matrices"][0][0] = [2.0, 0.0]
-    kraus_file = tmp_path / "bad.json"
-    kraus_file.write_text(json.dumps(payload))
-    assert run(tmp_path, "scan", "--kraus", str(kraus_file)) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("invalid input: ValueError: Kraus file ")
-    assert "canonical-form deviation" in err and err.count("\n") == 1
 
 
 def test_bound_exit_code_on_near_degenerate_gap(tmp_path, monkeypatch, capsys):
@@ -526,94 +483,12 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("ensemble", "--case", "golden"),
-        ("ensemble", "--kraus", "KRAUS"),
-        ("ensemble", "--save-kraus"),
-        ("gapstats", "--case", "2"),
-        ("gapstats", "--case", "3"),
-        ("gapstats", "--case", "golden"),
-        ("gapstats", "--kraus", "KRAUS"),
-        ("gapstats", "--save-kraus"),
-    ],
-    ids=" ".join,
-)
-def test_sampling_commands_reject_fixed_instance(tmp_path, capsys, argv):
-    kraus_file = tmp_path / "kraus.json"
-    kraus_file.write_text(benchmark_kraus().to_json())
-    out_dir = tmp_path / "out"
-    argv = [str(kraus_file) if a == "KRAUS" else a for a in argv]
-    assert main([*argv, "--n", "2", "--out", str(out_dir)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("invalid input: ValueError: ") and err.count("\n") == 1
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("scan", "--case", "1", "--n", "5"),
-        ("scan", "--case", "1", "--n", "5", "--save-kraus"),
-        ("bound", "--case", "2", "--n", "3"),
-        ("bound", "--case", "2", "--n", "3", "--save-kraus"),
-        ("benchmark", "--n", "2"),
-        ("benchmark", "--kraus", "KRAUS"),
-        ("benchmark", "--save-kraus"),
-        ("benchmark", "--case", "2"),
-        ("benchmark", "--b-max", "10"),
-    ],
-    ids=" ".join,
-)
-def test_single_instance_commands_reject_flags_that_do_not_apply(tmp_path, capsys, argv):
-    kraus_file = tmp_path / "kraus.json"
-    kraus_file.write_text(benchmark_kraus().to_json())
-    out_dir = tmp_path / "out"
-    argv = [str(kraus_file) if a == "KRAUS" else a for a in argv]
-    assert main([*argv, "--out", str(out_dir)]) == 4
-    captured = capsys.readouterr()
-    assert captured.err.startswith("invalid input: ValueError: ")
-    assert captured.err.count("\n") == 1
-    assert captured.out == ""
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("gapstats", "--b-max", "10"),
-        ("gapstats", "--k", "5"),
-        ("spectrum", "--case", "1", "--b-max", "10"),
-        ("spectrum", "--case", "1", "--k", "5"),
-        ("spectrum", "--case", "golden", "--k", "13"),
-    ],
-    ids=" ".join,
-)
-def test_commands_without_a_scan_reject_scan_options(tmp_path, capsys, argv):
-    out_dir = tmp_path / "out"
-    assert main([*argv, "--out", str(out_dir)]) == 4
-    captured = capsys.readouterr()
-    assert captured.err.startswith("invalid input: ValueError: ")
-    assert "does not apply" in captured.err and captured.err.count("\n") == 1
-    assert not out_dir.exists()
-    # the default value is no rejection
-    default = "40" if "--b-max" in argv else "12"
-    assert main([*argv[:-1], default, "--out", str(out_dir)]) == 0
-
-
-@pytest.mark.parametrize("command", ["gapstats", "benchmark"])
-def test_bond_dimension_one_has_no_gap_statistics(tmp_path, capsys, command):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"d_M": 1}))
-    out_dir = tmp_path / "out"
-    assert main([command, "--config", str(config), "--out", str(out_dir)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("invalid input: ValueError: gap statistics need d_M >= 2")
-    assert captured.err.count("\n") == 1
-    assert not out_dir.exists()
-
+def test_commands_without_a_scan_take_scan_options_at_their_default(tmp_path):
+    """A scan option a command does not read is refused only off its default
+    (the scan-option rows of ``REFUSED``): at its default the command runs."""
+    for argv in (("gapstats",), ("spectrum", "--case", "1"), ("spectrum", "--case", "golden")):
+        for option in (("--b-max", "40"), ("--k", "12")):
+            assert main([*argv, *option, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_spectrum_of_a_gapless_instance_exits_3_with_one_stderr_line(tmp_path, capsys):
@@ -634,34 +509,6 @@ def test_spectrum_of_a_gapless_instance_exits_3_with_one_stderr_line(tmp_path, c
         "peripheral_count": 1,
     }
     assert len(read(out_dir / "spectrum.csv").splitlines()) == 2
-
-@pytest.mark.parametrize(
-    "payload_message",
-    [
-        ({"d_s": "3"}, "d_s must be int, not '3'"),
-        ({"threshold": 1e-12}, "config.json: not a config field: threshold\n"),
-        ({"peripheral_tol": 1e-8}, "config.json: not a config field: peripheral_tol\n"),
-        ({"burn_in": 3}, "config.json: not a config field: burn_in\n"),
-        ({"n_instances": True}, "n_instances must be int, not True"),
-        ({"k": 12.0}, "k must be int, not 12.0"),
-        ({"case_tag": None}, "case_tag must be str, not None"),
-        ({"save_kraus": 1}, "save_kraus must be bool, not 1"),
-        ({"no_such_key": 1}, "config.json: not a config field: no_such_key\n"),
-        ([3], "must hold a JSON object"),
-    ],
-    ids=lambda case: json.dumps(case[0]),
-)
-def test_rejects_bad_config_file(tmp_path, capsys, payload_message):
-    payload, message = payload_message
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(payload))
-    out_dir = tmp_path / "out"
-    assert main(["spectrum", "--config", str(config), "--out", str(out_dir)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("invalid input: ValueError: config: ") and err.count("\n") == 1
-    assert message in err
-    assert not out_dir.exists()
-
 
 def test_ensemble_exit_when_every_instance_fails(tmp_path):
     # bond dimension 1 has a fully peripheral transfer spectrum, so every
@@ -728,10 +575,14 @@ def run_config(tmp_path, command, payload):
     return main([command, "--config", str(config)])
 
 
+def cases(rows):
+    """One case per tuple of strings, whose one id joins them with '-'."""
+    return [pytest.param(*row, id="-".join(row)) for row in rows]
+
+
 @pytest.mark.parametrize(
     "command,field",
-    [(command, field) for command, reads in READS.items() for field in (*reads, "output_dir")],
-    ids="-".join,
+    cases((command, field) for command, reads in READS.items() for field in (*reads, "output_dir")),
 )
 def test_each_command_takes_every_field_it_reads(tmp_path, handled, command, field):
     assert run_config(tmp_path, command, {field: NON_DEFAULT[field]}) == 0
@@ -740,13 +591,12 @@ def test_each_command_takes_every_field_it_reads(tmp_path, handled, command, fie
 
 @pytest.mark.parametrize(
     "command,field",
-    [
+    cases(
         (command, field)
         for command, reads in READS.items()
         for field in NON_DEFAULT
         if field not in (*reads, "output_dir")
-    ],
-    ids="-".join,
+    ),
 )
 def test_each_command_rejects_every_field_it_does_not_read(
     tmp_path, capsys, handled, command, field
@@ -760,14 +610,13 @@ def test_each_command_rejects_every_field_it_does_not_read(
 
 @pytest.mark.parametrize(
     "command,fixed,field",
-    [
+    cases(
         (command, fixed, field)
         for command in ("spectrum", "scan", "bound")
         for fixed, (_, unread) in FIXED.items()
         for field in unread
         if field in READS[command]
-    ],
-    ids="-".join,
+    ),
 )
 def test_a_fixed_instance_reads_no_sampling_field(tmp_path, capsys, handled, command, fixed, field):
     value = FIXED[fixed][0]
@@ -778,43 +627,6 @@ def test_a_fixed_instance_reads_no_sampling_field(tmp_path, capsys, handled, com
     assert f"{field} = " in err and err.count("\n") == 1
     assert handled == []
     assert run_config(tmp_path, command, {fixed: value}) == 0
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("bound", "--case", "1", "--k", "5"),
-        ("bound", "--config", '{"len_a": 3}'),
-        ("gapstats", "--config", '{"len_a": 3}'),
-        ("spectrum", "--config", '{"len_a": 3}'),
-        ("benchmark", "--config", '{"len_a": 3}'),
-        ("scan", "--case", "a", "--seed", "9"),
-        ("scan", "--case", "a", "--config", '{"d_s": 2}'),
-        ("bound", "--case", "a", "--seed", "5"),
-        ("scan", "--kraus", "KRAUS", "--case", "2"),
-        ("spectrum", "--case", "golden", "--seed", "3"),
-    ],
-    ids=" ".join,
-)
-def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
-    def resolve(arg):  # a KrausSet file for KRAUS, a config file for a JSON object
-        if arg == "KRAUS":
-            arg, path = benchmark_kraus().to_json(), tmp_path / "kraus.json"
-        elif arg.startswith("{"):
-            path = tmp_path / "config.json"
-        else:
-            return arg
-        path.write_text(arg)
-        return str(path)
-
-    argv = [resolve(a) for a in argv]
-    out_dir = tmp_path / "out"
-    assert main([*argv, "--out", str(out_dir)]) == 4
-    captured = capsys.readouterr()
-    assert captured.err.startswith("invalid input: ValueError: ")
-    assert captured.err.endswith(" does not apply\n") and captured.err.count("\n") == 1
-    assert captured.out == ""
-    assert not out_dir.exists()
 
 
 # Each flag, its value, and the RunConfig field and value it sets.
@@ -904,50 +716,8 @@ def test_spectrum_of_a_jordan_block_at_the_gap_writes_its_gap(tmp_path, capsys):
     assert gap["peripheral_count"] == 1
 
 
-def test_a_bond_dimension_above_the_transfer_size_cap_exits_4_before_sampling(
-    tmp_path, capsys, monkeypatch
-):
-    import iumps.mps
-
-    def no_draw(*args):
-        raise AssertionError("sampled before the d_M check")
-
-    monkeypatch.setattr(iumps.mps, "haar_unitaries", no_draw)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"d_M": 40}))
-    out_dir = tmp_path / "out"
-    assert main(["gapstats", "--n", "16", "--config", str(config), "--out", str(out_dir)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"invalid input: ValueError: {over_budget(3, 40, 16 * 300)}\n"
-    assert captured.err.count("\n") == 1
-    assert not out_dir.exists()
-
-
-def test_a_kraus_file_above_the_transfer_size_cap_exits_4_before_its_transfer_matrix(
-    tmp_path, capsys, monkeypatch
-):
-    import iumps.mps
-    from iumps import KrausSet
-
-    def no_transfer(*args):
-        raise AssertionError("built E before the d_M check")
-
-    monkeypatch.setattr(iumps.mps, "transfer_operators", no_transfer)
-    kraus_file = tmp_path / "kraus.json"
-    identity = np.eye(40, dtype=complex)[None]
-    kraus_file.write_text(KrausSet(d_s=1, d_M=40, matrices=identity, case_tag="explicit").to_json())
-    assert run(tmp_path / "out", "spectrum", "--kraus", str(kraus_file)) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    message = f"invalid input: ValueError: Kraus file {kraus_file}: {over_budget(1, 40)}\n"
-    assert captured.err == message
-    assert not (tmp_path / "out").exists()
-
-
 def over_budget(d_s, d_m, extra=0):
-    """The memory-budget refusal of a run at d_s x d_M holding ``extra``
-    bytes of instance results besides."""
+    """The memory-budget refusal of a run at d_s x d_M holding ``extra`` B of results."""
     held = f" holding {extra:,} bytes of instance results" if extra else ""
     charge = iumps.mps.run_charge(d_s, d_m, extra)
     return (
@@ -956,64 +726,174 @@ def over_budget(d_s, d_m, extra=0):
     )
 
 
-# Configs refused before anything is drawn or written: a two-block case at an
-# odd d_M, a Haar dimension d_s * d_M above the memory budget (a 4.66 TiB draw
-# at d_s = 100000), a k whose floor 10^-k is not a normal double, an instance
-# count above the memory budget (a 224 GiB gapstats array at 10^10), and scan
-# arguments refused by the CLI's one pass, not by the command.  The bytes each
-# instance charges: spectrum SPECTRUM_ROW_BYTES d_M^2, gapstats and ensemble 300.
+# Every exit-4 refusal, before any Haar draw, E or write, in the order of the
+# rules: argv (KRAUS for the Kraus file), the config payload, the Kraus file's
+# text or None, and the stderr line after "invalid input: ", {kraus} and
+# {config} standing for the files' paths.  Instance results held: spectrum
+# SPECTRUM_ROW_BYTES d_M^2 bytes an instance, gapstats and ensemble 300.
 SPECTRUM_ROW_BYTES = 150
-K_CAP = "k must be <= 307, for a floor 10^-k that is a normal double"
 INSTANCE_BYTES = {"spectrum": SPECTRUM_ROW_BYTES * 4**2, "gapstats": 300, "ensemble": 300}
+K_CAP = "ValueError: k must be <= 307, for a floor 10^-k that is a normal double"
+RHO_AC_CAP = "TooLarge: rho_AC dimension 4096 exceeds 1024"
+B_MAX_BELOW_2 = "ValueError: b_max_limit must be even and >= 2"
+GAP_D_M = "ValueError: gap statistics need d_M >= 2 (three transfer eigenvalues), not 1"
+GOLDEN = benchmark_kraus().to_json()
+NON_CANONICAL = GOLDEN.replace('"matrices": [[[0.0, 0.0]', '"matrices": [[[2.0, 0.0]')
+IDENTITY_40 = KrausSet(1, 40, np.eye(40, dtype=complex)[None], "explicit").to_json()
+# two Kraus matrices I/sqrt(2): each region of 6 sites folds to 64 matrices
+HALVES_8 = KrausSet(2, 8, np.stack([np.eye(8, dtype=complex)] * 2) / 2**0.5, "explicit").to_json()
+
+
+def budget(d_s, d_m, extra=0):
+    return f"ValueError: {over_budget(d_s, d_m, extra)}"
+
+
+def unread(command, field, value):
+    return f"ValueError: {command} does not read {field}, so {field} = {value!r} does not apply"
+
+
+def refused(argv, message, payload=None, kraus=None, id=None):
+    id = id or " ".join(argv) + (f" {json.dumps(payload)}" if payload else "")
+    return pytest.param(argv, {} if payload is None else payload, kraus, message, id=id)
+
+
 REFUSED = [
-    pytest.param(("ensemble", "--case", "2", "--n", "8"), {"d_M": 3}, "d_M must be even",
-                 id="ensemble case2 d_M=3"),
     *[
-        pytest.param((command,), {"d_s": 100_000},
-                     over_budget(100_000, 4, INSTANCE_BYTES.get(command, 0)),
-                     id=f"{command} d_s=100000")
-        for command in ("spectrum", "scan", "ensemble", "gapstats", "benchmark")
+        refused(("spectrum",), f"ValueError: config: {message}", payload)
+        for payload, message in (
+            ({"d_s": "3"}, "d_s must be int, not '3'"),
+            ({"n_instances": True}, "n_instances must be int, not True"),
+            ({"k": 12.0}, "k must be int, not 12.0"),
+            ({"case_tag": None}, "case_tag must be str, not None"),
+            ({"save_kraus": 1}, "save_kraus must be bool, not 1"),
+            ({"threshold": 1e-12}, "{config}: not a config field: threshold"),
+            ({"peripheral_tol": 1e-8}, "{config}: not a config field: peripheral_tol"),
+            ({"burn_in": 3}, "{config}: not a config field: burn_in"),
+            ({"no_such_key": 1}, "{config}: not a config field: no_such_key"),
+            ([3], "{config} must hold a JSON object"),
+        )
     ],
     *[
-        pytest.param((command, "--k", str(k), *extra), {}, K_CAP, id=f"{command} k={name}")
+        refused(argv, unread(argv[0], field, value))
+        for argv, field, value in (
+            (("ensemble", "--kraus", "KRAUS", "--n", "2"), "kraus_path", "{kraus}"),
+            (("ensemble", "--save-kraus", "--n", "2"), "save_kraus", True),
+            (("gapstats", "--case", "2", "--n", "2"), "case_tag", "case2"),
+            (("gapstats", "--case", "3", "--n", "2"), "case_tag", "case3"),
+            (("gapstats", "--case", "golden", "--n", "2"), "case_tag", "golden"),
+            (("gapstats", "--kraus", "KRAUS", "--n", "2"), "kraus_path", "{kraus}"),
+            (("gapstats", "--save-kraus", "--n", "2"), "save_kraus", True),
+            (("scan", "--case", "1", "--n", "5"), "n_instances", 5),
+            (("scan", "--case", "1", "--n", "5", "--save-kraus"), "n_instances", 5),
+            (("bound", "--case", "2", "--n", "3"), "n_instances", 3),
+            (("bound", "--case", "2", "--n", "3", "--save-kraus"), "n_instances", 3),
+            (("bound", "--case", "1", "--k", "5"), "k", 5),
+            (("benchmark", "--n", "2"), "n_instances", 2),
+            (("benchmark", "--kraus", "KRAUS"), "kraus_path", "{kraus}"),
+            (("benchmark", "--save-kraus"), "save_kraus", True),
+            (("benchmark", "--case", "2"), "case_tag", "case2"),
+            (("benchmark", "--b-max", "10"), "b_max_limit", 10),
+            (("gapstats", "--b-max", "10"), "b_max_limit", 10),
+            (("gapstats", "--k", "5"), "k", 5),
+            (("spectrum", "--case", "1", "--b-max", "10"), "b_max_limit", 10),
+            (("spectrum", "--case", "1", "--k", "5"), "k", 5),
+        )
+    ],
+    *[refused((c,), unread(c, "len_a", 3), {"len_a": 3})
+      for c in ("bound", "gapstats", "spectrum", "benchmark")],
+    *[
+        refused(argv, unread(f"{argv[0]} of a fixed instance", field, value), payload)
+        for argv, payload, field, value in (
+            (("spectrum", "--case", "golden", "--k", "13"), None, "k", 13),
+            (("spectrum", "--case", "golden", "--seed", "3"), None, "master_seed", 3),
+            (("scan", "--case", "a", "--seed", "9"), None, "master_seed", 9),
+            (("scan", "--case", "a"), {"d_s": 2}, "d_s", 2),
+            (("scan", "--kraus", "KRAUS", "--case", "2"), None, "case_tag", "case2"),
+            (("bound", "--case", "a", "--seed", "5"), None, "master_seed", 5),
+        )
+    ],
+    refused(("scan", "--case", "1", "--b-max", "13"), "ValueError: b_max_limit must be even"),
+    refused(("bound", "--b-max", "13"), "ValueError: b_max_limit must be even",
+            id="bound b_max=13"),
+    refused(("bound", "--case", "1", "--b-max", "0"), B_MAX_BELOW_2),
+    refused(("bound", "--case", "1", "--b-max", "-4"), B_MAX_BELOW_2),
+    refused(("scan", "--save-kraus"), "ValueError: scan requires len_a, len_c >= 1",
+            {"len_a": 0}, id="scan len_a=0"),
+    refused(("ensemble",), "ValueError: scan requires len_a, len_c >= 1", {"len_c": 0},
+            id="ensemble len_c=0"),
+    refused(("benchmark", "--k", "0"), "ValueError: k must be >= 1", id="benchmark k=0"),
+    *[
+        refused((command, "--k", str(k), *extra), K_CAP, id=f"{command} k={name}")
         for command, extra in (("scan", ("--save-kraus",)), ("ensemble", ()), ("benchmark", ()))
         for k, name in ((308, "308"), (10**400, "10^400"))
     ],
+    refused(("ensemble", "--n", "0"), "ValueError: n_instances must be >= 1"),
+    # each region of 4 sites folds to d_M^2 = 64 matrices: rho_AC would be 4096 wide
+    refused(("scan",), RHO_AC_CAP, {"d_M": 8, "len_a": 4, "len_c": 4}),
+    refused(("scan", "--save-kraus"), RHO_AC_CAP, {"d_M": 8, "len_a": 4, "len_c": 4}),
+    refused(("scan", "--kraus", "KRAUS"), RHO_AC_CAP, {"len_a": 6, "len_c": 6}, HALVES_8),
+    refused(("scan", "--kraus", "KRAUS", "--save-kraus"), RHO_AC_CAP, {"len_a": 6, "len_c": 6},
+            HALVES_8),
+    refused(("ensemble", "--case", "golden", "--n", "2"),
+            "ValueError: unknown case 'golden'; expected one of ['case1', 'case2', 'case3']"),
+    refused(("ensemble", "--case", "2", "--n", "8"), "ValueError: d_M must be even", {"d_M": 3},
+            id="ensemble case2 d_M=3"),
     *[
-        pytest.param((command, "--n", str(n)), {}, over_budget(3, 4, n * INSTANCE_BYTES[command]),
-                     id=f"{command} n={n}")
+        refused((command,), budget(100_000, 4, INSTANCE_BYTES.get(command, 0)),
+                {"d_s": 100_000}, id=f"{command} d_s=100000")
+        for command in ("spectrum", "scan", "ensemble", "gapstats", "benchmark")
+    ],
+    *[
+        refused((command, "--n", str(n)),
+                budget(3, 4, n * INSTANCE_BYTES[command]), id=f"{command} n={n}")
         for command, n in (("spectrum", 10**8), ("gapstats", 10**10), ("ensemble", 3_579_140))
     ],
-    pytest.param(("benchmark", "--k", "0"), {}, "k must be >= 1", id="benchmark k=0"),
-    pytest.param(("bound", "--b-max", "13"), {}, "b_max_limit must be even", id="bound b_max=13"),
-    pytest.param(("scan", "--save-kraus"), {"len_a": 0}, "scan requires len_a, len_c >= 1",
-                 id="scan len_a=0"),
-    pytest.param(("ensemble",), {"len_c": 0}, "scan requires len_a, len_c >= 1",
-                 id="ensemble len_c=0"),
+    refused(("gapstats", "--n", "16"), budget(3, 40, 16 * 300), {"d_M": 40}),
+    # the window's E^n for 59 more region sites, and a 1024 x 1024 rho_AC slice
+    refused(("ensemble",), "ValueError: a run at d_s = 3, d_M = 20 holding 300 bytes of instance "
+            "results and 490,880,000 bytes of E^n for 59 region sites past one charges "
+            "1,426,737,452 bytes, above the 1 GiB memory budget", {"d_M": 20, "len_c": 60}),
+    refused(("scan",), "ValueError: a run at d_s = 2, d_M = 8 holding 1,703,936 bytes of E^n for "
+            "8 region sites past one and 1,174,387,200 bytes of 1024 x 1024 rho_AC charges "
+            "1,202,354,688 bytes, above the 1 GiB memory budget",
+            {"d_s": 2, "d_M": 8, "len_a": 5, "len_c": 5}),
+    refused(("scan", "--kraus", "KRAUS"), "ValueError: Kraus file {kraus}: canonical-form "
+            "deviation 4.000e+00 exceeds 1.0e-10", kraus=NON_CANONICAL),
+    refused(("spectrum", "--kraus", "KRAUS"), f"ValueError: Kraus file {{kraus}}: "
+            f"{over_budget(1, 40)}", kraus=IDENTITY_40),
+    refused(("gapstats",), GAP_D_M, {"d_M": 1}),
+    refused(("benchmark",), GAP_D_M, {"d_M": 1}),
 ]
 
 
-@pytest.mark.parametrize("argv, payload, message", REFUSED)
-def test_a_config_refused_before_any_draw_exits_4_and_writes_nothing(
-    tmp_path, capsys, monkeypatch, argv, payload, message
-):
-    def no_draw(*args):
-        raise AssertionError("drew before the config was refused")
-
-    monkeypatch.setattr(iumps.mps, "haar_unitaries", no_draw)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(payload))
-    out_dir = tmp_path / "out"
+def traced(argv):
+    """The exit code of ``main(argv)`` and its tracemalloc peak."""
     tracemalloc.start()
     try:
-        code = main([*argv, "--config", str(config), "--out", str(out_dir)])
-        peak = tracemalloc.get_traced_memory()[1]
+        return main(argv), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 4
+
+
+@pytest.mark.parametrize("argv, payload, kraus, message", REFUSED)
+def test_a_config_refused_before_any_draw_exits_4_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, argv, payload, kraus, message
+):
+    def no_work(*args):
+        raise AssertionError("drew or built E before the refusal")
+
+    for module in (iumps.mps, iumps.experiments):
+        monkeypatch.setattr(module, "transfer_operators", no_work)
+    monkeypatch.setattr(iumps.mps, "haar_unitaries", no_work)
+    config, kraus_file, out_dir = (tmp_path / f for f in ("config.json", "kraus.json", "out"))
+    config.write_text(json.dumps(payload))
+    if kraus is not None:
+        kraus_file.write_text(kraus)
+    argv = [str(kraus_file) if a == "KRAUS" else a for a in argv]
+    code, peak = traced([*argv, "--config", str(config), "--out", str(out_dir)])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"invalid input: ValueError: {message}\n"
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"invalid input: {message.format(kraus=kraus_file, config=config)}\n"
     assert not out_dir.exists()
     assert peak < 1e6, f"{peak / 1e6:.2f} MB"
 
@@ -1088,17 +968,43 @@ def test_a_failing_spectrum_is_named_by_its_instance(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
-def test_each_command_peaks_under_its_charge_at_d_m_12(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["spectrum", "gapstats"])
+def test_a_failing_draw_is_named_by_its_instance(tmp_path, capsys, monkeypatch, command):
+    """Instance 19's Haar unitary scaled by 1.01 fails the canonical check,
+    in the stacked draw of its chunk (gapstats) or in its own (spectrum):
+    the draw is redone one instance at a time, and the error names 19."""
+    haar_unitaries = iumps.mps.haar_unitaries
+
+    def breaking_19(dim, streams):
+        scale = [1.01 if stream.stream_index == 19 else 1.0 for stream in streams]
+        return haar_unitaries(dim, streams) * np.array(scale)[:, None, None]
+
+    monkeypatch.setattr(iumps.mps, "haar_unitaries", breaking_19)
+    assert run(tmp_path / "out", command, "--n", "40") == 4
+    assert capsys.readouterr().err == (
+        "invalid input: ValueError: instance 19: "
+        "canonical-form deviation 2.010e-02 exceeds 1.0e-10\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def charged(monkeypatch):
+    """The charge of each run ``cli._check_run`` passes to ``check_case``."""
+    check_case, charges = cli.check_case, []
+
+    def recorded(case_tag, d_s, d_m, held=None):
+        charges.append(iumps.mps.run_charge(d_s, d_m, sum((held or {}).values())))
+        check_case(case_tag, d_s, d_m, held)
+
+    monkeypatch.setattr(cli, "check_case", recorded)
+    return charges
+
+
+def test_each_command_peaks_under_its_charge_at_d_m_12(tmp_path, charged):
     """The memory model, checked rather than guessed: at d_M = 12 each
     command exits 0 with a tracemalloc peak under what ``mps._check_dims``
     charges its run, its dimensions and its instances' results."""
-    check_case, charged = cli.check_case, []
-
-    def recorded(case_tag, d_s, d_m, extra=0):
-        charged.append(iumps.mps.run_charge(d_s, d_m, extra))
-        check_case(case_tag, d_s, d_m, extra)
-
-    monkeypatch.setattr(cli, "check_case", recorded)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"d_M": 12}))
     for argv in (
@@ -1110,11 +1016,25 @@ def test_each_command_peaks_under_its_charge_at_d_m_12(tmp_path, monkeypatch):
         ("bound",),
     ):
         charged.clear()
-        tracemalloc.start()
-        try:
-            code = main([*argv, "--config", str(config), "--out", str(tmp_path / argv[0])])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced([*argv, "--config", str(config), "--out", str(tmp_path / argv[0])])
         assert code == 0 and len(charged) == 1, argv
         assert peak < charged[0], f"{argv}: {peak / 1e6:.1f} MB above {charged[0] / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (("ensemble", "--n", "4"), {"d_M": 8, "len_c": 60}),
+        (("scan", "--case", "1"), {"d_M": 8, "len_a": 2, "len_c": 3}),
+    ],
+    ids=["ensemble len_c=60", "scan len_a=2 len_c=3"],
+)
+def test_longer_regions_peak_under_their_charge(tmp_path, charged, argv, payload):
+    """Above the charge of |A| = |C| = 1 (46.5, 48.7 MB against 26.8 MB), and
+    under the charge of the window's E^n for the sites past one and the scan's
+    243 x 243 rho_AC slice besides."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    code, peak = traced([*argv, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 0 and len(charged) == 1
+    assert iumps.mps.run_charge(3, 8, 1200) < peak < charged[0], f"{peak / 1e6:.1f} MB"

@@ -32,6 +32,7 @@ from iumps.entropy import (
     _region_factor,
     _support_entropies,
     _supports,
+    check_rho_ac,
     entropy_from_eigenvalues,
     fill_entropies_chunk,
     qmi_curve,
@@ -222,6 +223,23 @@ def test_rho_disjoint_cap():
         rho_disjoint(mps, 7, 2, 7)
     with pytest.raises(TooLarge):  # each region's products are capped before rho_AC is
         site_products(mps.kraus, 7)
+
+
+def test_rho_ac_cap_reads_only_the_dimensions_and_region_lengths(monkeypatch):
+    """Each region folds to min(d_s^n, d_M^2) matrices, as many as
+    ``_region_factor`` builds, so ``check_rho_ac`` needs no instance, even at
+    a region of 10^9 sites; ``region_factors`` runs it before building any."""
+    import iumps.entropy
+
+    kraus = build_case("case1", 2, 4, RandomStream(3, 0))
+    assert [len(_region_factor(kraus, n)) for n in range(1, 7)] == [2, 4, 8, 16, 16, 16]
+    assert check_rho_ac(2, 4, 3, 6) == 128 and check_rho_ac(2, 8, 10**9, 1) == 128
+    assert check_rho_ac(3, 8, 3, 3) == 729 and check_rho_ac(1, 40, 10**9, 10**9) == 1
+    kraus = build_case("case1", 3, 8, RandomStream(3, 0))
+    monkeypatch.setattr(iumps.entropy, "_region_factor", None)  # not called
+    for call in (lambda: check_rho_ac(3, 8, 4, 4), lambda: region_factors(kraus, 4, 4)):
+        with pytest.raises(TooLarge, match=r"^rho_AC dimension 4096 exceeds 1024$"):
+            call()
 
 
 def test_brute_force_density_golden_instance(golden_mps):
