@@ -575,14 +575,10 @@ def run_config(tmp_path, command, payload):
     return main([command, "--config", str(config)])
 
 
-def cases(rows):
-    """One case per tuple of strings, whose one id joins them with '-'."""
-    return [pytest.param(*row, id="-".join(row)) for row in rows]
-
-
 @pytest.mark.parametrize(
     "command,field",
-    cases((command, field) for command, reads in READS.items() for field in (*reads, "output_dir")),
+    [(command, field) for command, reads in READS.items() for field in (*reads, "output_dir")],
+    ids="-".join,
 )
 def test_each_command_takes_every_field_it_reads(tmp_path, handled, command, field):
     assert run_config(tmp_path, command, {field: NON_DEFAULT[field]}) == 0
@@ -591,12 +587,13 @@ def test_each_command_takes_every_field_it_reads(tmp_path, handled, command, fie
 
 @pytest.mark.parametrize(
     "command,field",
-    cases(
+    [
         (command, field)
         for command, reads in READS.items()
         for field in NON_DEFAULT
         if field not in (*reads, "output_dir")
-    ),
+    ],
+    ids="-".join,
 )
 def test_each_command_rejects_every_field_it_does_not_read(
     tmp_path, capsys, handled, command, field
@@ -610,13 +607,14 @@ def test_each_command_rejects_every_field_it_does_not_read(
 
 @pytest.mark.parametrize(
     "command,fixed,field",
-    cases(
+    [
         (command, fixed, field)
         for command in ("spectrum", "scan", "bound")
         for fixed, (_, unread) in FIXED.items()
         for field in unread
         if field in READS[command]
-    ),
+    ],
+    ids="-".join,
 )
 def test_a_fixed_instance_reads_no_sampling_field(tmp_path, capsys, handled, command, fixed, field):
     value = FIXED[fixed][0]

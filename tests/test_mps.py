@@ -512,7 +512,7 @@ def _over_budget(d_s, d_m):
     return f"^a run at d_s = {d_s}, d_M = {d_m} charges {charge:,} bytes, above the 1 GiB memory"
 
 
-def test_a_bond_dimension_above_the_memory_budget_is_refused_before_any_allocation(monkeypatch):
+def test_a_bond_dimension_above_the_transfer_size_cap_is_refused_before_any_allocation(monkeypatch):
     """A d_M whose transfer matrices put the run above mps.MEMORY_BUDGET
     (d_M = 40: 14.9 GB charged) is one ValueError, raised before any Haar draw
     or transfer matrix: by the case check every sampled path shares, and by
@@ -550,7 +550,7 @@ def test_a_bond_dimension_above_the_memory_budget_is_refused_before_any_allocati
     check_case("case2", 3, 20)
 
 
-def test_a_haar_dimension_above_the_memory_budget_is_refused_before_any_draw(monkeypatch):
+def test_a_haar_dimension_above_the_cap_is_refused_before_any_draw(monkeypatch):
     """A Haar dimension d_s * d_M that puts the run above mps.MEMORY_BUDGET
     (d_s = 100000 at d_M = 4: 2.56e14 bytes charged) is one ValueError,
     raised before any Haar draw by the case check, which ``sample_case1``
